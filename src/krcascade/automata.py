@@ -8,6 +8,9 @@ upper states onto lower states and xi mapping lower symbols into upper ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, compress, repeat
+from operator import is_not, itemgetter, not_
 from typing import Optional
 
 from .algebra import CLOSURE_CAP, Transformation, clamp_label, closure_generate
@@ -15,41 +18,100 @@ from .errors import InvalidInputError, WitnessError
 
 
 def _unique_labels(candidates):
-    seen = {}
+    """The candidates in order, each repeat renamed to the first name
+    "<label>#k" not taken yet, counting k on from the label's last repeat."""
+    taken = set()
+    last = {}
     out = []
     for lab in candidates:
-        if lab in seen:
-            seen[lab] += 1
-            lab = "%s#%d" % (lab, seen[lab])
-        seen.setdefault(lab, 0)
+        if lab in taken:
+            k = last.get(lab, 0)
+            name = lab
+            while name in taken:
+                k += 1
+                name = "%s#%d" % (lab, k)
+            last[lab] = k
+            lab = name
+        taken.add(lab)
         out.append(lab)
     return out
 
 
+def _rows(columns, n_states):
+    """The rows of the table with per-symbol images columns[a][s]."""
+    return zip(*columns) if columns else repeat((), n_states)
+
+
+def _table_in_range(delta, n_symbols, n_states):
+    """Whether every row has n_symbols entries, each a state below n_states."""
+    if set(map(len, delta)) != {n_symbols}:
+        return False
+    cells = chain.from_iterable
+    return not n_symbols or (0 <= min(cells(delta)) and max(cells(delta)) < n_states)
+
+
+class _PairLabels:
+    """The state labels of a product of A and B, rendered on first read."""
+
+    def __init__(self, A, B):
+        self.A, self.B = A, B
+
+    def __len__(self):
+        return self.A.n_states * self.B.n_states
+
+    def render(self):
+        return tuple(_pair_state_labels(self.A, self.B))
+
+
 class Semiautomaton:
-    """States, alphabet, and a total transition table delta[state][symbol]."""
+    """States, alphabet, and a total transition table delta[state][symbol].
+
+    Products pass their state labels as a _PairLabels, which is unique by
+    construction and rendered on the first read of state_labels.
+    """
 
     def __init__(self, state_labels, symbol_labels, delta):
-        self.state_labels = tuple(str(x) for x in state_labels)
-        self.symbol_labels = tuple(str(x) for x in symbol_labels)
-        self.delta = tuple(tuple(int(x) for x in row) for row in delta)
-        n, m = len(self.state_labels), len(self.symbol_labels)
+        lazy = isinstance(state_labels, _PairLabels)
+        if lazy:
+            self._pending_labels = state_labels
+            n = len(state_labels)
+        else:
+            self.state_labels = tuple(map(str, state_labels))
+            n = len(self.state_labels)
+        self.symbol_labels = tuple(map(str, symbol_labels))
+        self.delta = tuple(map(tuple, delta))
+        m = len(self.symbol_labels)
         if n < 1:
             raise InvalidInputError("need at least one state")
-        if len(set(self.state_labels)) != n:
+        if not lazy and len(set(self.state_labels)) != n:
             raise InvalidInputError("duplicate state label")
         if len(set(self.symbol_labels)) != m:
             raise InvalidInputError("duplicate symbol label")
         if len(self.delta) != n:
             raise InvalidInputError("need one transition row per state")
-        for row in self.delta:
-            if len(row) != m:
-                raise InvalidInputError("transition row length differs from alphabet size")
-            for x in row:
-                if not 0 <= x < n:
-                    raise InvalidInputError("transition target %d out of range" % x)
-        self._state_index = {lab: i for i, lab in enumerate(self.state_labels)}
-        self._symbol_index = {lab: j for j, lab in enumerate(self.symbol_labels)}
+        if not _table_in_range(self.delta, m, n):
+            for row in self.delta:
+                if len(row) != m:
+                    raise InvalidInputError(
+                        "transition row length differs from alphabet size"
+                    )
+                for x in row:
+                    if not 0 <= x < n:
+                        raise InvalidInputError("transition target %d out of range" % x)
+
+    @cached_property
+    def state_labels(self):
+        labels = self._pending_labels.render()
+        del self._pending_labels
+        return labels
+
+    @cached_property
+    def _state_index(self):
+        return {lab: i for i, lab in enumerate(self.state_labels)}
+
+    @cached_property
+    def _symbol_index(self):
+        return {lab: j for j, lab in enumerate(self.symbol_labels)}
 
     @classmethod
     def from_columns(cls, state_labels, symbol_labels, columns):
@@ -58,12 +120,11 @@ class Semiautomaton:
         for col in columns:
             if len(col) != n:
                 raise InvalidInputError("column length differs from state count")
-        delta = [[col[s] for col in columns] for s in range(n)]
-        return cls(state_labels, symbol_labels, delta)
+        return cls(state_labels, symbol_labels, _rows(columns, n))
 
     @property
     def n_states(self) -> int:
-        return len(self.state_labels)
+        return len(self.delta)
 
     @property
     def n_symbols(self) -> int:
@@ -85,7 +146,7 @@ class Semiautomaton:
         return self.delta[s][a]
 
     def symbol_transformation(self, a: int) -> Transformation:
-        return Transformation(tuple(row[a] for row in self.delta))
+        return Transformation(map(itemgetter(a), self.delta))
 
     def transformations(self):
         return [self.symbol_transformation(a) for a in range(self.n_symbols)]
@@ -106,11 +167,13 @@ class Semiautomaton:
         return out
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, Semiautomaton)
-            and self.state_labels == other.state_labels
             and self.symbol_labels == other.symbol_labels
             and self.delta == other.delta
+            and self.state_labels == other.state_labels
         )
 
     def __repr__(self):
@@ -153,18 +216,25 @@ def _pair_state_labels(A: Semiautomaton, B: Semiautomaton):
     )
 
 
+def _product(A: Semiautomaton, B: Semiautomaton, connection) -> Semiautomaton:
+    """A driving B, where A-state i under symbol a moves B by symbol
+    connection[i][a]. Each A-state gives a block of |S^B| rows, read off B's
+    columns with B's state offset by the A-state reached."""
+    nb = B.n_states
+    columns = list(zip(*B.delta))
+    delta = []
+    for row, conn in zip(A.delta, connection):
+        delta.extend(
+            _rows([map((t * nb).__add__, columns[c]) for t, c in zip(row, conn)], nb)
+        )
+    return Semiautomaton(_PairLabels(A, B), A.symbol_labels, delta)
+
+
 def direct_product(A: Semiautomaton, B: Semiautomaton) -> Semiautomaton:
     """Parallel composition on a shared alphabet; state (i,j) flattens to i*|S^B|+j."""
     if A.symbol_labels != B.symbol_labels:
         raise InvalidInputError("direct product needs identical alphabets")
-    nb = B.n_states
-    delta = []
-    for i in range(A.n_states):
-        for j in range(nb):
-            delta.append(
-                [A.delta[i][a] * nb + B.delta[j][a] for a in range(A.n_symbols)]
-            )
-    return Semiautomaton(_pair_state_labels(A, B), A.symbol_labels, delta)
+    return _product(A, B, repeat(range(A.n_symbols)))
 
 
 def _check_omega(A: Semiautomaton, B: Semiautomaton, omega):
@@ -184,18 +254,7 @@ def _check_omega(A: Semiautomaton, B: Semiautomaton, omega):
 
 def cascade_product(A: Semiautomaton, B: Semiautomaton, omega) -> Semiautomaton:
     """A driving B: (s,t)·a = (s·a, t·omega(s,a)), over A's alphabet."""
-    omega = _check_omega(A, B, omega)
-    nb = B.n_states
-    delta = []
-    for i in range(A.n_states):
-        for j in range(nb):
-            delta.append(
-                [
-                    A.delta[i][a] * nb + B.delta[j][omega[i][a]]
-                    for a in range(A.n_symbols)
-                ]
-            )
-    return Semiautomaton(_pair_state_labels(A, B), A.symbol_labels, delta)
+    return _product(A, B, _check_omega(A, B, omega))
 
 
 @dataclass
@@ -221,36 +280,41 @@ class CoveringWitness:
     def __init__(self, upper: Semiautomaton, lower: Semiautomaton, phi, xi, check=True):
         self.upper = upper
         self.lower = lower
-        self.phi = tuple(None if v is None else int(v) for v in phi)
-        self.xi = tuple(int(x) for x in xi)
+        phi = tuple(phi)
+        image = {v: None if v is None else int(v) for v in set(phi)}
+        self.phi = tuple(map(image.__getitem__, phi))
+        self.xi = tuple(map(int, xi))
         if len(self.phi) != upper.n_states:
             raise WitnessError("phi needs one entry per upper state")
         if len(self.xi) != lower.n_symbols:
             raise WitnessError("xi needs one entry per lower symbol")
-        for v in self.phi:
-            if v is not None and not 0 <= v < lower.n_states:
-                raise WitnessError("phi image %d out of range" % v)
-        for x in self.xi:
-            if not 0 <= x < upper.n_symbols:
-                raise WitnessError("xi image %d out of range" % x)
-        self.dom = tuple(s for s, v in enumerate(self.phi) if v is not None)
+        covered = set(image.values()) - {None}
+        if covered and not (0 <= min(covered) and max(covered) < lower.n_states):
+            for v in self.phi:
+                if v is not None and not 0 <= v < lower.n_states:
+                    raise WitnessError("phi image %d out of range" % v)
+        if self.xi and not (0 <= min(self.xi) and max(self.xi) < upper.n_symbols):
+            for x in self.xi:
+                if not 0 <= x < upper.n_symbols:
+                    raise WitnessError("xi image %d out of range" % x)
+        self.dom = tuple(compress(range(len(self.phi)), map(is_not, self.phi, repeat(None))))
         if check:
             if not self.dom:
                 raise WitnessError("phi has an empty domain")
-            covered = {self.phi[s] for s in self.dom}
             if covered != set(range(lower.n_states)):
                 missing = min(set(range(lower.n_states)) - covered)
                 raise WitnessError(
                     "phi is not surjective: lower state %s has no preimage"
                     % lower.state_labels[missing]
                 )
-            for s in self.dom:
-                for a in range(lower.n_symbols):
-                    if self.phi[upper.delta[s][self.xi[a]]] is None:
-                        raise WitnessError(
-                            "domain of phi is not closed: state %s leaves it under %s"
-                            % (upper.state_labels[s], lower.symbol_labels[a])
-                        )
+            if not _domain_closed(self):
+                for s in self.dom:
+                    for a in range(lower.n_symbols):
+                        if self.phi[upper.delta[s][self.xi[a]]] is None:
+                            raise WitnessError(
+                                "domain of phi is not closed: state %s leaves it under %s"
+                                % (upper.state_labels[s], lower.symbol_labels[a])
+                            )
 
     def __repr__(self):
         return "CoveringWitness(%d of %d upper states onto %d lower states)" % (
@@ -285,15 +349,27 @@ class HomImageWitness:
                 raise WitnessError("xi is not surjective onto the target alphabet")
 
 
+def _domain_closed(w: CoveringWitness) -> bool:
+    """Whether no domain state leaves the domain of phi under an image xi(a)."""
+    inside = list(map(is_not, w.phi, repeat(None)))
+    outside = set(compress(range(len(inside)), map(not_, inside)))
+    return not outside or all(
+        outside.isdisjoint(compress(map(itemgetter(x), w.upper.delta), inside))
+        for x in set(w.xi)
+    )
+
+
 def _law_violation(w: CoveringWitness):
     """The first (s, a), domain states in order and then lower symbols, where
     phi(s·xi(a)) != phi(s)·a; leaving the domain of phi counts. None if none."""
-    upper, lower, phi, xi = w.upper, w.lower, w.phi, w.xi
-    for s in w.dom:
-        row, low = upper.delta[s], lower.delta[phi[s]]
-        for a in range(lower.n_symbols):
-            if phi[row[xi[a]]] != low[a]:
-                return s, a
+    phi, xi, low_delta = w.phi, w.xi, w.lower.delta
+    symbols = range(len(xi))
+    for s, (row, v) in enumerate(zip(w.upper.delta, phi)):
+        if v is not None:
+            low = low_delta[v]
+            for a in symbols:
+                if phi[row[xi[a]]] != low[a]:
+                    return s, a
     return None
 
 
@@ -302,7 +378,7 @@ def verify_covering(w: CoveringWitness) -> VerificationResult:
     upper, lower = w.upper, w.lower
     if not w.dom:
         return VerificationResult(False, "phi has an empty domain")
-    covered = {w.phi[s] for s in w.dom}
+    covered = set(w.phi) - {None}
     if covered != set(range(lower.n_states)):
         missing = min(set(range(lower.n_states)) - covered)
         return VerificationResult(
@@ -355,11 +431,10 @@ def compose_coverings(w1: CoveringWitness, w2: CoveringWitness) -> CoveringWitne
         raise WitnessError("first witness does not verify: %s" % r1.reason)
     if not r2:
         raise WitnessError("second witness does not verify: %s" % r2.reason)
-    phi = [
-        None if v is None else w2.phi[v]
-        for v in w1.phi
-    ]
-    xi = [w1.xi[x] for x in w2.xi]
+    image = dict(enumerate(w2.phi))
+    image[None] = None
+    phi = map(image.__getitem__, w1.phi)
+    xi = map(w1.xi.__getitem__, w2.xi)
     return CoveringWitness(w1.upper, w2.lower, phi, xi)
 
 
@@ -421,12 +496,12 @@ def substitute_right(product_ac, A, C, omega, w_v: CoveringWitness) -> RightSubs
         for i in range(A.n_states)
     ]
     product_av = cascade_product(A, V, omega2)
-    nc, nv = C.n_states, V.n_states
+    nc = C.n_states
     phi = []
     for i in range(A.n_states):
-        for v in range(nv):
-            pv = w_v.phi[v]
-            phi.append(None if pv is None else i * nc + pv)
+        image = {pv: i * nc + pv for pv in range(nc)}
+        image[None] = None
+        phi.extend(map(image.__getitem__, w_v.phi))
     witness = CoveringWitness(product_av, product_ac, phi, range(A.n_symbols))
     return RightSubstitution(product_av, tuple(tuple(r) for r in omega2), witness)
 
@@ -465,9 +540,7 @@ def substitute_left(product_ac, A, C, omega, w_u: CoveringWitness) -> LeftSubsti
     product_uc = cascade_product(u_prime, C, omega2)
     nc = C.n_states
     phi = []
-    for u in range(U.n_states):
-        pu = w_u.phi[u]
-        for c in range(nc):
-            phi.append(None if pu is None else pu * nc + c)
+    for pu in w_u.phi:
+        phi.extend(repeat(None, nc) if pu is None else range(pu * nc, pu * nc + nc))
     witness = CoveringWitness(product_uc, product_ac, phi, range(A.n_symbols))
     return LeftSubstitution(u_prime, product_uc, tuple(tuple(r) for r in omega2), witness)

@@ -55,7 +55,11 @@ from .partitions import (
 
 @dataclass(frozen=True)
 class Caps:
-    """Resource guards; breaches become raw leaves, not crashes."""
+    """Resource guards; breaches become raw leaves, not crashes.
+
+    krohn_rhodes_decompose checks them on planned sizes before construction,
+    so a breach builds nothing.
+    """
 
     group_order: int = 24
     product_states: int = 500_000
@@ -203,19 +207,16 @@ class PRSplit:
     witness: CoveringWitness
 
 
-def split_permutation_reset(A: Semiautomaton, caps: Caps = Caps()) -> PRSplit:
-    """Factor a permutation-reset automaton as Pi∘R >= A.
+def _permutation_group(A: Semiautomaton, caps: Caps):
+    """(const, K) of a permutation-reset automaton: the reset target of every
+    input (None for a permutation) and the group K that the permutation inputs
+    generate, in closure order.
 
-    Pi is the group generated by the permutation inputs acting on itself by
-    right multiplication; reset inputs leave it in place. R remembers the
-    actual state as seen from Pi's frame: a reset to c lands R in c shifted
-    back by the inverse of the accumulated permutation, and phi replays the
-    permutation on top of R's state.
+    Raises ResourceCapError when K outgrows the closure or group-order cap.
     """
-    n, m = A.n_states, A.n_symbols
     perm = []
-    const = [None] * m
-    for a in range(m):
+    const = [None] * A.n_symbols
+    for a in range(A.n_symbols):
         t = A.symbol_transformation(a)
         if t.is_permutation():
             perm.append(a)
@@ -227,7 +228,7 @@ def split_permutation_reset(A: Semiautomaton, caps: Caps = Caps()) -> PRSplit:
             )
     K = closure_generate(
         [A.symbol_transformation(a) for a in perm],
-        domain_size=n,
+        domain_size=A.n_states,
         cap=caps.closure_elements,
         symbol_labels=[A.symbol_labels[a] for a in perm],
     )
@@ -236,6 +237,22 @@ def split_permutation_reset(A: Semiautomaton, caps: Caps = Caps()) -> PRSplit:
             "permutation group of order %d exceeds the cap of %d"
             % (K.order, caps.group_order)
         )
+    return const, K
+
+
+def split_permutation_reset(A: Semiautomaton, caps: Caps = Caps()) -> PRSplit:
+    """Factor a permutation-reset automaton as Pi∘R >= A.
+
+    Pi is the group generated by the permutation inputs acting on itself by
+    right multiplication; reset inputs leave it in place. R remembers the
+    actual state as seen from Pi's frame: a reset to c lands R in c shifted
+    back by the inverse of the accumulated permutation, and phi replays the
+    permutation on top of R's state.
+    """
+    n, m = A.n_states, A.n_symbols
+    const, K = _permutation_group(A, caps)
+    # element labels are rendered words, which can coincide with one another
+    k_labels = _unique_labels(K.labels)
     elt = {t.image: k for k, t in enumerate(K.transformations)}
     nk = K.order
 
@@ -248,10 +265,10 @@ def split_permutation_reset(A: Semiautomaton, caps: Caps = Caps()) -> PRSplit:
             else:
                 row.append(x)
         delta_pi.append(row)
-    pi = Semiautomaton(K.labels, A.symbol_labels, delta_pi)
+    pi = Semiautomaton(k_labels, A.symbol_labels, delta_pi)
 
     r_symbols = _unique_labels(
-        clamp_label("(%s,%s)" % (K.labels[x], A.symbol_labels[a]), "x%d" % (x * m + a))
+        clamp_label("(%s,%s)" % (k_labels[x], A.symbol_labels[a]), "x%d" % (x * m + a))
         for x in range(nk)
         for a in range(m)
     )
@@ -383,14 +400,8 @@ def _proof_choice(X: Semiautomaton):
     return choice
 
 
-def pr_chain(A: Semiautomaton) -> PRChain:
-    """Iterated cascade of permutation-reset factors covering A.
-
-    Repeatedly applies the decomposition into all (n-1)-element state subsets
-    until the continuation is itself permutation-reset; with the proof's block
-    choice every factor comes out permutation-reset, and each step shrinks the
-    continuation by one state, so at most n-1 factors appear.
-    """
+def _chain_steps(A: Semiautomaton):
+    """The steps of pr_chain and its last factor, without the assembled cascade."""
     if A.n_states < 2:
         raise InvalidInputError("chain needs at least two states")
     steps = []
@@ -403,16 +414,27 @@ def pr_chain(A: Semiautomaton) -> PRChain:
             ChainStep(X, cover.b_star, cover.c, cover.omega, cover.product, cover.witness)
         )
         X = cover.c
-    factors = [st.b for st in steps] + [X]
-    for B in factors:
+    for B in [st.b for st in steps] + [X]:
         if not is_permutation_reset(B):
             raise InvalidInputError("chain produced a non-permutation-reset factor")
+    return steps, X
+
+
+def pr_chain(A: Semiautomaton) -> PRChain:
+    """Iterated cascade of permutation-reset factors covering A.
+
+    Repeatedly applies the decomposition into all (n-1)-element state subsets
+    until the continuation is itself permutation-reset; with the proof's block
+    choice every factor comes out permutation-reset, and each step shrinks the
+    continuation by one state, so at most n-1 factors appear.
+    """
+    steps, X = _chain_steps(A)
     cascade, witness = X, identity_witness(X)
     for st in reversed(steps):
         sub = substitute_right(st.product, st.b, st.c, st.omega, witness)
         cascade = sub.product
         witness = compose_coverings(sub.witness, st.witness)
-    return PRChain(factors, steps, cascade, witness)
+    return PRChain([st.b for st in steps] + [X], steps, cascade, witness)
 
 
 @dataclass
@@ -493,34 +515,102 @@ def grouplike_to_simple_cascade(G: FiniteGroup, caps: Caps = Caps()) -> Node:
     return CascadeNode(leaf, sub, sub_l.omega, sub_l.product, witness)
 
 
+def _reset_states(n: int) -> int:
+    """States of reset_to_two_state's cover of an n-state reset automaton."""
+    return 2 if n <= 2 else 2 * _reset_states((n + 1) // 2)
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """A node of the tree before it is built: the automaton it covers, its
+    predicted state count, and the breached cap if it stays a raw leaf."""
+
+    automaton: Semiautomaton
+    states: int
+    reason: Optional[str] = None
+
+
+def _plan_factor(B: Semiautomaton, caps: Caps) -> _Plan:
+    """The size of _refine_factor(B), or a raw leaf: a reset factor gives
+    R(n) states, any other one |K|·R(n), where K is the group its permutation
+    inputs generate and R(n) the size of the two-state reset cover."""
+    if is_reset(B):
+        return _Plan(B, _reset_states(B.n_states))
+    try:
+        _, K = _permutation_group(B, caps)
+    except ResourceCapError as exc:
+        return _Plan(B, B.n_states, str(exc))
+    states = K.order * _reset_states(B.n_states)
+    if states > caps.product_states:
+        return _Plan(
+            B,
+            B.n_states,
+            "split product of %d states exceeds the cap of %d"
+            % (states, caps.product_states),
+        )
+    return _Plan(B, states)
+
+
+def _plan_chain(steps, last: Semiautomaton, caps: Caps):
+    """The chain's cap rules, bottom up, on predicted sizes.
+
+    Returns (base, above): base plans the innermost node to build, which is
+    the refined last factor or the raw leaf of the outermost step that breaches
+    the chain cap; above lists (step, plan of its refined factor, predicted
+    node size) for each chain step over it, innermost first.
+    """
+    base = _plan_factor(last, caps)
+    states = base.states
+    above = []
+    for st in reversed(steps):
+        left = None
+        product = st.b.n_states * states
+        if product <= caps.product_states:
+            left = _plan_factor(st.b, caps)
+            product = left.states * states
+        if product > caps.product_states:
+            reason = "chain product of %d states exceeds the cap of %d" % (
+                product,
+                caps.product_states,
+            )
+            base = _Plan(st.source, st.source.n_states, reason)
+            states = base.states
+            above = []
+        else:
+            above.append((st, left, product))
+            states = product
+    return base, above
+
+
+def _as_planned(node: Node, states: int) -> Node:
+    if node.automaton.n_states != states:
+        raise RuntimeError(
+            "built a %d-state node where the plan predicted %d states"
+            % (node.automaton.n_states, states)
+        )
+    return node
+
+
+def _build(plan: _Plan, caps: Caps) -> Node:
+    if plan.reason is not None:
+        return _raw_leaf(plan.automaton, plan.reason)
+    return _as_planned(_refine_factor(plan.automaton, caps), plan.states)
+
+
 def _refine_factor(B: Semiautomaton, caps: Caps) -> Node:
     """Tree covering one permutation-reset factor: reset automata go straight to
-    two-state factors, everything else through the Pi∘R split."""
+    two-state factors, everything else through the Pi∘R split. The caps were
+    checked by _plan_factor."""
     if is_reset(B):
         return reset_to_two_state(B).tree
-    try:
-        split = split_permutation_reset(B, caps)
-        G, w_g = cover_permutation_by_grouplike(split.pi, caps.closure_elements)
-        g_tree = grouplike_to_simple_cascade(G, caps)
-    except ResourceCapError as exc:
-        return _raw_leaf(B, str(exc))
+    split = split_permutation_reset(B, caps)
+    G, w_g = cover_permutation_by_grouplike(split.pi, caps.closure_elements)
+    g_tree = grouplike_to_simple_cascade(G, caps)
     w_pi = compose_coverings(g_tree.witness, w_g)
 
     r_tree = reset_to_two_state(split.r).tree
-    if split.pi.n_states * r_tree.automaton.n_states > caps.product_states:
-        return _raw_leaf(
-            B,
-            "split product of %d states exceeds the cap of %d"
-            % (split.pi.n_states * r_tree.automaton.n_states, caps.product_states),
-        )
     sub_r = substitute_right(split.product, split.pi, split.r, split.omega, r_tree.witness)
     w_mid = compose_coverings(sub_r.witness, split.witness)
-    if g_tree.automaton.n_states * r_tree.automaton.n_states > caps.product_states:
-        return _raw_leaf(
-            B,
-            "refined product of %d states exceeds the cap of %d"
-            % (g_tree.automaton.n_states * r_tree.automaton.n_states, caps.product_states),
-        )
     sub_l = substitute_left(sub_r.product, split.pi, r_tree.automaton, sub_r.omega, w_pi)
     witness = compose_coverings(sub_l.witness, w_mid)
     left = dataclasses.replace(g_tree, witness=w_pi)
@@ -530,32 +620,23 @@ def _refine_factor(B: Semiautomaton, caps: Caps) -> Node:
 def krohn_rhodes_decompose(A: Semiautomaton, caps: Caps = Caps()) -> Node:
     """Decomposition tree whose leaves are simple grouplike or two-state reset
     semiautomata (or raw components naming the breached cap), with a root
-    witness covering A."""
+    witness covering A.
+
+    Every cap is checked on predicted sizes first (_plan_chain), so only the
+    part of the chain that survives the caps is ever built.
+    """
     if A.n_states == 1:
         return _two_state_identity_cover(A)
-    chain = pr_chain(A)
-    node = _refine_factor(chain.factors[-1], caps)
-    for st in reversed(chain.steps):
-        if st.b.n_states * node.automaton.n_states > caps.product_states:
-            node = _raw_leaf(
-                st.source,
-                "chain product of %d states exceeds the cap of %d"
-                % (st.b.n_states * node.automaton.n_states, caps.product_states),
-            )
-            continue
-        left = _refine_factor(st.b, caps)
+    steps, last = _chain_steps(A)
+    base, above = _plan_chain(steps, last, caps)
+    node = _build(base, caps)
+    for st, plan, states in above:
+        left = _build(plan, caps)
         sub_r = substitute_right(st.product, st.b, st.c, st.omega, node.witness)
         w_mid = compose_coverings(sub_r.witness, st.witness)
-        if left.automaton.n_states * node.automaton.n_states > caps.product_states:
-            node = _raw_leaf(
-                st.source,
-                "chain product of %d states exceeds the cap of %d"
-                % (left.automaton.n_states * node.automaton.n_states, caps.product_states),
-            )
-            continue
         sub_l = substitute_left(sub_r.product, st.b, node.automaton, sub_r.omega, left.witness)
         witness = compose_coverings(sub_l.witness, w_mid)
-        node = CascadeNode(left, node, sub_l.omega, sub_l.product, witness)
+        node = _as_planned(CascadeNode(left, node, sub_l.omega, sub_l.product, witness), states)
     return node
 
 

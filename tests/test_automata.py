@@ -15,6 +15,7 @@ from krcascade import (
     compose_coverings,
     covering_implies_simulation,
     direct_product,
+    emit_automaton,
     identity_witness,
     iter_nodes,
     krohn_rhodes_decompose,
@@ -27,6 +28,7 @@ from krcascade import (
     verify_hom_image,
     word_transformation,
 )
+from krcascade.automata import _pair_state_labels, _unique_labels
 
 from conftest import make_random_automaton
 
@@ -383,3 +385,47 @@ def test_mutated_witnesses_are_rejected(sweep_witnesses):
     # every kind of mutation is caught somewhere and survives somewhere
     for kind, (held, caught) in kinds.items():
         assert held > 0 and caught > 0, kind
+
+
+def test_unique_labels_skips_taken_names():
+    assert _unique_labels(["a#1", "a", "a"]) == ["a#1", "a", "a#2"]
+    assert _unique_labels(["a", "a", "a#1", "a#1"]) == ["a", "a#1", "a#1#1", "a#1#2"]
+    assert _unique_labels(["x", "y", "x", "x"]) == ["x", "y", "x#1", "x#2"]
+
+
+def _label_clash():
+    # the pairs ("1", "2,1") and ("1,2", "1") both render as "(1,2,1)"
+    A = Semiautomaton(["1", "1,2"], ["a"], [[1], [0]])
+    B = Semiautomaton(["2,1", "1"], ["a"], [[1], [1]])
+    return A, B
+
+
+def test_product_labels_are_rendered_on_first_read(sa2, sa3):
+    A, B = _label_clash()
+    for product, factors in (
+        (cascade_product(sa3, sa2, [[1, 1], [0, 0], [0, 1]]), (sa3, sa2)),
+        (direct_product(A, B), (A, B)),
+    ):
+        assert "state_labels" not in vars(product)
+        assert product.state_labels == tuple(_pair_state_labels(*factors))
+        assert product.state_index(product.state_labels[-1]) == product.n_states - 1
+    assert direct_product(A, B).state_labels == ("(1,2,1)", "(1,1)", "(1,2,2,1)", "(1,2,1)#1")
+
+
+def test_product_document_is_unchanged():
+    A, B = _label_clash()
+    assert emit_automaton(direct_product(A, B)) == (
+        '{\n  "format_version": 1,\n  "states": [\n    "(1,2,1)",\n    "(1,1)",\n'
+        '    "(1,2,2,1)",\n    "(1,2,1)#1"\n  ],\n  "alphabet": [\n    "a"\n  ],\n'
+        '  "transitions": {\n    "a": [\n      "(1,2,1)#1",\n      "(1,2,1)#1",\n'
+        '      "(1,1)",\n      "(1,1)"\n    ]\n  }\n}\n'
+    )
+
+
+def test_product_equality_reads_labels(sa2):
+    renamed = Semiautomaton(["x", "y"], sa2.symbol_labels, sa2.delta)
+    p, q = direct_product(sa2, sa2), direct_product(renamed, sa2)
+    assert p.delta == q.delta and p.symbol_labels == q.symbol_labels
+    assert p != q
+    assert p == p
+    assert p == direct_product(sa2, sa2)

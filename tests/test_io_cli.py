@@ -20,6 +20,7 @@ from krcascade import (
     tree_report,
     verify_covering,
     verify_hom_image,
+    verify_tree,
 )
 from krcascade.cli import main
 
@@ -325,3 +326,20 @@ def test_cli_export_dot(docs, capsys, sa3):
     out = capsys.readouterr().out
     assert code == 0
     assert out == export_dot(sa3)
+
+
+# The closure labels the word a·bb with the same string as the symbol a·bb.
+CLASHING_WORD_DOC = (
+    '{"format_version":1,"states":["0","1","2"],"alphabet":["a","bb","a·bb"],'
+    '"transitions":{"a":["0","2","1"],"bb":["1","0","2"],"a·bb":["2","1","0"]}}'
+)
+
+
+def test_decompose_with_clashing_word_labels(tmp_path, capsys):
+    tree = krohn_rhodes_decompose(parse_automaton(CLASHING_WORD_DOC))
+    ok, _ = verify_tree(tree, sim_len=6)
+    assert ok
+    p = tmp_path / "clash.json"
+    p.write_text(CLASHING_WORD_DOC, encoding="utf-8")
+    assert main(["decompose", str(p)]) == 0
+    assert "complete, witnesses verified" in capsys.readouterr().out

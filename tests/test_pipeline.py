@@ -1,9 +1,11 @@
 """The decomposition pipeline end to end, from input classes to the full tree."""
 
 import dataclasses
+import random
 
 import pytest
 
+from krcascade import automata, partitions, pipeline
 from krcascade import (
     Caps,
     CoveringWitness,
@@ -330,3 +332,63 @@ def test_canonical_group_key(klein):
 def test_leaf_description(five_state):
     raw = Leaf(LEAF_RAW, five_state, None, reason="cap hit")
     assert leaf_description(raw) == "raw component: cap hit"
+
+
+def random6(seed):
+    """The "random 6" recipe: 6 states, 2 symbols, targets drawn state-major."""
+    rng = random.Random(6000 + seed)
+    delta = [[rng.randrange(6) for _ in range(2)] for _ in range(6)]
+    return Semiautomaton(["s%d" % i for i in range(6)], ["a", "b"], delta)
+
+
+CHAIN_CAP = "chain product of %d states exceeds the cap of 500000"
+
+
+@pytest.mark.parametrize(
+    "seed, root_states, raw_states, reason",
+    [
+        (2, 6, 6, CHAIN_CAP % 2211840),
+        (3, 6, 6, CHAIN_CAP % 589824),
+        (4, 6, 6, CHAIN_CAP % 589824),
+        (5, 6, 6, CHAIN_CAP % 589824),
+        (6, 120, 5, CHAIN_CAP % 1769472),
+        (7, 6, 6, CHAIN_CAP % 2211840),
+        (8, 6, 6, CHAIN_CAP % 589824),
+        (9, 6, 6, CHAIN_CAP % 589824),
+    ],
+)
+def test_random6_cap_outcomes(seed, root_states, raw_states, reason):
+    A = random6(seed)
+    tree = krohn_rhodes_decompose(A)
+    assert tree.automaton.n_states == root_states
+    raws = [leaf for leaf in leaves(tree) if leaf.kind == LEAF_RAW]
+    assert [(leaf.automaton.n_states, leaf.reason) for leaf in raws] == [
+        (raw_states, reason)
+    ]
+    assert tree.witness.lower is A
+    ok, _ = verify_tree(tree, sim_len=6)
+    assert ok
+
+
+def test_cap_hit_builds_no_big_product(monkeypatch):
+    # seed 4 breaches the chain cap with a predicted 589,824-state product;
+    # the plan finds that before any product of that size is built
+    cells = []
+    build = automata.cascade_product
+
+    def counted(A, B, omega):
+        product = build(A, B, omega)
+        cells.append(product.n_states * product.n_symbols)
+        return product
+
+    for module in (automata, partitions, pipeline):
+        monkeypatch.setattr(module, "cascade_product", counted)
+    tree = krohn_rhodes_decompose(random6(4))
+    assert tree.automaton.n_states == 6
+    assert cells and sum(cells) < 10_000
+
+
+def test_plan_disagreeing_with_build_raises(monkeypatch, five_state):
+    monkeypatch.setattr(pipeline, "_reset_states", lambda n: n)
+    with pytest.raises(RuntimeError, match="plan predicted"):
+        krohn_rhodes_decompose(five_state)
