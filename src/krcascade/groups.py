@@ -96,20 +96,33 @@ def group_from_table(table, labels=None, identity=None):
 
 
 def subgroup_closure(G: FiniteGroup, seed) -> frozenset:
-    """Smallest subgroup containing the seed elements."""
+    """Smallest subgroup containing the seed elements.
+
+    Closes {e} under right multiplication by the seed elements: in a finite
+    group every element's inverse is one of its powers, so the products of
+    the seed elements already form the subgroup.
+    """
+    gens = list(set(seed))
+    table = G.table
     have = {G.identity}
-    queue = [G.identity] + [x for x in seed if x not in have]
-    have.update(queue)
-    i = 0
-    while i < len(queue):
-        x = queue[i]
-        i += 1
-        for y in tuple(have):
-            for z in (G.mul(x, y), G.mul(y, x), G.inv(x)):
-                if z not in have:
-                    have.add(z)
-                    queue.append(z)
+    queue = [G.identity]
+    for x in queue:
+        row = table[x]
+        for g in gens:
+            z = row[g]
+            if z not in have:
+                have.add(z)
+                queue.append(z)
     return frozenset(have)
+
+
+def normal_closure(G: FiniteGroup, seed) -> frozenset:
+    """Smallest normal subgroup containing the seed elements: the subgroup
+    generated by their conjugates g^-1 x g."""
+    table, inverse = G.table, G.inverse
+    return subgroup_closure(
+        G, {table[table[inverse[g]][x]][g] for x in set(seed) for g in range(G.order)}
+    )
 
 
 def is_subgroup(G: FiniteGroup, H) -> bool:
@@ -119,17 +132,23 @@ def is_subgroup(G: FiniteGroup, H) -> bool:
     return all(G.mul(x, y) in H and G.inv(x) in H for x in H for y in H)
 
 
-def enumerate_subgroups(G: FiniteGroup, cap: int = SUBGROUP_CAP):
-    """All subgroups of G, sorted by (order, element tuple).
-
-    Grows a closure lattice: every subgroup extended by one outside element and
-    closed again. Any subgroup H arises this way from any maximal chain below it,
-    so by induction the enumeration is complete.
-    """
+def _check_order(G: FiniteGroup, cap: int):
     if G.order > cap:
         raise ResourceCapError(
             "subgroup enumeration capped at order %d, group has order %d" % (cap, G.order)
         )
+
+
+def enumerate_subgroups(G: FiniteGroup, cap: int = SUBGROUP_CAP):
+    """All subgroups of G, sorted by (order, element tuple).
+
+    Public API; the decomposition does not use it, since it needs only the
+    normal subgroups (_normal_subgroups). Grows a closure lattice: every
+    subgroup extended by one outside element and closed again. Any subgroup
+    H arises this way from any maximal chain below it, so by induction the
+    enumeration is complete.
+    """
+    _check_order(G, cap)
     found = {frozenset([G.identity])}
     frontier = list(found)
     while frontier:
@@ -152,11 +171,40 @@ def is_normal(G: FiniteGroup, H) -> bool:
 
 
 def is_simple(G: FiniteGroup, cap: int = SUBGROUP_CAP) -> bool:
-    """No proper nontrivial normal subgroup; the trivial group counts as simple."""
-    for H in enumerate_subgroups(G, cap):
-        if 1 < len(H) < G.order and is_normal(G, H):
-            return False
-    return True
+    """No proper nontrivial normal subgroup; the trivial group counts as simple.
+
+    G is simple exactly when the normal closure of every non-identity element
+    is G itself. Raises ResourceCapError above order cap.
+    """
+    _check_order(G, cap)
+    return all(
+        len(normal_closure(G, [x])) == G.order for x in range(G.order) if x != G.identity
+    )
+
+
+def _normal_subgroups(G: FiniteGroup):
+    """Every normal subgroup of G, in no particular order.
+
+    A normal subgroup is the join of the normal closures of its elements, so
+    joining {e} with those closures until nothing new appears finds them all.
+    The join of two normal subgroups N, M is the product set NM.
+    """
+    table = G.table
+    atoms = {normal_closure(G, [x]) for x in range(G.order)}
+    found = {frozenset([G.identity])}
+    frontier = list(found)
+    while frontier:
+        new = []
+        for N in frontier:
+            for M in atoms:
+                if M <= N:
+                    continue
+                J = frozenset(table[n][m] for n in N for m in M)
+                if J not in found:
+                    found.add(J)
+                    new.append(J)
+        frontier = new
+    return found
 
 
 class CosetPartition:
@@ -226,10 +274,11 @@ def subgroup_as_group(G: FiniteGroup, H):
 
 def _maximal_normal_subgroup(G: FiniteGroup, elems, cap):
     """Largest proper normal subgroup; ties broken by smallest global element tuple."""
+    _check_order(G, cap)
     best = None
     best_key = None
-    for H in enumerate_subgroups(G, cap):
-        if len(H) == G.order or not is_normal(G, H):
+    for H in _normal_subgroups(G):
+        if len(H) == G.order:
             continue
         key = (-len(H), tuple(sorted(elems[i] for i in H)))
         if best is None or key < best_key:
@@ -237,32 +286,31 @@ def _maximal_normal_subgroup(G: FiniteGroup, elems, cap):
     return best
 
 
-def composition_series(G: FiniteGroup, cap: int = SUBGROUP_CAP):
-    """Chain G = H_0 > H_1 > ... > {e} with every H_{i+1} maximal normal in H_i.
-
-    Returns the chain as frozensets of G's element indices. Every factor
-    H_i/H_{i+1} is verified simple.
-    """
-    series = [frozenset(range(G.order))]
+def _composition_walk(G: FiniteGroup, cap):
+    """(H_{i+1} as G's element indices, simple factor H_i/H_{i+1}) down the
+    composition series, outermost first."""
     cur, elems = G, list(range(G.order))
     while cur.order > 1:
         H = _maximal_normal_subgroup(cur, elems, cap)
         factor = factor_group(cur, H)
         if not is_simple(factor, cap):
             raise InvalidInputError("maximal normal subgroup gave a non-simple factor")
-        series.append(frozenset(elems[i] for i in H))
+        yield frozenset(elems[i] for i in H), factor
         cur, local_elems = subgroup_as_group(cur, H)
         elems = [elems[i] for i in local_elems]
-    return series
+
+
+def composition_series(G: FiniteGroup, cap: int = SUBGROUP_CAP):
+    """Chain G = H_0 > H_1 > ... > {e} with every H_{i+1} maximal normal in H_i.
+
+    Returns the chain as frozensets of G's element indices. Each H_{i+1} is
+    the largest normal subgroup of H_i found from normal closures (ties go to
+    the smallest element tuple), and every factor H_i/H_{i+1} is verified
+    simple. Raises ResourceCapError above order cap.
+    """
+    return [frozenset(range(G.order))] + [H for H, _ in _composition_walk(G, cap)]
 
 
 def composition_factors(G: FiniteGroup, cap: int = SUBGROUP_CAP):
     """The simple factor groups H_i/H_{i+1} along composition_series, outermost first."""
-    factors = []
-    cur, elems = G, list(range(G.order))
-    while cur.order > 1:
-        H = _maximal_normal_subgroup(cur, elems, cap)
-        factors.append(factor_group(cur, H))
-        cur, local_elems = subgroup_as_group(cur, H)
-        elems = [elems[i] for i in local_elems]
-    return factors
+    return [factor for _, factor in _composition_walk(G, cap)]

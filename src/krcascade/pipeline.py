@@ -249,8 +249,13 @@ def split_permutation_reset(A: Semiautomaton, caps: Caps = Caps()) -> PRSplit:
     back by the inverse of the accumulated permutation, and phi replays the
     permutation on top of R's state.
     """
-    n, m = A.n_states, A.n_symbols
     const, K = _permutation_group(A, caps)
+    return _split(A, const, K)
+
+
+def _split(A: Semiautomaton, const, K) -> PRSplit:
+    """split_permutation_reset on the (const, K) of _permutation_group(A)."""
+    n, m = A.n_states, A.n_symbols
     # element labels are rendered words, which can coincide with one another
     k_labels = _unique_labels(K.labels)
     elt = {t.image: k for k, t in enumerate(K.transformations)}
@@ -523,21 +528,23 @@ def _reset_states(n: int) -> int:
 @dataclass(frozen=True)
 class _Plan:
     """A node of the tree before it is built: the automaton it covers, its
-    predicted state count, and the breached cap if it stays a raw leaf."""
+    predicted state count, the breached cap if it stays a raw leaf, and the
+    (const, K) of _permutation_group for a factor that gets split."""
 
     automaton: Semiautomaton
     states: int
     reason: Optional[str] = None
+    group: Optional[tuple] = None
 
 
 def _plan_factor(B: Semiautomaton, caps: Caps) -> _Plan:
-    """The size of _refine_factor(B), or a raw leaf: a reset factor gives
+    """The plan of _refine_factor on B, or a raw leaf: a reset factor gives
     R(n) states, any other one |K|·R(n), where K is the group its permutation
     inputs generate and R(n) the size of the two-state reset cover."""
     if is_reset(B):
         return _Plan(B, _reset_states(B.n_states))
     try:
-        _, K = _permutation_group(B, caps)
+        const, K = _permutation_group(B, caps)
     except ResourceCapError as exc:
         return _Plan(B, B.n_states, str(exc))
     states = K.order * _reset_states(B.n_states)
@@ -548,7 +555,7 @@ def _plan_factor(B: Semiautomaton, caps: Caps) -> _Plan:
             "split product of %d states exceeds the cap of %d"
             % (states, caps.product_states),
         )
-    return _Plan(B, states)
+    return _Plan(B, states, group=(const, K))
 
 
 def _plan_chain(steps, last: Semiautomaton, caps: Caps):
@@ -594,16 +601,17 @@ def _as_planned(node: Node, states: int) -> Node:
 def _build(plan: _Plan, caps: Caps) -> Node:
     if plan.reason is not None:
         return _raw_leaf(plan.automaton, plan.reason)
-    return _as_planned(_refine_factor(plan.automaton, caps), plan.states)
+    return _as_planned(_refine_factor(plan, caps), plan.states)
 
 
-def _refine_factor(B: Semiautomaton, caps: Caps) -> Node:
+def _refine_factor(plan: _Plan, caps: Caps) -> Node:
     """Tree covering one permutation-reset factor: reset automata go straight to
-    two-state factors, everything else through the Pi∘R split. The caps were
-    checked by _plan_factor."""
+    two-state factors, everything else through the Pi∘R split on the group
+    the plan generated. The caps were checked by _plan_factor."""
+    B = plan.automaton
     if is_reset(B):
         return reset_to_two_state(B).tree
-    split = split_permutation_reset(B, caps)
+    split = _split(B, *plan.group)
     G, w_g = cover_permutation_by_grouplike(split.pi, caps.closure_elements)
     g_tree = grouplike_to_simple_cascade(G, caps)
     w_pi = compose_coverings(g_tree.witness, w_g)
