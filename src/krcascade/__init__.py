@@ -35,6 +35,7 @@ from .automata import (
     identity_witness,
     run,
     simulation_counterexample,
+    substitute,
     substitute_left,
     substitute_right,
     transition_monoid,

@@ -473,74 +473,70 @@ def covering_implies_simulation(w: CoveringWitness, max_len: int) -> bool:
 
 
 @dataclass
-class RightSubstitution:
-    product: Semiautomaton
-    omega: tuple
-    witness: CoveringWitness
-
-
-def substitute_right(product_ac, A, C, omega, w_v: CoveringWitness) -> RightSubstitution:
-    """Replace the second cascade factor: from V >= C, build A∘V >= A∘C.
-
-    The new connection routes through the alphabet map of the inner witness:
-    omega'(s,a) = xi_V(omega(s,a)); phi pairs (s,v) with (s, phi_V(v)).
-    """
-    omega = _check_omega(A, C, omega)
-    if w_v.lower != C:
-        raise WitnessError("inner witness does not cover the second factor")
-    if product_ac.n_states != A.n_states * C.n_states:
-        raise InvalidInputError("product automaton does not match the given factors")
-    V = w_v.upper
-    omega2 = [
-        [w_v.xi[omega[i][a]] for a in range(A.n_symbols)]
-        for i in range(A.n_states)
-    ]
-    product_av = cascade_product(A, V, omega2)
-    nc = C.n_states
-    phi = []
-    for i in range(A.n_states):
-        image = {pv: i * nc + pv for pv in range(nc)}
-        image[None] = None
-        phi.extend(map(image.__getitem__, w_v.phi))
-    witness = CoveringWitness(product_av, product_ac, phi, range(A.n_symbols))
-    return RightSubstitution(product_av, tuple(tuple(r) for r in omega2), witness)
-
-
-@dataclass
-class LeftSubstitution:
+class Substitution:
     u_prime: Semiautomaton
     product: Semiautomaton
     omega: tuple
     witness: CoveringWitness
 
 
-def substitute_left(product_ac, A, C, omega, w_u: CoveringWitness) -> LeftSubstitution:
-    """Replace the first cascade factor: from U >= A, build U'∘C >= A∘C.
+def substitute(
+    product_ac, A, C, omega, w_u: CoveringWitness, w_v: CoveringWitness
+) -> Substitution:
+    """Replace both cascade factors: from U >= A and V >= C, build U'∘V >= A∘C.
 
     U' is U with its alphabet pulled back along xi_U, so the product keeps A's
     alphabet even when xi_U is not injective. The connection reads U's state
-    through phi_U; rows outside dom(phi_U) are unreachable from the witness
-    domain and reuse row 0.
+    through phi_U and routes through V's alphabet map:
+    omega'(u,a) = xi_V(omega(phi_U(u),a)); rows outside dom(phi_U) are
+    unreachable from the witness domain and reuse row 0. phi sends (u,v) to
+    (phi_U(u), phi_V(v)), outside the domain when either part is.
     """
     omega = _check_omega(A, C, omega)
     if w_u.lower != A:
         raise WitnessError("inner witness does not cover the first factor")
+    if w_v.lower != C:
+        raise WitnessError("inner witness does not cover the second factor")
     if product_ac.n_states != A.n_states * C.n_states:
         raise InvalidInputError("product automaton does not match the given factors")
-    U = w_u.upper
+    U, V = w_u.upper, w_v.upper
     u_prime = Semiautomaton(
         U.state_labels,
         A.symbol_labels,
-        [[U.delta[u][w_u.xi[a]] for a in range(A.n_symbols)] for u in range(U.n_states)],
+        [tuple(map(row.__getitem__, w_u.xi)) for row in U.delta],
     )
-    omega2 = [
-        [omega[w_u.phi[u] if w_u.phi[u] is not None else 0][a] for a in range(A.n_symbols)]
-        for u in range(U.n_states)
-    ]
-    product_uc = cascade_product(u_prime, C, omega2)
+    rows = {
+        pu: tuple(map(w_v.xi.__getitem__, omega[0 if pu is None else pu]))
+        for pu in set(w_u.phi)
+    }
+    omega2 = tuple(map(rows.__getitem__, w_u.phi))
+    product = cascade_product(u_prime, V, omega2)
     nc = C.n_states
     phi = []
     for pu in w_u.phi:
-        phi.extend(repeat(None, nc) if pu is None else range(pu * nc, pu * nc + nc))
-    witness = CoveringWitness(product_uc, product_ac, phi, range(A.n_symbols))
-    return LeftSubstitution(u_prime, product_uc, tuple(tuple(r) for r in omega2), witness)
+        if pu is None:
+            phi.extend(repeat(None, V.n_states))
+        else:
+            image = {pv: pu * nc + pv for pv in range(nc)}
+            image[None] = None
+            phi.extend(map(image.__getitem__, w_v.phi))
+    witness = CoveringWitness(product, product_ac, phi, range(A.n_symbols))
+    return Substitution(u_prime, product, omega2, witness)
+
+
+def substitute_right(product_ac, A, C, omega, w_v: CoveringWitness) -> Substitution:
+    """Replace the second cascade factor: from V >= C, build A∘V >= A∘C.
+
+    substitute with the identity cover of A: the connection is
+    omega'(s,a) = xi_V(omega(s,a)) and phi pairs (s,v) with (s, phi_V(v)).
+    """
+    return substitute(product_ac, A, C, omega, identity_witness(A), w_v)
+
+
+def substitute_left(product_ac, A, C, omega, w_u: CoveringWitness) -> Substitution:
+    """Replace the first cascade factor: from U >= A, build U'∘C >= A∘C.
+
+    substitute with the identity cover of C: U' is U with its alphabet pulled
+    back along xi_U and the connection reads U's state through phi_U.
+    """
+    return substitute(product_ac, A, C, omega, w_u, identity_witness(C))

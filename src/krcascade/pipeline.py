@@ -23,7 +23,7 @@ from .automata import (
     direct_product,
     identity_witness,
     simulation_counterexample,
-    substitute_left,
+    substitute,
     substitute_right,
     transition_monoid,
     verify_covering,
@@ -37,12 +37,11 @@ from .errors import (
 from .groups import (
     CosetPartition,
     FiniteGroup,
+    _composition_walk,
     coset_partition,
-    factor_group,
     is_simple,
     subgroup_as_group,
 )
-from .groups import composition_series as _composition_series
 from .partitions import (
     Decomposition,
     Partition,
@@ -501,23 +500,19 @@ def grouplike_to_simple_cascade(G: FiniteGroup, caps: Caps = Caps()) -> Node:
         glike = grouplike_of(G)
         return Leaf(LEAF_GROUPLIKE, glike, identity_witness(glike), group=G)
 
-    series = _composition_series(G, caps.group_order)
-    split = grouplike_cascade_split(G, series[1])
-    quotient = factor_group(G, series[1])
-    if not is_simple(quotient, caps.group_order):
-        raise InvalidInputError("composition factor is not simple")
+    H, quotient = next(_composition_walk(G, caps.group_order))
+    split = grouplike_cascade_split(G, H)
     glq = grouplike_of(quotient)
     w_leaf = CoveringWitness(glq, split.b, range(quotient.order), split.cosets.cosets)
     _require(verify_covering(w_leaf), "grouplike quotient leaf")
     leaf = Leaf(LEAF_GROUPLIKE, glq, w_leaf, group=quotient)
 
-    sub = grouplike_to_simple_cascade(split.h_group, caps)
-    w_v = sub.witness
-    sub_r = substitute_right(split.product, split.b, split.c_prime, split.omega, w_v)
-    w_mid = compose_coverings(sub_r.witness, split.witness)
-    sub_l = substitute_left(sub_r.product, split.b, sub.automaton, sub_r.omega, w_leaf)
-    witness = compose_coverings(sub_l.witness, w_mid)
-    return CascadeNode(leaf, sub, sub_l.omega, sub_l.product, witness)
+    inner = grouplike_to_simple_cascade(split.h_group, caps)
+    sub = substitute(
+        split.product, split.b, split.c_prime, split.omega, w_leaf, inner.witness
+    )
+    witness = compose_coverings(sub.witness, split.witness)
+    return CascadeNode(leaf, inner, sub.omega, sub.product, witness)
 
 
 def _reset_states(n: int) -> int:
@@ -617,12 +612,10 @@ def _refine_factor(plan: _Plan, caps: Caps) -> Node:
     w_pi = compose_coverings(g_tree.witness, w_g)
 
     r_tree = reset_to_two_state(split.r).tree
-    sub_r = substitute_right(split.product, split.pi, split.r, split.omega, r_tree.witness)
-    w_mid = compose_coverings(sub_r.witness, split.witness)
-    sub_l = substitute_left(sub_r.product, split.pi, r_tree.automaton, sub_r.omega, w_pi)
-    witness = compose_coverings(sub_l.witness, w_mid)
+    sub = substitute(split.product, split.pi, split.r, split.omega, w_pi, r_tree.witness)
+    witness = compose_coverings(sub.witness, split.witness)
     left = dataclasses.replace(g_tree, witness=w_pi)
-    return CascadeNode(left, r_tree, sub_l.omega, sub_l.product, witness)
+    return CascadeNode(left, r_tree, sub.omega, sub.product, witness)
 
 
 def krohn_rhodes_decompose(A: Semiautomaton, caps: Caps = Caps()) -> Node:
@@ -640,11 +633,9 @@ def krohn_rhodes_decompose(A: Semiautomaton, caps: Caps = Caps()) -> Node:
     node = _build(base, caps)
     for st, plan, states in above:
         left = _build(plan, caps)
-        sub_r = substitute_right(st.product, st.b, st.c, st.omega, node.witness)
-        w_mid = compose_coverings(sub_r.witness, st.witness)
-        sub_l = substitute_left(sub_r.product, st.b, node.automaton, sub_r.omega, left.witness)
-        witness = compose_coverings(sub_l.witness, w_mid)
-        node = _as_planned(CascadeNode(left, node, sub_l.omega, sub_l.product, witness), states)
+        sub = substitute(st.product, st.b, st.c, st.omega, left.witness, node.witness)
+        witness = compose_coverings(sub.witness, st.witness)
+        node = _as_planned(CascadeNode(left, node, sub.omega, sub.product, witness), states)
     return node
 
 

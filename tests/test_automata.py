@@ -21,6 +21,7 @@ from krcascade import (
     krohn_rhodes_decompose,
     run,
     simulation_counterexample,
+    substitute,
     substitute_left,
     substitute_right,
     transition_monoid,
@@ -259,6 +260,72 @@ def test_substitute_right_rejects_mismatched_cover(seven_state, seven_p, sa2):
     cov = cascade_cover_from_partition(seven_state, seven_p)
     with pytest.raises(WitnessError):
         substitute_right(cov.product, cov.b, cov.c, cov.omega, identity_witness(sa2))
+
+
+def _scrambled_cover(X):
+    """A witness Y >= X that is not the identity: Y has one state outside the
+    domain of phi, then X's states in reverse; X's symbols in reverse, then one
+    symbol that xi does not reach and that leaves the domain."""
+    n, m = X.n_states, X.n_symbols
+    rows = [[0] * (m + 1)]
+    for y in range(1, n + 1):
+        s = n - y
+        rows.append([n - X.delta[s][m - 1 - j] for j in range(m)] + [0])
+    Y = Semiautomaton(
+        ["out"] + ["y" + X.state_labels[n - y] for y in range(1, n + 1)],
+        ["y" + X.symbol_labels[m - 1 - j] for j in range(m)] + ["out"],
+        rows,
+    )
+    w = CoveringWitness(Y, X, [None] + [n - y for y in range(1, n + 1)], reversed(range(m)))
+    assert verify_covering(w)
+    return w
+
+
+def test_substitute_matches_right_then_left(seven_state, seven_p):
+    from krcascade import cascade_cover_from_partition
+
+    cov = cascade_cover_from_partition(seven_state, seven_p)
+    w_u, w_v = _scrambled_cover(cov.b), _scrambled_cover(cov.c)
+    sub = substitute(cov.product, cov.b, cov.c, cov.omega, w_u, w_v)
+
+    sub_r = substitute_right(cov.product, cov.b, cov.c, cov.omega, w_v)
+    sub_l = substitute_left(sub_r.product, cov.b, w_v.upper, sub_r.omega, w_u)
+    two_step = compose_coverings(sub_l.witness, sub_r.witness)
+    assert sub.product.delta == sub_l.product.delta
+    assert sub.omega == sub_l.omega
+    assert sub.product.state_labels == sub_l.product.state_labels
+    assert sub.product.symbol_labels == cov.b.symbol_labels
+    assert sub.witness.phi == two_step.phi
+    assert sub.witness.xi == two_step.xi
+    assert sub.witness.upper is sub.product and sub.witness.lower is cov.product
+    assert verify_covering(compose_coverings(sub.witness, cov.witness))
+
+    # the definition, read off directly
+    U, V, nc, nv = w_u.upper, w_v.upper, cov.c.n_states, w_v.upper.n_states
+    for u in range(U.n_states):
+        pu = w_u.phi[u]
+        row = cov.omega[0 if pu is None else pu]
+        assert sub.omega[u] == tuple(w_v.xi[x] for x in row)
+        for v in range(nv):
+            pv = w_v.phi[v]
+            want = None if pu is None or pv is None else pu * nc + pv
+            assert sub.witness.phi[u * nv + v] == want
+    assert sub.u_prime.delta == tuple(
+        tuple(U.delta[u][x] for x in w_u.xi) for u in range(U.n_states)
+    )
+
+
+def test_substitute_rejects_mismatched_inputs(seven_state, seven_p, sa2):
+    from krcascade import cascade_cover_from_partition
+
+    cov = cascade_cover_from_partition(seven_state, seven_p)
+    w_u, w_v = _scrambled_cover(cov.b), _scrambled_cover(cov.c)
+    with pytest.raises(WitnessError, match="first factor"):
+        substitute(cov.product, cov.b, cov.c, cov.omega, w_v, w_v)
+    with pytest.raises(WitnessError, match="second factor"):
+        substitute(cov.product, cov.b, cov.c, cov.omega, w_u, w_u)
+    with pytest.raises(InvalidInputError, match="does not match"):
+        substitute(sa2, cov.b, cov.c, cov.omega, w_u, w_v)
 
 
 def _violates(w, s, word):

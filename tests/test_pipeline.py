@@ -334,11 +334,15 @@ def test_leaf_description(five_state):
     assert leaf_description(raw) == "raw component: cap hit"
 
 
+def random_n(n, seed):
+    """The "random n" recipe: n states, 2 symbols, targets drawn state-major."""
+    rng = random.Random(1000 * n + seed)
+    delta = [[rng.randrange(n) for _ in range(2)] for _ in range(n)]
+    return Semiautomaton(["s%d" % i for i in range(n)], ["a", "b"], delta)
+
+
 def random6(seed):
-    """The "random 6" recipe: 6 states, 2 symbols, targets drawn state-major."""
-    rng = random.Random(6000 + seed)
-    delta = [[rng.randrange(6) for _ in range(2)] for _ in range(6)]
-    return Semiautomaton(["s%d" % i for i in range(6)], ["a", "b"], delta)
+    return random_n(6, seed)
 
 
 CHAIN_CAP = "chain product of %d states exceeds the cap of 500000"
@@ -386,6 +390,23 @@ def test_cap_hit_builds_no_big_product(monkeypatch):
     tree = krohn_rhodes_decompose(random6(4))
     assert tree.automaton.n_states == 6
     assert cells and sum(cells) < 10_000
+
+
+def test_cascade_nodes_build_one_product_each(monkeypatch):
+    # each cascade node builds one product; substituting its two factors one
+    # at a time would also build an intermediate product (354,268 cells here)
+    cells = []
+    build = automata._product
+
+    def counted(A, B, connection):
+        product = build(A, B, connection)
+        cells.append(product.n_states * product.n_symbols)
+        return product
+
+    monkeypatch.setattr(automata, "_product", counted)
+    tree = krohn_rhodes_decompose(random_n(5, 0))
+    assert tree.automaton.n_states == 73728
+    assert sum(cells) == 254_616
 
 
 def test_plan_disagreeing_with_build_raises(monkeypatch, five_state):

@@ -2,7 +2,9 @@
 
 The expected digests in tree_digests.txt were computed by
 benchmarks/tree_digest.py; a change that alters any node, label or report of
-these automata changes its digest. random6 is left out to keep the test fast.
+these automata changes its digest. Of random6 only seeds 0, 4 and 6 are kept,
+the ones krbench's random6 workload runs (one per way the cap path ends), to
+keep the test fast.
 """
 
 import importlib.util
@@ -12,6 +14,7 @@ from krcascade import krohn_rhodes_decompose
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SCRIPT = os.path.join(os.path.dirname(HERE), "benchmarks", "tree_digest.py")
+KEPT_RANDOM6 = {"random6-0", "random6-4", "random6-6"}
 
 
 def _load_script():
@@ -33,8 +36,8 @@ def test_tree_digests_unchanged():
     got = {
         name: td.tree_digest(krohn_rhodes_decompose(A))
         for name, A in td.corpus()
-        if not name.startswith("random6-")
+        if not name.startswith("random6-") or name in KEPT_RANDOM6
     }
-    assert len(got) == 121
+    assert len(got) == 124
     assert sorted(got) == sorted(expected)
     assert [name for name in got if got[name] != expected[name]] == []
