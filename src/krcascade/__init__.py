@@ -6,7 +6,6 @@ explicit covering witness that can be re-verified independently of the code
 that produced it.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .algebra import (
     Congruence,
     FiniteMonoid,

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from . import _kernels
 from .errors import InvalidCongruenceError, InvalidInputError, ResourceCapError
 
 CLOSURE_CAP = 10000
@@ -53,7 +52,7 @@ class Transformation:
         """self followed by other."""
         if other.domain_size != self.domain_size:
             raise InvalidInputError("cannot compose transformations of different domain sizes")
-        return Transformation(_kernels.compose(self.image, other.image))
+        return Transformation(map(other.image.__getitem__, self.image))
 
     def is_permutation(self) -> bool:
         return len(set(self.image)) == self.domain_size
@@ -191,7 +190,7 @@ def closure_generate(generators, *, domain_size=None, cap=CLOSURE_CAP, symbol_la
     while i < len(elems):
         base = elems[i].image
         for gi, g in enumerate(gens):
-            img = tuple(_kernels.compose(base, g.image))
+            img = tuple(map(g.image.__getitem__, base))
             if img not in index:
                 if len(elems) >= cap:
                     raise ResourceCapError(
@@ -203,7 +202,7 @@ def closure_generate(generators, *, domain_size=None, cap=CLOSURE_CAP, symbol_la
         i += 1
 
     table = [
-        [index[tuple(_kernels.compose(a.image, b.image))] for b in elems]
+        [index[tuple(map(b.image.__getitem__, a.image))] for b in elems]
         for a in elems
     ]
     labels = [

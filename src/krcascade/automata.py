@@ -274,7 +274,8 @@ class CoveringWitness:
     xi: per lower symbol, an upper symbol index.
     Construction rejects witnesses whose domain is empty, not surjective, or not
     closed under the xi-image transitions; the per-symbol law itself is checked
-    by verify_covering.
+    by verify_covering. check=False skips these checks, for witnesses that are
+    verified later anyway, as every tree node witness is.
     """
 
     def __init__(self, upper: Semiautomaton, lower: Semiautomaton, phi, xi, check=True):
@@ -422,8 +423,22 @@ def identity_witness(A: Semiautomaton) -> CoveringWitness:
     return CoveringWitness(A, A, range(A.n_states), range(A.n_symbols))
 
 
+def _compose(w1: CoveringWitness, w2: CoveringWitness) -> CoveringWitness:
+    """From C >= B and B >= A, the transitive witness C >= A, with no checks."""
+    image = dict(enumerate(w2.phi))
+    image[None] = None
+    phi = map(image.__getitem__, w1.phi)
+    xi = map(w1.xi.__getitem__, w2.xi)
+    return CoveringWitness(w1.upper, w2.lower, phi, xi, check=False)
+
+
 def compose_coverings(w1: CoveringWitness, w2: CoveringWitness) -> CoveringWitness:
-    """From C >= B and B >= A, the transitive witness C >= A."""
+    """From C >= B and B >= A, the transitive witness C >= A.
+
+    Both inputs are verified first, so the result covers by transitivity.
+    Inside krohn_rhodes_decompose the unchecked _compose is used instead, and
+    each witness is verified once, where the tree node that keeps it is made.
+    """
     if w1.lower != w2.upper:
         raise WitnessError("middle automata of the two witnesses differ")
     r1, r2 = verify_covering(w1), verify_covering(w2)
@@ -431,11 +446,7 @@ def compose_coverings(w1: CoveringWitness, w2: CoveringWitness) -> CoveringWitne
         raise WitnessError("first witness does not verify: %s" % r1.reason)
     if not r2:
         raise WitnessError("second witness does not verify: %s" % r2.reason)
-    image = dict(enumerate(w2.phi))
-    image[None] = None
-    phi = map(image.__getitem__, w1.phi)
-    xi = map(w1.xi.__getitem__, w2.xi)
-    return CoveringWitness(w1.upper, w2.lower, phi, xi)
+    return _compose(w1, w2)
 
 
 def simulation_counterexample(w: CoveringWitness, max_len: int):
@@ -491,6 +502,9 @@ def substitute(
     omega'(u,a) = xi_V(omega(phi_U(u),a)); rows outside dom(phi_U) are
     unreachable from the witness domain and reuse row 0. phi sends (u,v) to
     (phi_U(u), phi_V(v)), outside the domain when either part is.
+
+    The witness is built unchecked: verify it once, or verify the tree node
+    witness it is composed into, as krohn_rhodes_decompose does.
     """
     omega = _check_omega(A, C, omega)
     if w_u.lower != A:
@@ -520,7 +534,7 @@ def substitute(
             image = {pv: pu * nc + pv for pv in range(nc)}
             image[None] = None
             phi.extend(map(image.__getitem__, w_v.phi))
-    witness = CoveringWitness(product, product_ac, phi, range(A.n_symbols))
+    witness = CoveringWitness(product, product_ac, phi, range(A.n_symbols), check=False)
     return Substitution(u_prime, product, omega2, witness)
 
 

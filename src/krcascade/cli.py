@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from .algebra import render_word
@@ -124,9 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="krcascade",
         description="Krohn-Rhodes cascade decomposition of finite semiautomata.",
     )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="seed for any randomized diagnostics"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     d = sub.add_parser(
@@ -179,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    random.seed(args.seed)
     try:
         return args.func(args)
     except ParseError as exc:

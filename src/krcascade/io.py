@@ -4,19 +4,14 @@ from __future__ import annotations
 
 import json
 
-from .automata import (
-    CoveringWitness,
-    HomImageWitness,
-    Semiautomaton,
-    simulation_counterexample,
-    verify_covering,
-)
+from .automata import CoveringWitness, HomImageWitness, Semiautomaton
 from .errors import ParseError
 from .pipeline import (
     CascadeNode,
     Leaf,
     is_complete,
     summarize_leaves,
+    verify_tree,
 )
 
 FORMAT_VERSION = 1
@@ -204,8 +199,10 @@ def parse_witness(text, upper: Semiautomaton, lower: Semiautomaton):
     raise ParseError("kind must be 'covering' or 'hom-image'")
 
 
-def _node_report(node) -> dict:
-    res = verify_covering(node.witness)
+def _node_report(node, checks) -> dict:
+    """The report of node and its subtree; checks yields the verify_tree
+    result of each node in preorder, as iter_nodes walks the tree."""
+    res = next(checks)
     out = {
         "states": node.automaton.n_states,
         "symbols": node.automaton.n_symbols,
@@ -223,23 +220,23 @@ def _node_report(node) -> dict:
             out["reason"] = node.reason
     else:
         out["type"] = "cascade" if isinstance(node, CascadeNode) else "direct"
-        out["left"] = _node_report(node.left)
-        out["right"] = _node_report(node.right)
+        out["left"] = _node_report(node.left, checks)
+        out["right"] = _node_report(node.right, checks)
     return out
 
 
-def _all_verified(node_report: dict) -> bool:
-    if not node_report["witness_verified"]:
-        return False
-    if node_report["type"] == "leaf":
-        return True
-    return _all_verified(node_report["left"]) and _all_verified(node_report["right"])
-
-
 def tree_report(tree, sim_len: int = 6) -> dict:
-    """Machine-readable report: completeness, witness status, leaf census."""
-    root = _node_report(tree)
-    verified = _all_verified(root)
+    """Machine-readable report: completeness, witness status, leaf census.
+
+    The witness and simulation results are those of one verify_tree call.
+    """
+    ok, results = verify_tree(tree, sim_len)
+    checks = (res for _, res in results)
+    root = _node_report(tree, checks)
+    # verify_tree only simulates, and only adds a result for a failed
+    # simulation, once every node witness verifies
+    simulation = next(checks, None)
+    verified = ok or simulation is not None
     report = {
         "format_version": FORMAT_VERSION,
         "complete": is_complete(tree),
@@ -254,10 +251,9 @@ def tree_report(tree, sim_len: int = 6) -> dict:
         "root": root,
     }
     if verified and sim_len > 0:
-        bad = simulation_counterexample(tree.witness, sim_len)
-        report["simulation_ok"] = bad is None
-        if bad is not None:
-            s, word = bad
+        report["simulation_ok"] = ok
+        if simulation is not None:
+            s, word = simulation.site
             report["simulation_failure"] = {
                 "state": tree.witness.upper.state_labels[s],
                 "word": [tree.witness.lower.symbol_labels[a] for a in word],

@@ -10,9 +10,9 @@ from .algebra import clamp_label
 from .automata import (
     CoveringWitness,
     Semiautomaton,
+    _compose,
     _unique_labels,
     cascade_product,
-    compose_coverings,
 )
 from .errors import InvalidInputError
 
@@ -348,11 +348,15 @@ class DecompositionCover:
 
 
 def cascade_cover_from_decomposition(A: Semiautomaton, D: Decomposition, choice=None) -> DecompositionCover:
-    """B*∘C >= A for an admissible decomposition, via the auxiliary automaton."""
+    """B*∘C >= A for an admissible decomposition, via the auxiliary automaton.
+
+    The two covers are composed unchecked; verify the witness before relying
+    on it, as krohn_rhodes_decompose does at the tree node that keeps it.
+    """
     B, fc = d_factor(A, D, choice)
     aux = yoeli_auxiliary(A, D, (B, fc))
     cover = cascade_cover_from_partition(aux.a_star, aux.d_star)
-    witness = compose_coverings(cover.witness, aux.witness)
+    witness = _compose(cover.witness, aux.witness)
     return DecompositionCover(
         cover.b, cover.c, cover.omega, cover.product, witness, aux, fc
     )

@@ -2,7 +2,9 @@
 decomposition tree.
 
 Every constructed covering is kept as an explicit witness; the tree's root
-witness proves that the assembled cascade covers the original automaton.
+witness proves that the assembled cascade covers the original automaton. Each
+node's witness is verified once, by _node where the node is made; the
+witnesses composed into it along the way are not checked on their own.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .automata import (
     CoveringWitness,
     Semiautomaton,
     VerificationResult,
+    _compose,
     _unique_labels,
     cascade_product,
     compose_coverings,
@@ -163,8 +166,16 @@ def _require(result, context):
         raise WitnessError("%s: %s" % (context, result.reason))
 
 
+def _node(context, make, *args, **kwargs) -> Node:
+    """make(*args, **kwargs), a Leaf, CascadeNode or DirectNode, once its
+    witness verifies: the one place where the pipeline checks a witness."""
+    node = make(*args, **kwargs)
+    _require(verify_covering(node.witness), context)
+    return node
+
+
 def _raw_leaf(A: Semiautomaton, reason: str) -> Leaf:
-    return Leaf(LEAF_RAW, A, identity_witness(A), reason=reason)
+    return _node("raw leaf", Leaf, LEAF_RAW, A, identity_witness(A), reason=reason)
 
 
 def grouplike_of(G: FiniteGroup) -> Semiautomaton:
@@ -249,11 +260,14 @@ def split_permutation_reset(A: Semiautomaton, caps: Caps = Caps()) -> PRSplit:
     permutation on top of R's state.
     """
     const, K = _permutation_group(A, caps)
-    return _split(A, const, K)
+    split = _split(A, const, K)
+    _require(verify_covering(split.witness), "permutation-reset split")
+    return split
 
 
 def _split(A: Semiautomaton, const, K) -> PRSplit:
-    """split_permutation_reset on the (const, K) of _permutation_group(A)."""
+    """split_permutation_reset on the (const, K) of _permutation_group(A),
+    with its witness unchecked."""
     n, m = A.n_states, A.n_symbols
     # element labels are rendered words, which can coincide with one another
     k_labels = _unique_labels(K.labels)
@@ -289,8 +303,7 @@ def _split(A: Semiautomaton, const, K) -> PRSplit:
     omega = tuple(tuple(x * m + a for a in range(m)) for x in range(nk))
     product = cascade_product(pi, r, omega)
     phi = [K.transformations[x].image[s] for x in range(nk) for s in range(n)]
-    witness = CoveringWitness(product, A, phi, range(m))
-    _require(verify_covering(witness), "permutation-reset split")
+    witness = CoveringWitness(product, A, phi, range(m), check=False)
     return PRSplit(pi, r, omega, product, witness)
 
 
@@ -315,7 +328,7 @@ def _two_state_identity_cover(A: Semiautomaton) -> Leaf:
         [[0] * A.n_symbols, [1] * A.n_symbols],
     )
     witness = CoveringWitness(two, A, [0, 0], range(A.n_symbols))
-    return Leaf(LEAF_RESET, two, witness)
+    return _node("two-state cover of a one-state automaton", Leaf, LEAF_RESET, two, witness)
 
 
 def reset_to_two_state(R: Semiautomaton) -> ResetFactorization:
@@ -334,7 +347,7 @@ def reset_to_two_state(R: Semiautomaton) -> ResetFactorization:
         if nx == 1:
             return _two_state_identity_cover(X)
         if nx == 2:
-            return Leaf(LEAF_RESET, X, identity_witness(X))
+            return _node("two-state reset leaf", Leaf, LEAF_RESET, X, identity_witness(X))
         half = (nx + 1) // 2
         P = Partition(nx, [range(half), range(half, nx)])
         B, _ = p_factor(X, P)
@@ -358,12 +371,11 @@ def reset_to_two_state(R: Semiautomaton) -> ResetFactorization:
                 pv = w_v.phi[v]
                 phi2.append(None if pv is None else i * rest.n_states + pv)
         w_sub = CoveringWitness(prod_bv, prod, phi2, range(X.n_symbols))
-        witness = compose_coverings(w_sub, w0)
-        left = Leaf(LEAF_RESET, B, identity_witness(B))
-        return DirectNode(left, sub, prod_bv, witness)
+        witness = _compose(w_sub, w0)
+        left = _node("two-state reset leaf", Leaf, LEAF_RESET, B, identity_witness(B))
+        return _node("two-state reset factorization", DirectNode, left, sub, prod_bv, witness)
 
     tree = build(R)
-    _require(verify_covering(tree.witness), "two-state reset factorization")
     return ResetFactorization([leaf.automaton for leaf in leaves(tree)], tree)
 
 
@@ -498,21 +510,21 @@ def grouplike_to_simple_cascade(G: FiniteGroup, caps: Caps = Caps()) -> Node:
         )
     if G.order == 1 or is_simple(G, caps.group_order):
         glike = grouplike_of(G)
-        return Leaf(LEAF_GROUPLIKE, glike, identity_witness(glike), group=G)
+        w_glike = identity_witness(glike)
+        return _node("simple grouplike leaf", Leaf, LEAF_GROUPLIKE, glike, w_glike, group=G)
 
     H, quotient = next(_composition_walk(G, caps.group_order))
     split = grouplike_cascade_split(G, H)
     glq = grouplike_of(quotient)
     w_leaf = CoveringWitness(glq, split.b, range(quotient.order), split.cosets.cosets)
-    _require(verify_covering(w_leaf), "grouplike quotient leaf")
-    leaf = Leaf(LEAF_GROUPLIKE, glq, w_leaf, group=quotient)
+    leaf = _node("grouplike quotient leaf", Leaf, LEAF_GROUPLIKE, glq, w_leaf, group=quotient)
 
     inner = grouplike_to_simple_cascade(split.h_group, caps)
     sub = substitute(
         split.product, split.b, split.c_prime, split.omega, w_leaf, inner.witness
     )
-    witness = compose_coverings(sub.witness, split.witness)
-    return CascadeNode(leaf, inner, sub.omega, sub.product, witness)
+    witness = _compose(sub.witness, split.witness)
+    return _node("coset cascade", CascadeNode, leaf, inner, sub.omega, sub.product, witness)
 
 
 def _reset_states(n: int) -> int:
@@ -609,13 +621,17 @@ def _refine_factor(plan: _Plan, caps: Caps) -> Node:
     split = _split(B, *plan.group)
     G, w_g = cover_permutation_by_grouplike(split.pi, caps.closure_elements)
     g_tree = grouplike_to_simple_cascade(G, caps)
-    w_pi = compose_coverings(g_tree.witness, w_g)
+    w_pi = _compose(g_tree.witness, w_g)
 
     r_tree = reset_to_two_state(split.r).tree
     sub = substitute(split.product, split.pi, split.r, split.omega, w_pi, r_tree.witness)
-    witness = compose_coverings(sub.witness, split.witness)
-    left = dataclasses.replace(g_tree, witness=w_pi)
-    return CascadeNode(left, r_tree, sub.omega, sub.product, witness)
+    witness = _compose(sub.witness, split.witness)
+    left = _node(
+        "grouplike cover of the permutation factor", dataclasses.replace, g_tree, witness=w_pi
+    )
+    return _node(
+        "permutation-reset factor", CascadeNode, left, r_tree, sub.omega, sub.product, witness
+    )
 
 
 def krohn_rhodes_decompose(A: Semiautomaton, caps: Caps = Caps()) -> Node:
@@ -634,14 +650,21 @@ def krohn_rhodes_decompose(A: Semiautomaton, caps: Caps = Caps()) -> Node:
     for st, plan, states in above:
         left = _build(plan, caps)
         sub = substitute(st.product, st.b, st.c, st.omega, left.witness, node.witness)
-        witness = compose_coverings(sub.witness, st.witness)
-        node = _as_planned(CascadeNode(left, node, sub.omega, sub.product, witness), states)
+        witness = _compose(sub.witness, st.witness)
+        node = _node("chain step", CascadeNode, left, node, sub.omega, sub.product, witness)
+        node = _as_planned(node, states)
     return node
 
 
 def verify_tree(tree: Node, sim_len: int = 6):
     """Verify every node witness; the root additionally gets a word-simulation
-    check to the given length. Returns (ok, list of (node, result))."""
+    check to the given length. Returns (ok, list of (node, result)): one entry
+    per node in iter_nodes order, then one for the simulation if it fails.
+
+    krohn_rhodes_decompose has already verified each node witness once, where
+    the node was made; verify_tree replays those checks on a tree from
+    anywhere, and io.tree_report builds its report from this one call.
+    """
     results = []
     ok = True
     for node in iter_nodes(tree):

@@ -1,5 +1,6 @@
 """Document parsing/serialization, reports, DOT export, and the CLI surface."""
 
+import dataclasses
 import json
 
 import pytest
@@ -173,6 +174,94 @@ def test_tree_report_incomplete(five_state):
     assert "exceeds the cap of 200" in text
 
 
+def _break(w):
+    """w with every xi image moved to the next upper symbol, unchecked."""
+    xi = [(x + 1) % w.upper.n_symbols for x in w.xi]
+    return CoveringWitness(w.upper, w.lower, w.phi, xi, check=False)
+
+
+def _sa3_report(sim_len, root_failure=None, leaf_failure=None):
+    """The report of the sa3 tree with the given witness failures at its root
+    and at its last leaf, in the report's key order."""
+
+    def status(failure):
+        if failure is None:
+            return {"witness_verified": True}
+        return {"witness_verified": False, "witness_failure": failure}
+
+    def leaf(symbols, failure=None):
+        node = {"states": 2, "symbols": symbols, **status(failure)}
+        return {**node, "type": "leaf", "kind": "two-state-reset"}
+
+    direct = {"states": 4, "symbols": 2, **status(None), "type": "direct"}
+    root = {"states": 8, "symbols": 2, **status(root_failure), "type": "cascade"}
+    return {
+        "format_version": 1,
+        "complete": True,
+        "witnesses_verified": root_failure is None and leaf_failure is None,
+        "simulation_length": sim_len,
+        "covered_states": 3,
+        "composite_states": 8,
+        "leaves": [{"description": "two-state reset", "count": 3}],
+        "root": {
+            **root,
+            "left": {**direct, "left": leaf(2), "right": leaf(2)},
+            "right": leaf(6, leaf_failure),
+        },
+    }
+
+
+SA3_ROOT_FAILURE = (
+    "covering law fails at state (q0,{(2,{2,3}),(1,{1,3}),(1,{1,2})}) under symbol a"
+)
+SA3_LEAF_FAILURE = (
+    "covering law fails at state {(3,{2,3}),(3,{1,3}),(2,{1,2})} "
+    "under symbol ({(2,{2,3}),(3,{2,3})},a)"
+)
+SA3_TREE_TEXT = (
+    "tree:\n"
+    "  cascade [8 states, 2 inputs] witness %s\n"
+    "    direct [4 states, 2 inputs] witness ok\n"
+    "      leaf two-state-reset [2 states] witness ok\n"
+    "      leaf two-state-reset [2 states] witness ok\n"
+    "    leaf two-state-reset [2 states] witness %s\n"
+)
+
+
+@pytest.mark.parametrize("where", ["root", "leaf"])
+def test_tree_report_with_a_broken_witness(sa3, where):
+    # no simulation_ok key: the simulation only runs once every witness verifies
+    tree = krohn_rhodes_decompose(sa3)
+    if where == "root":
+        bad = dataclasses.replace(tree, witness=_break(tree.witness))
+        expected = _sa3_report(4, root_failure=SA3_ROOT_FAILURE)
+        statuses = ("FAILED (%s)" % SA3_ROOT_FAILURE, "ok")
+    else:
+        right = dataclasses.replace(tree.right, witness=_break(tree.right.witness))
+        bad = dataclasses.replace(tree, right=right)
+        expected = _sa3_report(4, leaf_failure=SA3_LEAF_FAILURE)
+        statuses = ("ok", "FAILED (%s)" % SA3_LEAF_FAILURE)
+    report = tree_report(bad, sim_len=4)
+    assert json.dumps(report, indent=2) == json.dumps(expected, indent=2)
+    assert render_tree_text(report) == (
+        "decomposition of a 3-state automaton into a 8-state cascade: "
+        "complete, witnesses NOT verified\n"
+        "leaves:\n"
+        "  3 x two-state reset\n" + SA3_TREE_TEXT % statuses
+    )
+
+
+def test_tree_report_without_simulation(sa3):
+    report = tree_report(krohn_rhodes_decompose(sa3), sim_len=0)
+    assert json.dumps(report, indent=2) == json.dumps(_sa3_report(0), indent=2)
+    assert render_tree_text(report) == (
+        "decomposition of a 3-state automaton into a 8-state cascade: "
+        "complete, witnesses verified\n"
+        "leaves:\n"
+        "  3 x two-state reset\n" + SA3_TREE_TEXT % ("ok", "ok")
+    )
+
+
 def test_export_dot(sa3):
     assert export_dot(sa3) == (
         "digraph semiautomaton {\n"
@@ -322,7 +411,7 @@ def test_cli_monoid_cap(tmp_path, capsys):
 
 
 def test_cli_export_dot(docs, capsys, sa3):
-    code = main(["--seed", "7", "export-dot", docs["sa3"]])
+    code = main(["export-dot", docs["sa3"]])
     out = capsys.readouterr().out
     assert code == 0
     assert out == export_dot(sa3)

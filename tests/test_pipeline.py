@@ -2,6 +2,8 @@
 
 import dataclasses
 import random
+import sys
+from collections import Counter
 
 import pytest
 
@@ -20,6 +22,7 @@ from krcascade import (
     ResourceCapError,
     Semiautomaton,
     Transformation,
+    WitnessError,
     canonical_group_key,
     classify_inputs,
     closure_generate,
@@ -413,3 +416,76 @@ def test_plan_disagreeing_with_build_raises(monkeypatch, five_state):
     monkeypatch.setattr(pipeline, "_reset_states", lambda n: n)
     with pytest.raises(RuntimeError, match="plan predicted"):
         krohn_rhodes_decompose(five_state)
+
+
+def _record_verify_covering(monkeypatch):
+    """Route verify_covering through a recorder in every krcascade module that
+    holds it; returns the list of witnesses it is called on, in call order."""
+    checked = []
+    original = automata.verify_covering
+
+    def recording(w):
+        checked.append(w)
+        return original(w)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "krcascade":
+            if getattr(module, "verify_covering", None) is original:
+                monkeypatch.setattr(module, "verify_covering", recording)
+    return checked
+
+
+@pytest.mark.parametrize(
+    "name", ["five_pr", "five_state"] + ["random5-%d" % seed for seed in range(10)]
+)
+def test_decompose_verifies_each_witness_once(monkeypatch, request, name):
+    # five_pr is the README example
+    if name.startswith("random5-"):
+        A = random_n(5, int(name.partition("-")[2]))
+    else:
+        A = request.getfixturevalue(name)
+    checked = _record_verify_covering(monkeypatch)
+    tree = krohn_rhodes_decompose(A)
+    times = Counter(map(id, checked))
+    assert [w for w in checked if times[id(w)] > 1] == []
+    assert [n for n in iter_nodes(tree) if times[id(n.witness)] != 1] == []
+
+
+def _corrupting(build):
+    """build, with one phi entry of the witness it returns sent to another
+    lower state."""
+
+    def corrupted(*args, **kwargs):
+        out = build(*args, **kwargs)
+        w = out.witness
+        phi = list(w.phi)
+        s = w.dom[0]
+        phi[s] = (phi[s] + 1) % w.lower.n_states
+        bad = CoveringWitness(w.upper, w.lower, phi, w.xi, check=False)
+        return dataclasses.replace(out, witness=bad)
+
+    return corrupted
+
+
+CYCLE4 = Semiautomaton(["0", "1", "2", "3"], ["a"], [[1], [2], [3], [0]])
+
+
+@pytest.mark.parametrize(
+    "target, name, context",
+    [
+        ("substitute", "sa3", "chain step"),
+        ("substitute", "five_pr", "permutation-reset factor"),
+        ("_split", "five_pr", "permutation-reset factor"),
+        ("grouplike_cascade_split", "cycle4", "coset cascade"),
+    ],
+)
+def test_corrupted_inner_witness_fails_its_node(monkeypatch, request, target, name, context):
+    A = CYCLE4 if name == "cycle4" else request.getfixturevalue(name)
+    monkeypatch.setattr(pipeline, target, _corrupting(getattr(pipeline, target)))
+    with pytest.raises(WitnessError, match="^%s: " % context):
+        krohn_rhodes_decompose(A)
+    # the corruption is real: without the checks the tree comes out, and
+    # replaying it rejects it
+    monkeypatch.setattr(pipeline, "_require", lambda result, context: None)
+    ok, _ = verify_tree(krohn_rhodes_decompose(A), sim_len=0)
+    assert not ok
