@@ -1,0 +1,82 @@
+"""Memory a decomposition tree holds, and the peak while it is built.
+
+    python benchmarks/tree_memory.py [--out BENCH_tree_memory.json]
+
+Run from the root of a source checkout; the library is imported from its
+src/ directory and only its public API is used. The corpus is the ROADMAP
+"random n" automata for n = 5 (seeds 0-9) and n = 6 (seeds 0, 4 and 6, the
+random6 workload of krbench). For each automaton, tracemalloc measures the
+bytes that the tree returned by krohn_rhodes_decompose still holds once the
+call is over, and the peak of traced memory above the starting point during
+the call. Both are Python allocations only: they leave out the interpreter
+and the allocator's own overhead, which peak RSS includes. The results, one
+entry per automaton and the totals, are written as JSON.
+"""
+
+import argparse
+import gc
+import json
+import os
+import random
+import sys
+import tracemalloc
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from krcascade import Semiautomaton, iter_nodes, krohn_rhodes_decompose  # noqa: E402
+
+CORPUS = [(5, seed) for seed in range(10)] + [(6, seed) for seed in (0, 4, 6)]
+
+
+def random_n(n, seed):
+    """The ROADMAP "random n" recipe: 2 symbols, targets drawn state-major."""
+    rng = random.Random(1000 * n + seed)
+    delta = [[rng.randrange(n) for _ in range(2)] for _ in range(n)]
+    return Semiautomaton(["s%d" % i for i in range(n)], "ab", delta)
+
+
+def measure(A):
+    """(bytes the tree holds, peak bytes during the decomposition, cells of
+    the tree's node automata)."""
+    gc.collect()
+    tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    tree = krohn_rhodes_decompose(A)
+    gc.collect()
+    held, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    cells = sum(n.automaton.n_states * n.automaton.n_symbols for n in iter_nodes(tree))
+    return held - base, peak - base, cells
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_tree_memory.json"))
+    args = parser.parse_args()
+    entries = []
+    for n, seed in CORPUS:
+        held, peak, cells = measure(random_n(n, seed))
+        entries.append({
+            "automaton": "random%d-%d" % (n, seed),
+            "tree_bytes": held,
+            "decompose_peak_bytes": peak,
+            "node_cells": cells,
+        })
+        print("random%d-%d  tree %8.1f MB  peak %8.1f MB  %9d cells"
+              % (n, seed, held / 1e6, peak / 1e6, cells))
+    totals = {
+        key: sum(e[key] for e in entries)
+        for key in ("tree_bytes", "decompose_peak_bytes", "node_cells")
+    }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump({"python": sys.version.split()[0], "automata": entries,
+                   "totals": totals}, fh, indent=2)
+        fh.write("\n")
+    print("total  tree %.1f MB  peak %.1f MB  (written to %s)"
+          % (totals["tree_bytes"] / 1e6, totals["decompose_peak_bytes"] / 1e6, args.out))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

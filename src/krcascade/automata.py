@@ -7,14 +7,28 @@ upper states onto lower states and xi mapping lower symbols into upper ones.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat
-from operator import is_not, itemgetter, not_
+from operator import index, is_not, not_
 from typing import Optional
 
 from .algebra import CLOSURE_CAP, Transformation, clamp_label, closure_generate
 from .errors import InvalidInputError, WitnessError
+
+# Table cells are C ints: 4 bytes each, holding state indices, so a table
+# has at most _STATE_LIMIT states. Loops here iterate slices of the array,
+# not the read-only memoryviews: before Python 3.12 a memoryview has no
+# iterator of its own, and iterating one ends by raising IndexError, which
+# costs more than reading a short column.
+_CELL = "i"
+_CELL_BYTES = array(_CELL).itemsize
+_STATE_LIMIT = 2 ** (8 * _CELL_BYTES - 1)
+# The smallest witness domain checked a symbol at a time: below it, the
+# fixed cost of a pass per symbol outweighs its lower cost per cell.
+_SYMBOL_PASS_STATES = 32
 
 
 def _unique_labels(candidates):
@@ -42,12 +56,29 @@ def _rows(columns, n_states):
     return zip(*columns) if columns else repeat((), n_states)
 
 
-def _table_in_range(delta, n_symbols, n_states):
-    """Whether every row has n_symbols entries, each a state below n_states."""
-    if set(map(len, delta)) != {n_symbols}:
-        return False
-    cells = chain.from_iterable
-    return not n_symbols or (0 <= min(cells(delta)) and max(cells(delta)) < n_states)
+def _table_of(columns):
+    """The columns, concatenated into one table with no spare capacity, or
+    None when a target is not an integer that fits a cell."""
+    try:
+        return array(_CELL, list(chain.from_iterable(columns)))
+    except (TypeError, OverflowError):
+        return None
+
+
+def _row_fault(rows, n_symbols, n_states):
+    """Raise for the first malformed row or target, in row order."""
+    for row in rows:
+        if len(row) != n_symbols:
+            raise InvalidInputError("transition row length differs from alphabet size")
+        for x in row:
+            try:
+                x = index(x)
+            except TypeError:
+                raise InvalidInputError(
+                    "transition target %r is not an integer" % (x,)
+                ) from None
+            if not 0 <= x < n_states:
+                raise InvalidInputError("transition target %d out of range" % x)
 
 
 class _PairLabels:
@@ -63,14 +94,97 @@ class _PairLabels:
         return tuple(_pair_state_labels(self.A, self.B))
 
 
+class TableRows:
+    """Read-only rows of a column-major table: row s is the tuple of cells
+    (s, 0), (s, 1), ..., as the table's tuple of row tuples would give it."""
+
+    __slots__ = ("_table", "_n")
+
+    def __init__(self, table, n_states):
+        self._table = table
+        self._n = n_states
+
+    def __len__(self):
+        return self._n
+
+    def __getitem__(self, s):
+        n = self._n
+        if s < 0:
+            s += n
+        if not 0 <= s < n:
+            raise IndexError("row index out of range")
+        return tuple(self._table[s::n])
+
+    def __iter__(self):
+        t, n = self._table, self._n
+        return _rows([t[k:k + n] for k in range(0, len(t), n)], n)
+
+    def __eq__(self, other):
+        if isinstance(other, TableRows):
+            return self._n == other._n and self._table == other._table
+        try:
+            rows = tuple(map(tuple, other))
+        except TypeError:
+            return NotImplemented
+        return tuple(self) == rows
+
+    __hash__ = None
+
+    def __repr__(self):
+        return repr(tuple(self))
+
+
 class Semiautomaton:
-    """States, alphabet, and a total transition table delta[state][symbol].
+    """States, alphabet, and a total transition table.
+
+    The table is one flat array of 4-byte cells in column-major order: the
+    image of state s under symbol a is cell a * n_states + s. table is a
+    read-only view of the whole array and column(a) a read-only slice of it,
+    neither a copy. delta reads the same cells as rows: delta[s][a] is the
+    image of s under a, and delta indexes, iterates, compares and prints like
+    a tuple of row tuples. No other copy of the table is kept.
 
     Products pass their state labels as a _PairLabels, which is unique by
     construction and rendered on the first read of state_labels.
     """
 
     def __init__(self, state_labels, symbol_labels, delta):
+        rows = tuple(map(tuple, delta))
+        self._set_labels(state_labels, symbol_labels)
+        n, m = self._n, len(self.symbol_labels)
+        if len(rows) != n:
+            raise InvalidInputError("need one transition row per state")
+        table = None
+        if set(map(len, rows)) == {m}:
+            table = _table_of(zip(*rows))
+        if table is None:
+            _row_fault(rows, m, n)
+        self._set_table(table)
+
+    @classmethod
+    def from_columns(cls, state_labels, symbol_labels, columns):
+        """Build from per-symbol images: columns[j][s] = s under symbol j."""
+        n = len(state_labels)
+        columns = list(columns)
+        for col in columns:
+            if len(col) != n:
+                raise InvalidInputError("column length differs from state count")
+        table = _table_of(columns)
+        if table is None:
+            # the row constructor names the first bad target in row order
+            return cls(state_labels, symbol_labels, _rows(columns, n))
+        return cls._from_table(state_labels, symbol_labels, table)
+
+    @classmethod
+    def _from_table(cls, state_labels, symbol_labels, table):
+        """Build on a column-major table of len(state_labels) *
+        len(symbol_labels) cells, which the automaton keeps."""
+        self = cls.__new__(cls)
+        self._set_labels(state_labels, symbol_labels)
+        self._set_table(table)
+        return self
+
+    def _set_labels(self, state_labels, symbol_labels):
         lazy = isinstance(state_labels, _PairLabels)
         if lazy:
             self._pending_labels = state_labels
@@ -79,25 +193,20 @@ class Semiautomaton:
             self.state_labels = tuple(map(str, state_labels))
             n = len(self.state_labels)
         self.symbol_labels = tuple(map(str, symbol_labels))
-        self.delta = tuple(map(tuple, delta))
-        m = len(self.symbol_labels)
+        self._n = n
         if n < 1:
             raise InvalidInputError("need at least one state")
         if not lazy and len(set(self.state_labels)) != n:
             raise InvalidInputError("duplicate state label")
-        if len(set(self.symbol_labels)) != m:
+        if len(set(self.symbol_labels)) != len(self.symbol_labels):
             raise InvalidInputError("duplicate symbol label")
-        if len(self.delta) != n:
-            raise InvalidInputError("need one transition row per state")
-        if not _table_in_range(self.delta, m, n):
-            for row in self.delta:
-                if len(row) != m:
-                    raise InvalidInputError(
-                        "transition row length differs from alphabet size"
-                    )
-                for x in row:
-                    if not 0 <= x < n:
-                        raise InvalidInputError("transition target %d out of range" % x)
+
+    def _set_table(self, table):
+        n = self._n
+        self._table = table
+        if table and not (0 <= min(table) and max(table) < n):
+            _row_fault(self.delta, len(self.symbol_labels), n)
+        self.table = memoryview(table).toreadonly()
 
     @cached_property
     def state_labels(self):
@@ -113,22 +222,25 @@ class Semiautomaton:
     def _symbol_index(self):
         return {lab: j for j, lab in enumerate(self.symbol_labels)}
 
-    @classmethod
-    def from_columns(cls, state_labels, symbol_labels, columns):
-        """Build from per-symbol images: columns[j][s] = s under symbol j."""
-        n = len(state_labels)
-        for col in columns:
-            if len(col) != n:
-                raise InvalidInputError("column length differs from state count")
-        return cls(state_labels, symbol_labels, _rows(columns, n))
-
     @property
     def n_states(self) -> int:
-        return len(self.delta)
+        return self._n
 
     @property
     def n_symbols(self) -> int:
         return len(self.symbol_labels)
+
+    @cached_property
+    def delta(self) -> TableRows:
+        return TableRows(self._table, self._n)
+
+    def column(self, a: int) -> memoryview:
+        """The images of every state under symbol a, 0 <= a < n_symbols, as
+        a read-only view."""
+        if not 0 <= a < len(self.symbol_labels):
+            raise IndexError("symbol index out of range")
+        n = self._n
+        return self.table[a * n:(a + 1) * n]
 
     def state_index(self, label) -> int:
         try:
@@ -143,10 +255,10 @@ class Semiautomaton:
             raise InvalidInputError("unknown symbol %r" % (label,)) from None
 
     def step(self, s: int, a: int) -> int:
-        return self.delta[s][a]
+        return self.column(range(self.n_symbols)[a])[s]
 
     def symbol_transformation(self, a: int) -> Transformation:
-        return Transformation(map(itemgetter(a), self.delta))
+        return Transformation(self.column(a).tolist())
 
     def transformations(self):
         return [self.symbol_transformation(a) for a in range(self.n_symbols)]
@@ -172,20 +284,26 @@ class Semiautomaton:
         return (
             isinstance(other, Semiautomaton)
             and self.symbol_labels == other.symbol_labels
-            and self.delta == other.delta
+            and self._n == other._n
+            and self._table == other._table
             and self.state_labels == other.state_labels
         )
 
     def __repr__(self):
         return "Semiautomaton(%d states, %d symbols)" % (self.n_states, self.n_symbols)
 
+    def __reduce__(self):
+        # the table view cannot be pickled; the labels and table rebuild it
+        return Semiautomaton._from_table, (self.state_labels, self.symbol_labels, self._table)
+
 
 def run(A: Semiautomaton, s: int, w) -> int:
     """delta*: the state reached from s after reading w."""
     if not 0 <= s < A.n_states:
         raise InvalidInputError("state index %d out of range" % s)
+    table, n = A._table, A.n_states
     for a in A.word_indices(w):
-        s = A.delta[s][a]
+        s = table[a * n + s]
     return s
 
 
@@ -218,23 +336,42 @@ def _pair_state_labels(A: Semiautomaton, B: Semiautomaton):
 
 def _product(A: Semiautomaton, B: Semiautomaton, connection) -> Semiautomaton:
     """A driving B, where A-state i under symbol a moves B by symbol
-    connection[i][a]. Each A-state gives a block of |S^B| rows, read off B's
-    columns with B's state offset by the A-state reached."""
-    nb = B.n_states
-    columns = list(zip(*B.delta))
-    delta = []
-    for row, conn in zip(A.delta, connection):
-        delta.extend(
-            _rows([map((t * nb).__add__, columns[c]) for t, c in zip(row, conn)], nb)
+    connection[a][i].
+
+    Column a of the product is one block of |S^B| cells per A-state i: B's
+    column connection[a][i] with t·|S^B| added to every cell, t the state A
+    reaches from i. The addition runs on all cells of a block at once, as
+    one sum of integers whose 4-byte lanes are the cells; no lane carries,
+    since every cell stays below |S^A|·|S^B|, which must fit a cell.
+    """
+    na, nb = A.n_states, B.n_states
+    if na * nb > _STATE_LIMIT:
+        raise InvalidInputError(
+            "a product of %d and %d states does not fit a table of at most %d states"
+            % (na, nb, _STATE_LIMIT)
         )
-    return Semiautomaton(_PairLabels(A, B), A.symbol_labels, delta)
+    order = sys.byteorder
+    b_table, a_table = B._table, A._table
+    blocks = [int.from_bytes(b_table[k:k + nb], order) for k in range(0, len(b_table), nb)]
+    shift = int.from_bytes(array(_CELL, [nb]) * nb, order)
+    width = nb * _CELL_BYTES
+    # zero-filled at its final size, with no spare capacity
+    table = array(_CELL, [0]) * (na * nb * A.n_symbols)
+    cells = memoryview(table).cast("B")
+    pos = 0
+    for a, conn in enumerate(connection):
+        for t, c in zip(a_table[a * na:(a + 1) * na], conn):
+            cells[pos:pos + width] = (blocks[c] + t * shift).to_bytes(width, order)
+            pos += width
+    cells.release()
+    return Semiautomaton._from_table(_PairLabels(A, B), A.symbol_labels, table)
 
 
 def direct_product(A: Semiautomaton, B: Semiautomaton) -> Semiautomaton:
     """Parallel composition on a shared alphabet; state (i,j) flattens to i*|S^B|+j."""
     if A.symbol_labels != B.symbol_labels:
         raise InvalidInputError("direct product needs identical alphabets")
-    return _product(A, B, repeat(range(A.n_symbols)))
+    return _product(A, B, map(repeat, range(A.n_symbols)))
 
 
 def _check_omega(A: Semiautomaton, B: Semiautomaton, omega):
@@ -254,7 +391,7 @@ def _check_omega(A: Semiautomaton, B: Semiautomaton, omega):
 
 def cascade_product(A: Semiautomaton, B: Semiautomaton, omega) -> Semiautomaton:
     """A driving B: (s,t)·a = (s·a, t·omega(s,a)), over A's alphabet."""
-    return _product(A, B, _check_omega(A, B, omega))
+    return _product(A, B, list(zip(*_check_omega(A, B, omega))))
 
 
 @dataclass
@@ -311,7 +448,7 @@ class CoveringWitness:
             if not _domain_closed(self):
                 for s in self.dom:
                     for a in range(lower.n_symbols):
-                        if self.phi[upper.delta[s][self.xi[a]]] is None:
+                        if self.phi[upper.step(s, self.xi[a])] is None:
                             raise WitnessError(
                                 "domain of phi is not closed: state %s leaves it under %s"
                                 % (upper.state_labels[s], lower.symbol_labels[a])
@@ -354,23 +491,48 @@ def _domain_closed(w: CoveringWitness) -> bool:
     """Whether no domain state leaves the domain of phi under an image xi(a)."""
     inside = list(map(is_not, w.phi, repeat(None)))
     outside = set(compress(range(len(inside)), map(not_, inside)))
+    table, n = w.upper._table, w.upper.n_states
     return not outside or all(
-        outside.isdisjoint(compress(map(itemgetter(x), w.upper.delta), inside))
+        outside.isdisjoint(compress(table[x * n:(x + 1) * n], inside))
         for x in set(w.xi)
     )
 
 
 def _law_violation(w: CoveringWitness):
     """The first (s, a), domain states in order and then lower symbols, where
-    phi(s·xi(a)) != phi(s)·a; leaving the domain of phi counts. None if none."""
-    phi, xi, low_delta = w.phi, w.xi, w.lower.delta
-    symbols = range(len(xi))
-    for s, (row, v) in enumerate(zip(w.upper.delta, phi)):
-        if v is not None:
-            low = low_delta[v]
-            for a in symbols:
-                if phi[row[xi[a]]] != low[a]:
-                    return s, a
+    phi(s·xi(a)) != phi(s)·a; leaving the domain of phi counts. None if none.
+
+    A domain of _SYMBOL_PASS_STATES states or more is checked one symbol at a
+    time, a pass over the upper column xi(a) against the lower column a, and
+    scanned state by state only after a failure, to name the first site.
+    """
+    if len(w.dom) < _SYMBOL_PASS_STATES:
+        return _first_law_failure(w)
+    phi = w.phi
+    inside = list(map(is_not, phi, repeat(None)))
+    low = list(compress(phi, inside))
+    upper, nu = w.upper._table, w.upper._n
+    lower, nl = w.lower._table, w.lower._n
+    for a, x in enumerate(w.xi):
+        image = tuple(lower[a * nl:(a + 1) * nl])
+        for t, v in zip(compress(upper[x * nu:(x + 1) * nu], inside), low):
+            if phi[t] != image[v]:
+                return _first_law_failure(w)
+    return None
+
+
+def _first_law_failure(w: CoveringWitness):
+    """_law_violation by a scan of the domain states in order, each over all
+    lower symbols."""
+    phi, xi, upper, lower = w.phi, w.xi, w.upper, w.lower
+    cells, nu, images, nl = upper._table, upper._n, lower._table, lower._n
+    for s in w.dom:
+        # v runs over the cells (a, phi(s)) of the lower table, a = 0, 1, ...
+        v = phi[s]
+        for x in xi:
+            if phi[cells[x * nu + s]] != images[v]:
+                return s, (v - phi[s]) // nl
+            v += nl
     return None
 
 
@@ -389,7 +551,7 @@ def verify_covering(w: CoveringWitness) -> VerificationResult:
     if site is None:
         return VerificationResult(True)
     s, a = site
-    if w.phi[upper.delta[s][w.xi[a]]] is None:
+    if w.phi[upper.step(s, w.xi[a])] is None:
         return VerificationResult(
             False, "domain not closed under symbol %s" % lower.symbol_labels[a], site
         )
@@ -407,9 +569,11 @@ def verify_hom_image(w: HomImageWitness) -> VerificationResult:
         return VerificationResult(False, "phi is not surjective")
     if set(w.xi) != set(range(tgt.n_symbols)):
         return VerificationResult(False, "xi is not surjective")
+    phi = w.phi
+    columns = [(src.column(a), tgt.column(x)) for a, x in enumerate(w.xi)]
     for s in range(src.n_states):
-        for a in range(src.n_symbols):
-            if w.phi[src.delta[s][a]] != tgt.delta[w.phi[s]][w.xi[a]]:
+        for a, (col, image) in enumerate(columns):
+            if phi[col[s]] != image[phi[s]]:
                 return VerificationResult(
                     False,
                     "homomorphism law fails at state %s under symbol %s"
@@ -514,10 +678,8 @@ def substitute(
     if product_ac.n_states != A.n_states * C.n_states:
         raise InvalidInputError("product automaton does not match the given factors")
     U, V = w_u.upper, w_v.upper
-    u_prime = Semiautomaton(
-        U.state_labels,
-        A.symbol_labels,
-        [tuple(map(row.__getitem__, w_u.xi)) for row in U.delta],
+    u_prime = Semiautomaton.from_columns(
+        U.state_labels, A.symbol_labels, [U.column(x) for x in w_u.xi]
     )
     rows = {
         pu: tuple(map(w_v.xi.__getitem__, omega[0 if pu is None else pu]))

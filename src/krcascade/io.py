@@ -86,7 +86,7 @@ def emit_automaton(A: Semiautomaton) -> str:
         "states": list(A.state_labels),
         "alphabet": list(A.symbol_labels),
         "transitions": {
-            A.symbol_labels[a]: [A.state_labels[A.delta[s][a]] for s in range(A.n_states)]
+            A.symbol_labels[a]: list(map(A.state_labels.__getitem__, A.column(a)))
             for a in range(A.n_symbols)
         },
     }
@@ -324,10 +324,11 @@ def export_dot(A: Semiautomaton) -> str:
     lines = ["digraph semiautomaton {", "  rankdir=LR;"]
     for lab in A.state_labels:
         lines.append('  "%s";' % _dot_escape(lab))
+    columns = [A.column(a) for a in range(A.n_symbols)]
     for s in range(A.n_states):
         targets = {}
-        for a in range(A.n_symbols):
-            targets.setdefault(A.delta[s][a], []).append(A.symbol_labels[a])
+        for a, col in enumerate(columns):
+            targets.setdefault(col[s], []).append(A.symbol_labels[a])
         for t in sorted(targets):
             lines.append(
                 '  "%s" -> "%s" [label="%s"];'

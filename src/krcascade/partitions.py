@@ -4,6 +4,7 @@ cascade theorem, and Yoeli's auxiliary construction."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from .algebra import clamp_label
@@ -96,16 +97,18 @@ class FactorChoice:
     dont_care: frozenset
 
 
-def _image_of_block(A: Semiautomaton, block, a: int):
-    return {A.delta[s][a] for s in block}
+def _image_of_block(column, block):
+    """The images of the block's states, read off one symbol's column."""
+    return {column[s] for s in block}
 
 
 def is_admissible_partition(A: Semiautomaton, P: Partition) -> bool:
     if P.n_states != A.n_states:
         raise InvalidInputError("partition is over a different state count")
-    for block in P.blocks:
-        for a in range(A.n_symbols):
-            if len({P.block_of[t] for t in _image_of_block(A, block, a)}) != 1:
+    for a in range(A.n_symbols):
+        col = A.column(a)
+        for block in P.blocks:
+            if len({P.block_of[t] for t in _image_of_block(col, block)}) != 1:
                 return False
     return True
 
@@ -114,9 +117,10 @@ def is_admissible_decomposition(A: Semiautomaton, D: Decomposition) -> bool:
     if D.n_states != A.n_states:
         raise InvalidInputError("decomposition is over a different state count")
     sets = [set(b) for b in D.blocks]
-    for block in D.blocks:
-        for a in range(A.n_symbols):
-            img = _image_of_block(A, block, a)
+    for a in range(A.n_symbols):
+        col = A.column(a)
+        for block in D.blocks:
+            img = _image_of_block(col, block)
             if not any(img <= b for b in sets):
                 return False
     return True
@@ -131,16 +135,11 @@ def p_factor(A: Semiautomaton, P: Partition):
     """The quotient B = A/P plus the witness that A covers it (phi = block map)."""
     if not is_admissible_partition(A, P):
         raise InvalidInputError("partition is not admissible")
-    delta = []
-    for block in P.blocks:
-        row = []
-        for a in range(A.n_symbols):
-            row.append(P.block_of[A.delta[block[0]][a]])
-        delta.append(row)
-    B = Semiautomaton(
+    firsts = [block[0] for block in P.blocks]
+    B = Semiautomaton.from_columns(
         _unique_labels(_block_label(A, b, i) for i, b in enumerate(P.blocks)),
         A.symbol_labels,
-        delta,
+        [[P.block_of[col[s]] for s in firsts] for col in map(A.column, range(A.n_symbols))],
     )
     witness = CoveringWitness(A, B, P.block_of, range(A.n_symbols))
     return B, witness
@@ -155,12 +154,13 @@ def d_factor(A: Semiautomaton, D: Decomposition, choice=None):
     if not is_admissible_decomposition(A, D):
         raise InvalidInputError("decomposition is not admissible")
     sets = [set(b) for b in D.blocks]
+    columns = [A.column(a) for a in range(A.n_symbols)]
     delta = []
     dont_care = set()
     for i, block in enumerate(D.blocks):
         row = []
-        for a in range(A.n_symbols):
-            img = _image_of_block(A, block, a)
+        for a, col in enumerate(columns):
+            img = _image_of_block(col, block)
             candidates = [j for j, b in enumerate(sets) if img <= b]
             if choice is not None:
                 j = int(choice[i][a])
@@ -243,27 +243,30 @@ def cascade_cover_from_partition(A: Semiautomaton, P: Partition, q: Optional[Par
         for i in range(B.n_states)
         for a in range(nsym)
     )
-    # cell (j, (i,a)): the unique state in Q_j ∩ P_i moved by a, read off in Q
-    delta_c = []
+    # meets[i][j]: the unique state in P_i ∩ Q_j, or None when they miss
+    meets = []
+    for pb in P.blocks:
+        pset = set(pb)
+        meets.append([next(iter(pset.intersection(qb)), None) for qb in Q.blocks])
+    # cell (j, (i,a)): the state meets[i][j] moved by a, read off in Q
+    a_columns = [A.column(a) for a in range(nsym)]
+    columns_c = []
     dont_care = set()
-    for j, qb in enumerate(Q.blocks):
-        row = []
-        for i, pb in enumerate(P.blocks):
-            inter = set(qb) & set(pb)
-            for a in range(nsym):
-                sym = i * nsym + a
-                if inter:
-                    (s,) = inter
-                    row.append(Q.block_of[A.delta[s][a]])
-                else:
-                    row.append(0)
+    for i, states in enumerate(meets):
+        for a, col in enumerate(a_columns):
+            sym = i * nsym + a
+            column = []
+            for j, s in enumerate(states):
+                if s is None:
+                    column.append(0)
                     dont_care.add((j, sym))
-        # row was built in (i, a) order already matching sym indexing
-        delta_c.append(row)
-    C = Semiautomaton(
+                else:
+                    column.append(Q.block_of[col[s]])
+            columns_c.append(column)
+    C = Semiautomaton.from_columns(
         _unique_labels(_block_label(A, b, j) for j, b in enumerate(Q.blocks)),
         c_symbols,
-        delta_c,
+        columns_c,
     )
 
     omega = tuple(
@@ -271,13 +274,7 @@ def cascade_cover_from_partition(A: Semiautomaton, P: Partition, q: Optional[Par
     )
     product = cascade_product(B, C, omega)
 
-    phi = []
-    for i, pb in enumerate(P.blocks):
-        pset = set(pb)
-        for j, qb in enumerate(Q.blocks):
-            inter = pset & set(qb)
-            phi.append(inter.pop() if inter else None)
-    witness = CoveringWitness(product, A, phi, range(nsym))
+    witness = CoveringWitness(product, A, chain.from_iterable(meets), range(nsym))
     return CascadeCover(B, C, omega, product, witness, frozenset(dont_care), P, Q)
 
 
@@ -303,9 +300,10 @@ def yoeli_auxiliary(A: Semiautomaton, D: Decomposition, factor=None) -> YoeliAux
     if B.n_states != D.count or B.symbol_labels != A.symbol_labels:
         raise InvalidInputError("factor automaton does not match the decomposition")
     sets = [set(b) for b in D.blocks]
-    for i in range(D.count):
-        for a in range(A.n_symbols):
-            if not _image_of_block(A, D.blocks[i], a) <= sets[B.delta[i][a]]:
+    columns = [(A.column(a), B.column(a)) for a in range(A.n_symbols)]
+    for i, block in enumerate(D.blocks):
+        for a, (col, b_col) in enumerate(columns):
+            if not _image_of_block(col, block) <= sets[b_col[i]]:
                 raise InvalidInputError(
                     "factor automaton violates containment at block %d, symbol %s"
                     % (i, A.symbol_labels[a])
@@ -317,11 +315,11 @@ def yoeli_auxiliary(A: Semiautomaton, D: Decomposition, factor=None) -> YoeliAux
         clamp_label("(%s,%s)" % (A.state_labels[s], B.state_labels[i]), "q%d" % k)
         for k, (s, i) in enumerate(states)
     )
-    delta = [
-        [index[(A.delta[s][a], B.delta[i][a])] for a in range(A.n_symbols)]
-        for s, i in states
-    ]
-    a_star = Semiautomaton(labels, A.symbol_labels, delta)
+    a_star = Semiautomaton.from_columns(
+        labels,
+        A.symbol_labels,
+        [[index[(col[s], b_col[i])] for s, i in states] for col, b_col in columns],
+    )
 
     d_star = Partition(
         len(states),
@@ -331,7 +329,7 @@ def yoeli_auxiliary(A: Semiautomaton, D: Decomposition, factor=None) -> YoeliAux
         a_star, A, [s for s, i in states], range(A.n_symbols)
     )
     b_star, _ = p_factor(a_star, d_star)
-    if b_star.delta != B.delta:
+    if b_star.table != B.table:
         raise InvalidInputError("auxiliary quotient disagrees with the factor table")
     return YoeliAuxiliary(a_star, d_star, witness, b_star, states)
 

@@ -494,7 +494,7 @@ def grouplike_cascade_split(G: FiniteGroup, H) -> GrouplikeSplit:
     omega = tuple(tuple(r) for r in omega)
 
     product = cascade_product(cover.b, c_prime, omega)
-    if product.delta != cover.product.delta:
+    if product.table != cover.product.table:
         raise InvalidInputError("identified inputs disagree with the cascade cover")
     witness = CoveringWitness(product, glike, cover.witness.phi, cover.witness.xi)
     _require(verify_covering(witness), "coset split of the grouplike automaton")

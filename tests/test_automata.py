@@ -1,6 +1,9 @@
 """Semiautomata, products, and covering witnesses against hand oracles."""
 
+import pickle
 import random
+import sys
+from array import array
 
 import pytest
 
@@ -19,6 +22,7 @@ from krcascade import (
     identity_witness,
     iter_nodes,
     krohn_rhodes_decompose,
+    parse_automaton,
     run,
     simulation_counterexample,
     substitute,
@@ -330,10 +334,11 @@ def test_substitute_rejects_mismatched_inputs(seven_state, seven_p, sa2):
 
 def _violates(w, s, word):
     """Replay word from upper state s: does phi(s·xi(word)) differ from phi(s)·word?"""
+    upper, lower = tuple(w.upper.delta), tuple(w.lower.delta)
     u, low = s, w.phi[s]
     for a in word:
-        u = w.upper.delta[u][w.xi[a]]
-        low = w.lower.delta[low][a]
+        u = upper[u][w.xi[a]]
+        low = lower[low][a]
     return w.phi[u] != low
 
 
@@ -341,6 +346,7 @@ def _exhaustive_counterexample(w, max_len):
     """Reference oracle: walk every lower word of length 1, then 2, ..., max_len,
     advancing all domain states in lockstep; the first violation is shortest."""
     dom = list(w.dom)
+    upper, lower = tuple(w.upper.delta), tuple(w.lower.delta)
 
     def walk(us, ls, word, n):
         if len(word) == n:
@@ -350,8 +356,8 @@ def _exhaustive_counterexample(w, max_len):
             return None
         for a in range(w.lower.n_symbols):
             x = w.xi[a]
-            nus = [w.upper.delta[u][x] for u in us]
-            nls = [w.lower.delta[low][a] for low in ls]
+            nus = [upper[u][x] for u in us]
+            nls = [lower[low][a] for low in ls]
             bad = walk(nus, nls, word + (a,), n)
             if bad is not None:
                 return bad
@@ -366,8 +372,9 @@ def _exhaustive_counterexample(w, max_len):
 
 def _law_fails(w):
     """The per-symbol law or domain closure fails at some domain state."""
+    upper, lower = tuple(w.upper.delta), tuple(w.lower.delta)
     return any(
-        w.phi[w.upper.delta[s][w.xi[a]]] != w.lower.delta[w.phi[s]][a]
+        w.phi[upper[s][w.xi[a]]] != lower[w.phi[s]][a]
         for s in w.dom
         for a in range(w.lower.n_symbols)
     )
@@ -436,9 +443,10 @@ def test_mutated_witnesses_are_rejected(sweep_witnesses):
                     xi[a] = x
                     mutants.append(("xi", CoveringWitness(up, low, w.phi, xi, check=False)))
         if up.n_states > 1:
+            rows = tuple(up.delta)
             for s in range(up.n_states):
                 for x in range(up.n_symbols):
-                    delta = [list(row) for row in up.delta]
+                    delta = [list(row) for row in rows]
                     delta[s][x] = (delta[s][x] + 1) % up.n_states
                     B = Semiautomaton(up.state_labels, up.symbol_labels, delta)
                     mutants.append(("delta", CoveringWitness(B, low, w.phi, w.xi, check=False)))
@@ -496,3 +504,122 @@ def test_product_equality_reads_labels(sa2):
     assert p != q
     assert p == p
     assert p == direct_product(sa2, sa2)
+
+
+def _assert_rows(A, rows):
+    """A's delta reads exactly like the tuple of row tuples `rows`."""
+    rows = tuple(map(tuple, rows))
+    assert A.delta == rows and not A.delta != rows
+    assert A.delta == [list(r) for r in rows]
+    assert repr(A.delta) == repr(rows)
+    assert len(A.delta) == len(rows) == A.n_states
+    assert tuple(A.delta) == rows
+    assert [A.delta[s] for s in range(len(rows))] == list(rows)
+    assert A.delta[-1] == rows[-1] and A.delta[-len(rows)] == rows[0]
+    for s in (len(rows), -len(rows) - 1):
+        with pytest.raises(IndexError):
+            A.delta[s]
+    assert all(type(A.delta[s]) is tuple for s in range(len(rows)))
+    again = Semiautomaton(A.state_labels, A.symbol_labels, A.delta)
+    assert again == A and again.delta == A.delta
+    assert pickle.loads(pickle.dumps(A)) == A
+
+
+def test_delta_reads_as_a_tuple_of_rows(sa2, sa3):
+    _assert_rows(sa3, ((0, 1), (0, 1), (0, 2)))
+    _assert_rows(Semiautomaton(["x"], [], [()]), ((),))
+    columns = [[0, 0, 0], [1, 1, 2]]
+    _assert_rows(Semiautomaton.from_columns(["1", "2", "3"], ["a", "b"], columns), sa3.delta)
+    doc = emit_automaton(sa3)
+    _assert_rows(parse_automaton(doc), ((0, 1), (0, 1), (0, 2)))
+    omega = [[1, 1], [0, 0], [0, 1]]
+    rows3, rows2 = ((0, 1), (0, 1), (0, 2)), ((0, 1), (0, 1))
+    _assert_rows(
+        cascade_product(sa3, sa2, omega),
+        [
+            [rows3[s][a] * 2 + rows2[t][omega[s][a]] for a in range(2)]
+            for s in range(3)
+            for t in range(2)
+        ],
+    )
+    _assert_rows(
+        direct_product(sa2, sa2),
+        [[rows2[i][a] * 2 + rows2[j][a] for a in range(2)] for i in range(2) for j in range(2)],
+    )
+
+
+def test_malformed_tables_keep_their_messages():
+    labels = ["x", "y"]
+    cases = [
+        ([[0]], "need one transition row per state"),
+        ([[0], [0, 1]], "transition row length differs from alphabet size"),
+        ([[2], [0, 1]], "transition target 2 out of range"),
+        ([[0], [-1]], "transition target -1 out of range"),
+        ([[1], [2**31]], "transition target 2147483648 out of range"),
+        ([[0], [-2**40]], "transition target -1099511627776 out of range"),
+        ([[0], ["1"]], "transition target '1' is not an integer"),
+        ([[1.0], [0]], "transition target 1.0 is not an integer"),
+        ([[None], [0]], "transition target None is not an integer"),
+    ]
+    for rows, message in cases:
+        with pytest.raises(InvalidInputError) as err:
+            Semiautomaton(labels, ["a"], rows)
+        assert str(err.value) == message, rows
+    with pytest.raises(InvalidInputError, match="^column length differs from state count$"):
+        Semiautomaton.from_columns(labels, ["a"], [[0]])
+    for col, message in (
+        ([0, 2], "transition target 2 out of range"),
+        ([0, 2**31], "transition target 2147483648 out of range"),
+        ([0, 0.5], "transition target 0.5 is not an integer"),
+    ):
+        with pytest.raises(InvalidInputError) as err:
+            Semiautomaton.from_columns(labels, ["a"], [col])
+        assert str(err.value) == message
+    # the label checks still come first
+    with pytest.raises(InvalidInputError, match="^duplicate state label$"):
+        Semiautomaton.from_columns(["x", "x"], ["a"], [[0, "y"]])
+
+
+def test_tables_are_read_only(sa3):
+    with pytest.raises(TypeError):
+        sa3.delta[0] = (0, 0)
+    with pytest.raises(TypeError):
+        sa3.delta[0][0] = 1
+    with pytest.raises(TypeError):
+        sa3.column(1)[0] = 1
+    with pytest.raises(TypeError):
+        sa3.table[0] = 1
+    assert sa3.column(1).tolist() == [1, 1, 2]
+    with pytest.raises(IndexError):
+        sa3.column(2)
+    assert sa3.table.tolist() == [0, 0, 0, 1, 1, 2]
+
+
+def test_product_too_large_for_a_table_is_refused():
+    # 65,536 ** 2 = 2 ** 32 states: the last state index would not fit a cell
+    big = Semiautomaton(["s%d" % i for i in range(65536)], ["a"], [[0]] * 65536)
+    with pytest.raises(InvalidInputError, match="does not fit a table"):
+        direct_product(big, big)
+    with pytest.raises(InvalidInputError, match="does not fit a table"):
+        cascade_product(big, big, [[0]] * 65536)
+
+
+def test_tables_take_four_bytes_a_cell():
+    """Every node automaton of random-5 seed 0 keeps its table in one buffer
+    allocated at exactly 4 bytes a cell; its columns are views into it."""
+    rng = random.Random(5000)  # the "random 5" recipe, seed 0
+    A = Semiautomaton(
+        ["s%d" % i for i in range(5)], ["a", "b"],
+        [[rng.randrange(5) for _ in range(2)] for _ in range(5)],
+    )
+    autos = {}
+    for node in iter_nodes(krohn_rhodes_decompose(A)):
+        autos[id(node.automaton)] = node.automaton
+    buffer_bytes = cells = 0
+    for X in autos.values():
+        buf = X.table.obj
+        assert all(X.column(a).obj is buf for a in range(X.n_symbols))
+        buffer_bytes += sys.getsizeof(buf) - sys.getsizeof(array(buf.typecode))
+        cells += X.n_states * X.n_symbols
+    assert cells > 200_000
+    assert buffer_bytes == 4 * cells
