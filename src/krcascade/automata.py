@@ -27,7 +27,9 @@ _CELL = "i"
 _CELL_BYTES = array(_CELL).itemsize
 _STATE_LIMIT = 2 ** (8 * _CELL_BYTES - 1)
 # The smallest witness domain checked a symbol at a time: below it, the
-# fixed cost of a pass per symbol outweighs its lower cost per cell.
+# fixed cost of a pass per symbol outweighs its lower cost per cell. Timed
+# per node witness of the krbench workloads, the law check's total is flat
+# for thresholds from 16 to 64 states on each of them, and 32 is mid-range.
 _SYMBOL_PASS_STATES = 32
 
 
@@ -113,7 +115,7 @@ class TableRows:
             s += n
         if not 0 <= s < n:
             raise IndexError("row index out of range")
-        return tuple(self._table[s::n])
+        return tuple(self._table[s::n].tolist())
 
     def __iter__(self):
         t, n = self._table, self._n
@@ -203,6 +205,8 @@ class Semiautomaton:
 
     def _set_table(self, table):
         n = self._n
+        if len(table) != n * len(self.symbol_labels):
+            raise InvalidInputError("transition row length differs from alphabet size")
         self._table = table
         if table and not (0 <= min(table) and max(table) < n):
             _row_fault(self.delta, len(self.symbol_labels), n)
@@ -255,7 +259,9 @@ class Semiautomaton:
             raise InvalidInputError("unknown symbol %r" % (label,)) from None
 
     def step(self, s: int, a: int) -> int:
-        return self.column(range(self.n_symbols)[a])[s]
+        a = range(len(self.symbol_labels))[a]
+        s = range(self._n)[s]
+        return self._table[a * self._n + s]
 
     def symbol_transformation(self, a: int) -> Transformation:
         return Transformation(self.column(a).tolist())
@@ -514,7 +520,7 @@ def _law_violation(w: CoveringWitness):
     upper, nu = w.upper._table, w.upper._n
     lower, nl = w.lower._table, w.lower._n
     for a, x in enumerate(w.xi):
-        image = tuple(lower[a * nl:(a + 1) * nl])
+        image = lower[a * nl:(a + 1) * nl].tolist()
         for t, v in zip(compress(upper[x * nu:(x + 1) * nu], inside), low):
             if phi[t] != image[v]:
                 return _first_law_failure(w)

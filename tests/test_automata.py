@@ -68,6 +68,10 @@ def test_indexing_and_step(sa3):
     with pytest.raises(InvalidInputError):
         sa3.symbol_index("c")
     assert sa3.step(2, 1) == 2
+    assert sa3.step(-1, -1) == 2 and sa3.step(-2, -2) == 0
+    for s, a in ((3, 0), (0, 2), (-4, 0), (0, -3)):
+        with pytest.raises(IndexError):
+            sa3.step(s, a)
     assert sa3.symbol_transformation(0) == Transformation([0, 0, 0])
     assert [t.image for t in sa3.transformations()] == [(0, 0, 0), (1, 1, 2)]
 
@@ -575,6 +579,17 @@ def test_malformed_tables_keep_their_messages():
         with pytest.raises(InvalidInputError) as err:
             Semiautomaton.from_columns(labels, ["a"], [col])
         assert str(err.value) == message
+    # one column per symbol: too few, none, too many
+    for symbols, columns in (
+        (["a", "b"], [[0, 1]]),
+        (["a", "b"], []),
+        (["a"], [[0, 1], [1, 0]]),
+        (["a"], [[0, 1], ["y", 0]]),
+    ):
+        with pytest.raises(
+            InvalidInputError, match="^transition row length differs from alphabet size$"
+        ):
+            Semiautomaton.from_columns(labels, symbols, columns)
     # the label checks still come first
     with pytest.raises(InvalidInputError, match="^duplicate state label$"):
         Semiautomaton.from_columns(["x", "x"], ["a"], [[0, "y"]])
