@@ -18,14 +18,12 @@ from .algebra import CLOSURE_CAP, clamp_label, closure_generate
 from .automata import (
     CoveringWitness,
     Semiautomaton,
-    VerificationResult,
     _compose,
     _unique_labels,
     cascade_product,
     compose_coverings,
     direct_product,
     identity_witness,
-    simulation_counterexample,
     substitute,
     substitute_right,
     transition_monoid,
@@ -657,29 +655,23 @@ def krohn_rhodes_decompose(A: Semiautomaton, caps: Caps = Caps()) -> Node:
 
 
 def verify_tree(tree: Node, sim_len: int = 6):
-    """Verify every node witness; the root additionally gets a word-simulation
-    check to the given length. Returns (ok, list of (node, result)): one entry
-    per node in iter_nodes order, then one for the simulation if it fails.
+    """Verify every node witness, which includes the root's word simulation
+    to length sim_len. Returns (ok, list of (node, result)): one entry per
+    node in iter_nodes order.
+
+    The simulation verdict is read from the root's law check, not
+    recomputed: simulation_counterexample is the one-symbol law check that
+    verify_covering runs on the root witness, so once that verifies no word
+    of any length breaks it, and sim_len changes nothing here. Node automata
+    are products, whose cells are states by construction (Semiautomaton), so
+    no table is scanned again before the law check reads it.
 
     krohn_rhodes_decompose has already verified each node witness once, where
     the node was made; verify_tree replays those checks on a tree from
     anywhere, and io.tree_report builds its report from this one call.
     """
-    results = []
-    ok = True
-    for node in iter_nodes(tree):
-        res = verify_covering(node.witness)
-        results.append((node, res))
-        if not res:
-            ok = False
-    if ok and sim_len > 0:
-        bad = simulation_counterexample(tree.witness, sim_len)
-        if bad is not None:
-            ok = False
-            results.append(
-                (tree, VerificationResult(False, "simulation fails on a word", bad))
-            )
-    return ok, results
+    results = [(node, verify_covering(node.witness)) for node in iter_nodes(tree)]
+    return all(res for _, res in results), results
 
 
 def canonical_group_key(G: FiniteGroup):

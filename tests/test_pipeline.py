@@ -24,9 +24,11 @@ from krcascade import (
     Transformation,
     WitnessError,
     canonical_group_key,
+    cascade_product,
     classify_inputs,
     closure_generate,
     cover_permutation_by_grouplike,
+    direct_product,
     grouplike_cascade_split,
     grouplike_of,
     grouplike_to_simple_cascade,
@@ -45,6 +47,7 @@ from krcascade import (
     simulation_counterexample,
     split_permutation_reset,
     summarize_leaves,
+    tree_report,
     verify_covering,
     verify_tree,
 )
@@ -489,3 +492,128 @@ def test_corrupted_inner_witness_fails_its_node(monkeypatch, request, target, na
     monkeypatch.setattr(pipeline, "_require", lambda result, context: None)
     ok, _ = verify_tree(krohn_rhodes_decompose(A), sim_len=0)
     assert not ok
+
+
+def _assert_cells_are_states(X):
+    cells = X.table.tolist()
+    assert len(cells) == X.n_states * X.n_symbols
+    assert 0 <= min(cells) and max(cells) < X.n_states
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_products_are_in_range_without_a_scan(n):
+    # products keep their tables without the range scan that user tables
+    # get; each cell must still be a state of the product
+    autos = [random_n(n, seed) for seed in range(10)]
+    rng = random.Random(n)
+    for A, B in zip(autos, autos[1:] + autos[:1]):
+        omega = [[rng.randrange(B.n_symbols) for _ in range(2)] for _ in range(n)]
+        cascade = cascade_product(A, B, omega)
+        direct = direct_product(A, B)
+        omega2 = [[rng.randrange(A.n_symbols) for _ in range(2)] for _ in range(n * n)]
+        for X in (cascade, direct, direct_product(direct, A), cascade_product(cascade, A, omega2)):
+            _assert_cells_are_states(X)
+    for node in iter_nodes(krohn_rhodes_decompose(autos[0])):
+        _assert_cells_are_states(node.automaton)
+
+
+def _one_entry_corruptions(w, rng):
+    """Copies of w with one phi entry sent to another lower state, one phi
+    entry sent out of the domain, and one xi entry changed."""
+    s = rng.randrange(len(w.phi))
+    other = [v for v in range(w.lower.n_states) if v != w.phi[s]]
+    out = []
+    if other:
+        phi = list(w.phi)
+        phi[s] = rng.choice(other)
+        out.append(CoveringWitness(w.upper, w.lower, phi, w.xi, check=False))
+    phi = list(w.phi)
+    phi[s] = None
+    out.append(CoveringWitness(w.upper, w.lower, phi, w.xi, check=False))
+    if w.upper.n_symbols > 1:
+        xi = list(w.xi)
+        a = rng.randrange(len(xi))
+        xi[a] = (xi[a] + 1) % w.upper.n_symbols
+        out.append(CoveringWitness(w.upper, w.lower, w.phi, xi, check=False))
+    return out
+
+
+def test_witness_domains_are_built_on_first_read():
+    tree = krohn_rhodes_decompose(random_n(5, 0))
+    ok, _ = verify_tree(tree, sim_len=6)
+    assert ok
+    tree_report(tree, sim_len=6)
+    witnesses = [node.witness for node in iter_nodes(tree)]
+    assert [w for w in witnesses if "dom" in vars(w)] == []
+    rng = random.Random(5000)
+    for w in witnesses:
+        for c in [w] + _one_entry_corruptions(w, rng):
+            dom = tuple(s for s, v in enumerate(c.phi) if v is not None)
+            shown = "CoveringWitness(%d of %d upper states onto %d lower states)" % (
+                len(dom),
+                c.upper.n_states,
+                c.lower.n_states,
+            )
+            assert repr(c) == shown
+            verify_covering(c)
+            assert "dom" not in vars(c)
+            assert c.dom == dom
+            assert vars(c)["dom"] is c.dom
+            assert repr(c) == shown
+
+
+def _verify_tree_with_simulation(tree, sim_len):
+    """verify_tree by its definition: every node check, then the root's word
+    simulation once they all pass."""
+    results = [(node, verify_covering(node.witness)) for node in iter_nodes(tree)]
+    ok = all(res for _, res in results)
+    if ok and sim_len > 0:
+        bad = simulation_counterexample(tree.witness, sim_len)
+        if bad is not None:
+            ok = False
+            results.append(
+                (tree, automata.VerificationResult(False, "simulation fails on a word", bad))
+            )
+    return ok, results
+
+
+def _with_first_leaf_witness(node, w):
+    """node with the witness of its first leaf replaced by w."""
+    if isinstance(node, Leaf):
+        return dataclasses.replace(node, witness=w)
+    return dataclasses.replace(node, left=_with_first_leaf_witness(node.left, w))
+
+
+@pytest.mark.parametrize("name", ["five_pr", "five_state"])
+def test_verify_tree_runs_one_law_pass_per_node(monkeypatch, request, name):
+    # five_pr is the README example
+    tree = krohn_rhodes_decompose(request.getfixturevalue(name))
+    checked = []
+    law = automata._law_violation
+
+    def counted(w):
+        checked.append(w)
+        return law(w)
+
+    monkeypatch.setattr(automata, "_law_violation", counted)
+    ok, _ = verify_tree(tree, sim_len=6)
+    assert ok
+    nodes = list(iter_nodes(tree))
+    assert len(checked) == len(nodes)
+    assert Counter(map(id, checked)) == Counter(id(node.witness) for node in nodes)
+
+    rng = random.Random(len(nodes))
+    trees = [tree]
+    for w in _one_entry_corruptions(tree.witness, rng):
+        trees.append(dataclasses.replace(tree, witness=w))
+    leaf = next(leaves(tree))
+    for w in _one_entry_corruptions(leaf.witness, rng):
+        trees.append(_with_first_leaf_witness(tree, w))
+    verdicts = []
+    for t in trees:
+        ok, results = verify_tree(t, sim_len=6)
+        want_ok, want = _verify_tree_with_simulation(t, sim_len=6)
+        assert ok == want_ok
+        assert [(id(n), r) for n, r in results] == [(id(n), r) for n, r in want]
+        verdicts.append(ok)
+    assert verdicts[0] and False in verdicts[1:]

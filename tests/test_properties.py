@@ -163,6 +163,16 @@ def test_product_laws(A, B, data):
                 assert c.delta[i * B.n_states + j][a] == (
                     A.delta[i][a] * B.n_states + B.delta[j][omega[i][a]]
                 )
+    # products keep their tables without a range scan: every cell, also of a
+    # product of products, must be a state
+    omega2 = [
+        [data.draw(st.integers(0, B.n_symbols - 1)) for _ in range(c.n_symbols)]
+        for _ in range(c.n_states)
+    ]
+    for X in (d, c, direct_product(d, A), cascade_product(c, B, omega2)):
+        cells = X.table.tolist()
+        assert len(cells) == X.n_states * X.n_symbols
+        assert 0 <= min(cells) and max(cells) < X.n_states
 
 
 @settings(deadline=None)
