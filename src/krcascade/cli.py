@@ -54,7 +54,7 @@ def cmd_decompose(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
-    if not report["witnesses_verified"] or not report.get("simulation_ok", True):
+    if not report["witnesses_verified"]:
         return EXIT_VERIFY
     if not report["complete"]:
         return EXIT_CAP

@@ -139,61 +139,58 @@ def _pair_list(doc, field):
     return value
 
 
+def _label_map(doc, field, kind, source, target):
+    """The map that doc[field]'s label pairs give: one target index per
+    source label, None where no pair names it. source and target are
+    (role, label index) pairs, the roles naming them in messages."""
+    (src_role, src_index), (tgt_role, tgt_index) = source, target
+    out = [None] * len(src_index)
+    for src, tgt in _pair_list(doc, field):
+        if src not in src_index:
+            raise ParseError("unknown %s %s %r in %s" % (src_role, kind, src, field))
+        if tgt not in tgt_index:
+            raise ParseError("unknown %s %s %r in %s" % (tgt_role, kind, tgt, field))
+        i = src_index[src]
+        if out[i] is not None:
+            raise ParseError("%s %s %r mapped twice in %s" % (src_role, kind, src, field))
+        out[i] = tgt_index[tgt]
+    return out
+
+
 def parse_witness(text, upper: Semiautomaton, lower: Semiautomaton):
     """Read a witness document against two already-parsed automata.
 
     Covering documents map upper states onto lower states partially; hom-image
     documents read the first automaton as the source and the second as the
-    target, with total maps. Semantic violations are left to the verifiers, so
-    a structurally well-formed but wrong witness parses fine.
+    target, with total maps. Either kind rejects a label mapped twice.
+    Semantic violations are left to the verifiers, so a structurally
+    well-formed but wrong witness parses fine.
     """
     doc = _load_object(text)
     _check_version(doc)
     kind = doc.get("kind")
     if kind == "covering":
-        phi = [None] * upper.n_states
-        for up, low in _pair_list(doc, "phi"):
-            if up not in upper._state_index:
-                raise ParseError("unknown upper state %r in phi" % up)
-            if low not in lower._state_index:
-                raise ParseError("unknown lower state %r in phi" % low)
-            s = upper.state_index(up)
-            if phi[s] is not None:
-                raise ParseError("upper state %r mapped twice in phi" % up)
-            phi[s] = lower.state_index(low)
-        xi = [None] * lower.n_symbols
-        for low, up in _pair_list(doc, "xi"):
-            if low not in lower._symbol_index:
-                raise ParseError("unknown lower symbol %r in xi" % low)
-            if up not in upper._symbol_index:
-                raise ParseError("unknown upper symbol %r in xi" % up)
-            a = lower.symbol_index(low)
-            if xi[a] is not None:
-                raise ParseError("lower symbol %r mapped twice in xi" % low)
-            xi[a] = upper.symbol_index(up)
+        phi = _label_map(
+            doc, "phi", "state", ("upper", upper._state_index), ("lower", lower._state_index)
+        )
+        xi = _label_map(
+            doc, "xi", "symbol", ("lower", lower._symbol_index), ("upper", upper._symbol_index)
+        )
         for a, x in enumerate(xi):
             if x is None:
                 raise ParseError("xi gives no image for symbol %r" % lower.symbol_labels[a])
         return CoveringWitness(upper, lower, phi, xi, check=False)
     if kind == "hom-image":
         source, target = upper, lower
-        phi = [None] * source.n_states
-        for src, tgt in _pair_list(doc, "phi"):
-            if src not in source._state_index:
-                raise ParseError("unknown source state %r in phi" % src)
-            if tgt not in target._state_index:
-                raise ParseError("unknown target state %r in phi" % tgt)
-            phi[source.state_index(src)] = target.state_index(tgt)
-        if any(v is None for v in phi):
+        phi = _label_map(
+            doc, "phi", "state", ("source", source._state_index), ("target", target._state_index)
+        )
+        if None in phi:
             raise ParseError("phi must cover every source state")
-        xi = [None] * source.n_symbols
-        for src, tgt in _pair_list(doc, "xi"):
-            if src not in source._symbol_index:
-                raise ParseError("unknown source symbol %r in xi" % src)
-            if tgt not in target._symbol_index:
-                raise ParseError("unknown target symbol %r in xi" % tgt)
-            xi[source.symbol_index(src)] = target.symbol_index(tgt)
-        if any(v is None for v in xi):
+        xi = _label_map(
+            doc, "xi", "symbol", ("source", source._symbol_index), ("target", target._symbol_index)
+        )
+        if None in xi:
             raise ParseError("xi must cover every source symbol")
         return HomImageWitness(source, target, phi, xi, check=False)
     raise ParseError("kind must be 'covering' or 'hom-image'")

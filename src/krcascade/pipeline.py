@@ -4,7 +4,9 @@ decomposition tree.
 Every constructed covering is kept as an explicit witness; the tree's root
 witness proves that the assembled cascade covers the original automaton. Each
 node's witness is verified once, by _node where the node is made; the
-witnesses composed into it along the way are not checked on their own.
+witnesses composed into it along the way are not checked on their own, except
+that split_permutation_reset, cover_permutation_by_grouplike and
+grouplike_cascade_split still verify the witness each of them returns.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .partitions import (
     Decomposition,
     Partition,
     cascade_cover_from_decomposition,
-    cascade_cover_from_partition,
     complementary_partition,
     p_factor,
 )
@@ -272,15 +273,11 @@ def _split(A: Semiautomaton, const, K) -> PRSplit:
     elt = {t.image: k for k, t in enumerate(K.transformations)}
     nk = K.order
 
-    delta_pi = []
-    for x in range(nk):
-        row = []
-        for a in range(m):
-            if const[a] is None:
-                row.append(elt[K.transformations[x].compose(A.symbol_transformation(a)).image])
-            else:
-                row.append(x)
-        delta_pi.append(row)
+    perms = [A.symbol_transformation(a) if c is None else None for a, c in enumerate(const)]
+    delta_pi = [
+        [x if p is None else elt[t.compose(p).image] for p in perms]
+        for x, t in enumerate(K.transformations)
+    ]
     pi = Semiautomaton(k_labels, A.symbol_labels, delta_pi)
 
     r_symbols = _unique_labels(
@@ -332,10 +329,13 @@ def _two_state_identity_cover(A: Semiautomaton) -> Leaf:
 def reset_to_two_state(R: Semiautomaton) -> ResetFactorization:
     """Cover a reset automaton by a direct product of two-state reset automata.
 
-    Splits the states into two balanced blocks; the block quotient is one
-    factor and the quotient by a complementary partition carries the rest,
-    halving the state count each round. Every partition of a reset automaton
-    is admissible, so both quotients always exist.
+    Splits the states X into two balanced blocks P_0, P_1; the block quotient
+    B = X/P is one factor and the quotient by the complementary partition Q
+    carries the rest, halving the state count each round. Every partition of
+    a reset automaton is admissible, so both quotients always exist. Each
+    level is the one product B × V, where V covers X/Q with phi_V, and
+    phi(i, v) is the point where P_i meets Q_phi_V(v): the phi_V(v)-th state
+    of P_i, or None when P_i is too short or phi_V(v) is None.
     """
     if not is_reset(R):
         raise InvalidInputError("not a reset semiautomaton")
@@ -349,29 +349,18 @@ def reset_to_two_state(R: Semiautomaton) -> ResetFactorization:
         half = (nx + 1) // 2
         P = Partition(nx, [range(half), range(half, nx)])
         B, _ = p_factor(X, P)
-        Q = complementary_partition(nx, P)
-        rest, _ = p_factor(X, Q)
-        prod = direct_product(B, rest)
-        phi = []
-        for pb in P.blocks:
-            pset = set(pb)
-            for qb in Q.blocks:
-                inter = pset & set(qb)
-                phi.append(inter.pop() if inter else None)
-        w0 = CoveringWitness(prod, X, phi, range(X.n_symbols))
+        rest, _ = p_factor(X, complementary_partition(nx, P))
         sub = build(rest)
-        w_v = sub.witness
-        prod_bv = direct_product(B, sub.automaton)
-        nv = sub.automaton.n_states
-        phi2 = []
-        for i in range(2):
-            for v in range(nv):
-                pv = w_v.phi[v]
-                phi2.append(None if pv is None else i * rest.n_states + pv)
-        w_sub = CoveringWitness(prod_bv, prod, phi2, range(X.n_symbols))
-        witness = _compose(w_sub, w0)
+        product = direct_product(B, sub.automaton)
+        # Q's block j holds the j-th state of each P-block long enough to have one
+        phi = [
+            pb[v] if v is not None and v < len(pb) else None
+            for pb in P.blocks
+            for v in sub.witness.phi
+        ]
+        witness = CoveringWitness(product, X, phi, range(X.n_symbols), check=False)
         left = _node("two-state reset leaf", Leaf, LEAF_RESET, B, identity_witness(B))
-        return _node("two-state reset factorization", DirectNode, left, sub, prod_bv, witness)
+        return _node("two-state reset factorization", DirectNode, left, sub, product, witness)
 
     tree = build(R)
     return ResetFactorization([leaf.automaton for leaf in leaves(tree)], tree)
@@ -466,18 +455,15 @@ def grouplike_cascade_split(G: FiniteGroup, H) -> GrouplikeSplit:
     """Cover grouplike(G) by B∘C' with B the right-coset factor and C' = grouplike(H).
 
     The complementary partition consists of the sets hT over the transversal T,
-    so every block pair meets in the single point hg. C's inputs (coset, g) all
-    act like right multiplication by the H-part of (rep·g), which identifies C
-    with grouplike(H) driven through that connection.
+    so coset i, H·t_i, meets the block hT in the single point h·t_i, and
+    phi(i, h) = h·t_i. B in coset i under g moves C' by the H-part of t_i·g,
+    which identifies the partition cascade's second factor with grouplike(H)
+    driven through that connection.
     """
     glike = grouplike_of(G)
     cp = coset_partition(G, H)
     h_group, h_elems = subgroup_as_group(G, H)
-    P = Partition(G.order, [cp.block(i) for i in range(cp.count)])
-    Q = Partition(G.order, [[G.mul(h, g) for g in cp.transversal] for h in h_elems])
-    cover = cascade_cover_from_partition(glike, P, q=Q)
-    if cover.dont_care:
-        raise InvalidInputError("coset cascade unexpectedly left cells unconstrained")
+    b, _ = p_factor(glike, Partition(G.order, [cp.block(i) for i in range(cp.count)]))
 
     c_prime = grouplike_of(h_group)
     h_index = {h: j for j, h in enumerate(h_elems)}
@@ -491,12 +477,11 @@ def grouplike_cascade_split(G: FiniteGroup, H) -> GrouplikeSplit:
         omega.append(row)
     omega = tuple(tuple(r) for r in omega)
 
-    product = cascade_product(cover.b, c_prime, omega)
-    if product.table != cover.product.table:
-        raise InvalidInputError("identified inputs disagree with the cascade cover")
-    witness = CoveringWitness(product, glike, cover.witness.phi, cover.witness.xi)
+    product = cascade_product(b, c_prime, omega)
+    phi = [G.mul(h, t) for t in cp.transversal for h in h_elems]
+    witness = CoveringWitness(product, glike, phi, range(G.order))
     _require(verify_covering(witness), "coset split of the grouplike automaton")
-    return GrouplikeSplit(cover.b, c_prime, h_group, omega, product, witness, cp)
+    return GrouplikeSplit(b, c_prime, h_group, omega, product, witness, cp)
 
 
 def grouplike_to_simple_cascade(G: FiniteGroup, caps: Caps = Caps()) -> Node:
@@ -610,11 +595,12 @@ def _build(plan: _Plan, caps: Caps) -> Node:
 
 
 def _refine_factor(plan: _Plan, caps: Caps) -> Node:
-    """Tree covering one permutation-reset factor: reset automata go straight to
-    two-state factors, everything else through the Pi∘R split on the group
-    the plan generated. The caps were checked by _plan_factor."""
+    """Tree covering one permutation-reset factor: a reset automaton, planned
+    with no group, goes straight to two-state factors, everything else through
+    the Pi∘R split on the group the plan generated. The caps were checked by
+    _plan_factor."""
     B = plan.automaton
-    if is_reset(B):
+    if plan.group is None:
         return reset_to_two_state(B).tree
     split = _split(B, *plan.group)
     G, w_g = cover_permutation_by_grouplike(split.pi, caps.closure_elements)

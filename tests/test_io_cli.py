@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -134,6 +135,28 @@ def test_parse_witness_errors(sa3, sa2):
     ]
     for doc in bad:
         with pytest.raises(ParseError):
+            parse_witness(json.dumps(doc), sa3, sa2)
+
+    # hom-image documents read sa3 as the source and sa2 as the target
+    hom = {
+        "format_version": 1,
+        "kind": "hom-image",
+        "phi": [["1", "1"], ["2", "1"], ["3", "2"]],
+        "xi": [["a", "a"], ["b", "b"]],
+    }
+    parse_witness(json.dumps(hom), sa3, sa2)
+    bad_hom = [
+        (dict(hom, phi=hom["phi"] + [["2", "2"]]), "source state '2' mapped twice in phi"),
+        (dict(hom, xi=hom["xi"] + [["a", "b"]]), "source symbol 'a' mapped twice in xi"),
+        (dict(hom, phi=[["9", "1"]] + hom["phi"]), "unknown source state '9' in phi"),
+        (dict(hom, phi=[["1", "9"]] + hom["phi"][1:]), "unknown target state '9' in phi"),
+        (dict(hom, xi=[["z", "a"]] + hom["xi"]), "unknown source symbol 'z' in xi"),
+        (dict(hom, xi=[["a", "z"], ["b", "b"]]), "unknown target symbol 'z' in xi"),
+        (dict(hom, phi=hom["phi"][:2]), "phi must cover every source state"),
+        (dict(hom, xi=hom["xi"][:1]), "xi must cover every source symbol"),
+    ]
+    for doc, message in bad_hom:
+        with pytest.raises(ParseError, match="^%s$" % re.escape(message)):
             parse_witness(json.dumps(doc), sa3, sa2)
 
 

@@ -19,16 +19,22 @@ from krcascade import (
     LEAF_RESET,
     Leaf,
     NotPermutationResetError,
+    Partition,
     ResourceCapError,
     Semiautomaton,
     Transformation,
     WitnessError,
     canonical_group_key,
+    cascade_cover_from_partition,
     cascade_product,
     classify_inputs,
     closure_generate,
+    complementary_partition,
+    compose_coverings,
+    coset_partition,
     cover_permutation_by_grouplike,
     direct_product,
+    enumerate_subgroups,
     grouplike_cascade_split,
     grouplike_of,
     grouplike_to_simple_cascade,
@@ -38,14 +44,17 @@ from krcascade import (
     is_permutation_reset,
     is_reset,
     is_simple,
+    identity_witness,
     iter_nodes,
     krohn_rhodes_decompose,
     leaf_description,
     leaves,
+    p_factor,
     pr_chain,
     reset_to_two_state,
     simulation_counterexample,
     split_permutation_reset,
+    subgroup_as_group,
     summarize_leaves,
     tree_report,
     verify_covering,
@@ -215,6 +224,68 @@ def test_reset_to_two_state_rejects(sa3):
         reset_to_two_state(sa3)
 
 
+def _two_product_reset_cover(X):
+    """(automaton, witness) of every node of reset_to_two_state's tree on X,
+    in preorder, built as in Ginzburg's proof with two products a level: X is
+    covered by B × X/Q, with P the two halves of the states and Q its
+    complement, and B × X/Q by B × V, where V covers X/Q."""
+    n, m = X.n_states, X.n_symbols
+    if n == 1:
+        two = Semiautomaton(["r0", "r1"], X.symbol_labels, [[0] * m, [1] * m])
+        return [(two, CoveringWitness(two, X, [0, 0], range(m)))]
+    if n == 2:
+        return [(X, identity_witness(X))]
+    half = (n + 1) // 2
+    P = Partition(n, [range(half), range(half, n)])
+    Q = complementary_partition(n, P)
+    B, _ = p_factor(X, P)
+    rest, _ = p_factor(X, Q)
+    prod = direct_product(B, rest)
+    meets = [next(iter(set(pb) & set(qb)), None) for pb in P.blocks for qb in Q.blocks]
+    w0 = CoveringWitness(prod, X, meets, range(m))
+    sub = _two_product_reset_cover(rest)
+    V, w_v = sub[0]
+    prod_bv = direct_product(B, V)
+    phi = [
+        None if v is None else i * rest.n_states + v for i in range(2) for v in w_v.phi
+    ]
+    w_sub = CoveringWitness(prod_bv, prod, phi, range(m))
+    return [(prod_bv, compose_coverings(w_sub, w0)), (B, identity_witness(B))] + sub
+
+
+def _reset_automata():
+    """Reset automata of 1-9 states: one constant, one identity, and
+    alphabets of 2-6 symbols mixing constants and identities."""
+    rng = random.Random(9)
+    specs = [["c"], ["id"], ["c", "id"], ["c", "c", "c"], ["id", "c", "c", "id", "c", "c"]]
+    for n in range(1, 10):
+        for spec in specs:
+            columns = [
+                list(range(n)) if kind == "id" else [rng.randrange(n)] * n for kind in spec
+            ]
+            yield Semiautomaton.from_columns(
+                ["s%d" % i for i in range(n)], "abcdef"[: len(spec)], columns
+            )
+
+
+def test_reset_to_two_state_matches_two_product_construction():
+    count = 0
+    for X in _reset_automata():
+        assert is_reset(X)
+        nodes = list(iter_nodes(reset_to_two_state(X).tree))
+        want = _two_product_reset_cover(X)
+        assert len(nodes) == len(want)
+        for node, (automaton, w) in zip(nodes, want):
+            # the table, the state labels and the symbol labels
+            assert node.automaton == automaton
+            assert node.witness.phi == w.phi
+            assert node.witness.xi == w.xi
+            assert node.witness.lower == w.lower
+        assert nodes[0].witness.lower is X
+        count += 1
+    assert count == 45
+
+
 def test_grouplike_cascade_split_klein(klein):
     split = grouplike_cascade_split(klein, [0, 1])
     assert split.cosets.transversal == (0, 2)
@@ -240,6 +311,54 @@ def test_grouplike_cascade_split_non_normal():
     assert split.b.n_states == 3
     assert verify_covering(split.witness)
     assert simulation_counterexample(split.witness, 4) is None
+
+
+def _permutation_group(*images):
+    return FiniteGroup(closure_generate([Transformation(list(t)) for t in images]))
+
+
+def _coset_oracle_groups():
+    # Q8 acts on its elements 1, i, j, k, -1, -i, -j, -k by left
+    # multiplication, generated by i and j
+    return {
+        "klein": group_from_table([[x ^ y for y in range(4)] for x in range(4)]),
+        "S3": symmetric_3(),
+        "C4": cyclic(4),
+        "C6": cyclic(6),
+        "D4": _permutation_group([1, 2, 3, 0], [0, 3, 2, 1]),
+        "Q8": _permutation_group([1, 4, 3, 6, 5, 0, 7, 2], [2, 7, 4, 1, 6, 3, 0, 5]),
+        "A4": _permutation_group([1, 2, 0, 3], [1, 0, 3, 2]),
+        "S4": _permutation_group([1, 2, 3, 0], [1, 0, 2, 3]),
+    }
+
+
+@pytest.mark.parametrize("name", ["klein", "S3", "C4", "C6", "D4", "Q8", "A4", "S4"])
+def test_grouplike_cascade_split_matches_partition_cover(name):
+    # the coset split is the partition cascade of grouplike(G) by the cosets
+    # and the blocks hT, with C identified with grouplike(H)
+    G = _coset_oracle_groups()[name]
+    glike = grouplike_of(G)
+    subgroups = enumerate_subgroups(G)
+    for H in subgroups:
+        split = grouplike_cascade_split(G, H)
+        cp = coset_partition(G, H)
+        _, h_elems = subgroup_as_group(G, H)
+        P = Partition(G.order, [cp.block(i) for i in range(cp.count)])
+        Q = Partition(G.order, [[G.mul(h, t) for t in cp.transversal] for h in h_elems])
+        cover = cascade_cover_from_partition(glike, P, q=Q)
+        assert cover.dont_care == frozenset()
+        assert split.b == cover.b
+        assert split.product.table == cover.product.table
+        assert split.witness.phi == cover.witness.phi
+        assert split.witness.xi == cover.witness.xi
+        assert split.witness.lower == glike
+    orders = {"klein": 4, "S3": 6, "C4": 4, "C6": 6, "D4": 8, "Q8": 8, "A4": 12, "S4": 24}
+    assert G.order == orders[name]
+    if name == "Q8":
+        assert sorted(G.element_order(x) for x in range(8)) == [1, 2] + [4] * 6
+    if name == "S3":
+        # a normal subgroup and a non-normal flip are among the subgroups
+        assert any(len(H) == 3 for H in subgroups) and any(len(H) == 2 for H in subgroups)
 
 
 def test_grouplike_to_simple_cascade(klein):
@@ -400,7 +519,10 @@ def test_cap_hit_builds_no_big_product(monkeypatch):
 
 def test_cascade_nodes_build_one_product_each(monkeypatch):
     # each cascade node builds one product; substituting its two factors one
-    # at a time would also build an intermediate product (354,268 cells here)
+    # at a time would also build an intermediate product (354,268 cells here).
+    # Each reset level and coset split builds only the product the tree keeps;
+    # a second product to compose through or compare against would add 8
+    # products (2,712 cells here).
     cells = []
     build = automata._product
 
@@ -412,7 +534,7 @@ def test_cascade_nodes_build_one_product_each(monkeypatch):
     monkeypatch.setattr(automata, "_product", counted)
     tree = krohn_rhodes_decompose(random_n(5, 0))
     assert tree.automaton.n_states == 73728
-    assert sum(cells) == 254_616
+    assert (len(cells), sum(cells)) == (24, 251_904)
 
 
 def test_plan_disagreeing_with_build_raises(monkeypatch, five_state):
