@@ -31,6 +31,10 @@ _STATE_LIMIT = 2 ** (8 * _CELL_BYTES - 1)
 # per node witness of the krbench workloads, the law check's total is flat
 # for thresholds from 16 to 64 states on each of them, and 32 is mid-range.
 _SYMBOL_PASS_STATES = 32
+# The kinds of input in Semiautomaton._kinds. A one-state column is the
+# identity; _CONSTANT and _PERMUTATION name the other constant maps and the
+# other permutations.
+_IDENTITY, _CONSTANT, _PERMUTATION, _OTHER = range(4)
 
 
 def _unique_labels(candidates):
@@ -243,6 +247,33 @@ class Semiautomaton:
     def delta(self) -> TableRows:
         return TableRows(self._table, self._n)
 
+    @property
+    def _kinds(self) -> bytes:
+        """The kind of every input, one byte each, in one pass over the table
+        on the first read, then kept."""
+        # kept as a plain attribute: cached_property writes through __dict__,
+        # which on CPython 3.11 moves the instance's inline attribute values
+        # into a dict, and every later attribute read on the automaton (the
+        # law check makes several per witness) takes the slower dict path
+        try:
+            return self._input_kinds
+        except AttributeError:
+            pass
+        n, table = self._n, self._table
+        identity = array(_CELL, range(n))
+        kinds = []
+        for k in range(0, len(table), n):
+            col = table[k:k + n]
+            if col == identity:
+                kinds.append(_IDENTITY)
+            else:
+                images = len(set(col))
+                kinds.append(
+                    _CONSTANT if images == 1 else _PERMUTATION if images == n else _OTHER
+                )
+        self._input_kinds = kinds = bytes(kinds)
+        return kinds
+
     def column(self, a: int) -> memoryview:
         """The images of every state under symbol a, 0 <= a < n_symbols, as
         a read-only view."""
@@ -426,6 +457,13 @@ class CoveringWitness:
     by verify_covering. check=False skips these checks, for witnesses that are
     verified later anyway, as every tree node witness is.
 
+    _from_parts builds a witness from phi and xi tuples whose entries are
+    already normalized, such as the entries of other witnesses: it keeps the
+    length checks and the xi range check, and skips the pass that normalizes
+    phi and checks its range. krohn_rhodes_decompose builds its node witnesses
+    so, and relies on verify_covering at the node, whose covered ==
+    set(range(n)) test proves that phi is onto and in range.
+
     dom, the upper states in the domain of phi in order, is computed on its
     first read and then kept; neither the checks nor verify_covering read it,
     so a witness that only gets verified never holds it.
@@ -447,10 +485,7 @@ class CoveringWitness:
             for v in self.phi:
                 if v is not None and not 0 <= v < lower.n_states:
                     raise WitnessError("phi image %d out of range" % v)
-        if self.xi and not (0 <= min(self.xi) and max(self.xi) < upper.n_symbols):
-            for x in self.xi:
-                if not 0 <= x < upper.n_symbols:
-                    raise WitnessError("xi image %d out of range" % x)
+        self._check_xi_range()
         if check:
             if not covered:
                 raise WitnessError("phi has an empty domain")
@@ -468,6 +503,25 @@ class CoveringWitness:
                                 "domain of phi is not closed: state %s leaves it under %s"
                                 % (upper.state_labels[s], lower.symbol_labels[a])
                             )
+
+    @classmethod
+    def _from_parts(cls, upper: Semiautomaton, lower: Semiautomaton, phi: tuple, xi: tuple):
+        """The witness with these phi and xi tuples, kept as they are."""
+        self = cls.__new__(cls)
+        self.upper, self.lower, self.phi, self.xi = upper, lower, phi, xi
+        if len(phi) != upper.n_states:
+            raise WitnessError("phi needs one entry per upper state")
+        if len(xi) != lower.n_symbols:
+            raise WitnessError("xi needs one entry per lower symbol")
+        self._check_xi_range()
+        return self
+
+    def _check_xi_range(self):
+        xi, m = self.xi, self.upper.n_symbols
+        if xi and not (0 <= min(xi) and max(xi) < m):
+            for x in xi:
+                if not 0 <= x < m:
+                    raise WitnessError("xi image %d out of range" % x)
 
     @cached_property
     def dom(self):
@@ -616,9 +670,9 @@ def _compose(w1: CoveringWitness, w2: CoveringWitness) -> CoveringWitness:
     """From C >= B and B >= A, the transitive witness C >= A, with no checks."""
     image = dict(enumerate(w2.phi))
     image[None] = None
-    phi = map(image.__getitem__, w1.phi)
-    xi = map(w1.xi.__getitem__, w2.xi)
-    return CoveringWitness(w1.upper, w2.lower, phi, xi, check=False)
+    phi = tuple(map(image.__getitem__, w1.phi))
+    xi = tuple(map(w1.xi.__getitem__, w2.xi))
+    return CoveringWitness._from_parts(w1.upper, w2.lower, phi, xi)
 
 
 def compose_coverings(w1: CoveringWitness, w2: CoveringWitness) -> CoveringWitness:
@@ -684,6 +738,48 @@ class Substitution:
     witness: CoveringWitness
 
 
+def _substitute(
+    product_ac, A, C, omega, w_u: CoveringWitness, w_v: CoveringWitness, w_out: CoveringWitness
+) -> Substitution:
+    """substitute, with its witness composed with w_out, a witness
+    A∘C >= X: the Substitution's witness is U'∘V >= X, built in one pass.
+
+    phi(u, v) = phi_out(phi_U(u)·|C| + phi_V(v)), outside the domain when
+    phi_U(u), phi_V(v) or that entry of phi_out is. It is one block of |V|
+    entries per distinct phi_U(u), read off phi_out's row phi_U(u), so the
+    entries are phi_out's own. xi is xi_out, since the product keeps A's
+    alphabet. The witness is built unchecked from those parts
+    (CoveringWitness._from_parts): verify it once, or verify the tree node
+    witness it becomes, as krohn_rhodes_decompose does.
+    """
+    omega = _check_omega(A, C, omega)
+    if w_u.lower != A:
+        raise WitnessError("inner witness does not cover the first factor")
+    if w_v.lower != C:
+        raise WitnessError("inner witness does not cover the second factor")
+    if product_ac.n_states != A.n_states * C.n_states:
+        raise InvalidInputError("product automaton does not match the given factors")
+    if w_out.upper != product_ac:
+        raise WitnessError("outer witness does not start at the product automaton")
+    U, V = w_u.upper, w_v.upper
+    u_prime = Semiautomaton.from_columns(
+        U.state_labels, A.symbol_labels, [U.column(x) for x in w_u.xi]
+    )
+    nc = C.n_states
+    rows, blocks = {}, {None: (None,) * V.n_states}
+    for pu in set(w_u.phi):
+        rows[pu] = tuple(map(w_v.xi.__getitem__, omega[0 if pu is None else pu]))
+        if pu is not None:
+            image = dict(enumerate(w_out.phi[pu * nc:(pu + 1) * nc]))
+            image[None] = None
+            blocks[pu] = tuple(map(image.__getitem__, w_v.phi))
+    omega2 = tuple(map(rows.__getitem__, w_u.phi))
+    product = cascade_product(u_prime, V, omega2)
+    phi = tuple(chain.from_iterable(map(blocks.__getitem__, w_u.phi)))
+    witness = CoveringWitness._from_parts(product, w_out.lower, phi, w_out.xi)
+    return Substitution(u_prime, product, omega2, witness)
+
+
 def substitute(
     product_ac, A, C, omega, w_u: CoveringWitness, w_v: CoveringWitness
 ) -> Substitution:
@@ -696,37 +792,11 @@ def substitute(
     unreachable from the witness domain and reuse row 0. phi sends (u,v) to
     (phi_U(u), phi_V(v)), outside the domain when either part is.
 
-    The witness is built unchecked: verify it once, or verify the tree node
-    witness it is composed into, as krohn_rhodes_decompose does.
+    This is _substitute with the identity cover of A∘C. The witness is built
+    unchecked: verify it once, or verify the tree node witness it is composed
+    into, as krohn_rhodes_decompose does.
     """
-    omega = _check_omega(A, C, omega)
-    if w_u.lower != A:
-        raise WitnessError("inner witness does not cover the first factor")
-    if w_v.lower != C:
-        raise WitnessError("inner witness does not cover the second factor")
-    if product_ac.n_states != A.n_states * C.n_states:
-        raise InvalidInputError("product automaton does not match the given factors")
-    U, V = w_u.upper, w_v.upper
-    u_prime = Semiautomaton.from_columns(
-        U.state_labels, A.symbol_labels, [U.column(x) for x in w_u.xi]
-    )
-    rows = {
-        pu: tuple(map(w_v.xi.__getitem__, omega[0 if pu is None else pu]))
-        for pu in set(w_u.phi)
-    }
-    omega2 = tuple(map(rows.__getitem__, w_u.phi))
-    product = cascade_product(u_prime, V, omega2)
-    nc = C.n_states
-    phi = []
-    for pu in w_u.phi:
-        if pu is None:
-            phi.extend(repeat(None, V.n_states))
-        else:
-            image = {pv: pu * nc + pv for pv in range(nc)}
-            image[None] = None
-            phi.extend(map(image.__getitem__, w_v.phi))
-    witness = CoveringWitness(product, product_ac, phi, range(A.n_symbols), check=False)
-    return Substitution(u_prime, product, omega2, witness)
+    return _substitute(product_ac, A, C, omega, w_u, w_v, identity_witness(product_ac))
 
 
 def substitute_right(product_ac, A, C, omega, w_v: CoveringWitness) -> Substitution:

@@ -4,9 +4,17 @@ decomposition tree.
 Every constructed covering is kept as an explicit witness; the tree's root
 witness proves that the assembled cascade covers the original automaton. Each
 node's witness is verified once, by _node where the node is made; the
-witnesses composed into it along the way are not checked on their own, except
-that split_permutation_reset, cover_permutation_by_grouplike and
-grouplike_cascade_split still verify the witness each of them returns.
+witnesses composed into it along the way are not checked on their own. The
+one other check is on the root witness of each permutation factor's grouplike
+tree, verified as that tree's root before _refine_factor replaces it by the
+cover of the factor itself. split_permutation_reset,
+cover_permutation_by_grouplike and grouplike_cascade_split verify the witness
+each of them returns; the tree is built through their unchecked bodies,
+_split, _grouplike_cover and _coset_split.
+
+A cascade node's witness is built in one pass by _substitute, which reads
+phi off the inner and outer witnesses, and input kinds are read off the flat
+table (Semiautomaton._kinds).
 """
 
 from __future__ import annotations
@@ -18,15 +26,19 @@ from typing import Optional, Union
 
 from .algebra import CLOSURE_CAP, clamp_label, closure_generate
 from .automata import (
+    _CONSTANT,
+    _IDENTITY,
+    _OTHER,
+    _PERMUTATION,
     CoveringWitness,
     Semiautomaton,
     _compose,
+    _substitute,
     _unique_labels,
     cascade_product,
     compose_coverings,
     direct_product,
     identity_witness,
-    substitute,
     substitute_right,
     transition_monoid,
     verify_covering,
@@ -73,38 +85,31 @@ class InputClass(enum.Enum):
     OTHER = "other"
 
 
+_PERMUTATIONS = frozenset((_IDENTITY, _PERMUTATION))
+_CLASS_OF_KIND = {
+    _IDENTITY: InputClass.PERMUTATION,
+    _PERMUTATION: InputClass.PERMUTATION,
+    _CONSTANT: InputClass.RESET,
+    _OTHER: InputClass.OTHER,
+}
+
+
 def classify_inputs(A: Semiautomaton):
     """Per-symbol class; a permutation (including the identity) wins over reset."""
-    out = {}
-    for a in range(A.n_symbols):
-        t = A.symbol_transformation(a)
-        if t.is_permutation():
-            cls = InputClass.PERMUTATION
-        elif t.is_reset():
-            cls = InputClass.RESET
-        else:
-            cls = InputClass.OTHER
-        out[A.symbol_labels[a]] = cls
-    return out
+    return dict(zip(A.symbol_labels, map(_CLASS_OF_KIND.__getitem__, A._kinds)))
 
 
 def is_permutation(A: Semiautomaton) -> bool:
-    return all(A.symbol_transformation(a).is_permutation() for a in range(A.n_symbols))
+    return _PERMUTATIONS.issuperset(A._kinds)
 
 
 def is_reset(A: Semiautomaton) -> bool:
     """Every input is the identity or a constant map."""
-    return all(
-        t.is_identity() or t.is_reset()
-        for t in (A.symbol_transformation(a) for a in range(A.n_symbols))
-    )
+    return {_IDENTITY, _CONSTANT}.issuperset(A._kinds)
 
 
 def is_permutation_reset(A: Semiautomaton) -> bool:
-    return all(
-        t.is_permutation() or t.is_reset()
-        for t in (A.symbol_transformation(a) for a in range(A.n_symbols))
-    )
+    return _OTHER not in A._kinds
 
 
 LEAF_GROUPLIKE = "simple-grouplike"
@@ -190,6 +195,13 @@ def cover_permutation_by_grouplike(pi: Semiautomaton, closure_cap: int = CLOSURE
     group in closure order (as split_permutation_reset produces); phi is then
     the identity and each input maps to the group element acting like it.
     """
+    G, witness = _grouplike_cover(pi, closure_cap)
+    _require(verify_covering(witness), "grouplike cover of the permutation automaton")
+    return G, witness
+
+
+def _grouplike_cover(pi: Semiautomaton, closure_cap: int):
+    """cover_permutation_by_grouplike, with its witness unchecked."""
     if not is_permutation(pi):
         raise InvalidInputError("not a permutation semiautomaton")
     M = transition_monoid(pi, cap=closure_cap)
@@ -201,10 +213,8 @@ def cover_permutation_by_grouplike(pi: Semiautomaton, closure_cap: int = CLOSURE
     G = FiniteGroup(M)
     glike = grouplike_of(G)
     elt = {t.image: k for k, t in enumerate(M.transformations)}
-    xi = [elt[pi.symbol_transformation(a).image] for a in range(pi.n_symbols)]
-    witness = CoveringWitness(glike, pi, range(pi.n_states), xi)
-    _require(verify_covering(witness), "grouplike cover of the permutation automaton")
-    return G, witness
+    xi = [elt[tuple(pi.column(a).tolist())] for a in range(pi.n_symbols)]
+    return G, CoveringWitness(glike, pi, range(pi.n_states), xi)
 
 
 @dataclass
@@ -217,27 +227,33 @@ class PRSplit:
 
 
 def _permutation_group(A: Semiautomaton, caps: Caps):
-    """(const, K) of a permutation-reset automaton: the reset target of every
-    input (None for a permutation) and the group K that the permutation inputs
-    generate, in closure order.
+    """(const, perms, K) of a permutation-reset automaton: the reset target of
+    every input (None for a permutation), the Transformation of every
+    permutation input (None for a reset) and the group K that they generate,
+    in closure order.
 
     Raises ResourceCapError when K outgrows the closure or group-order cap.
     """
-    perm = []
-    const = [None] * A.n_symbols
-    for a in range(A.n_symbols):
-        t = A.symbol_transformation(a)
-        if t.is_permutation():
-            perm.append(a)
-        elif t.is_reset():
-            const[a] = t.image[0]
-        else:
-            raise NotPermutationResetError(
-                "input %s is neither a permutation nor a reset" % A.symbol_labels[a]
-            )
+    kinds = A._kinds
+    if _OTHER in kinds:
+        raise NotPermutationResetError(
+            "input %s is neither a permutation nor a reset"
+            % A.symbol_labels[kinds.index(_OTHER)]
+        )
+    n, table = A.n_states, A._table
+    const = [table[a * n] if k == _CONSTANT else None for a, k in enumerate(kinds)]
+    perm = [a for a, c in enumerate(const) if c is None]
+    # one Transformation per distinct column, shared by the inputs that act by it
+    perms = [None] * A.n_symbols
+    by_column = {}
+    for a in perm:
+        column = table[a * n:(a + 1) * n].tobytes()
+        if column not in by_column:
+            by_column[column] = A.symbol_transformation(a)
+        perms[a] = by_column[column]
     K = closure_generate(
-        [A.symbol_transformation(a) for a in perm],
-        domain_size=A.n_states,
+        [perms[a] for a in perm],
+        domain_size=n,
         cap=caps.closure_elements,
         symbol_labels=[A.symbol_labels[a] for a in perm],
     )
@@ -246,7 +262,7 @@ def _permutation_group(A: Semiautomaton, caps: Caps):
             "permutation group of order %d exceeds the cap of %d"
             % (K.order, caps.group_order)
         )
-    return const, K
+    return const, perms, K
 
 
 def split_permutation_reset(A: Semiautomaton, caps: Caps = Caps()) -> PRSplit:
@@ -258,22 +274,20 @@ def split_permutation_reset(A: Semiautomaton, caps: Caps = Caps()) -> PRSplit:
     back by the inverse of the accumulated permutation, and phi replays the
     permutation on top of R's state.
     """
-    const, K = _permutation_group(A, caps)
-    split = _split(A, const, K)
+    split = _split(A, *_permutation_group(A, caps))
     _require(verify_covering(split.witness), "permutation-reset split")
     return split
 
 
-def _split(A: Semiautomaton, const, K) -> PRSplit:
-    """split_permutation_reset on the (const, K) of _permutation_group(A),
-    with its witness unchecked."""
+def _split(A: Semiautomaton, const, perms, K) -> PRSplit:
+    """split_permutation_reset on the (const, perms, K) of
+    _permutation_group(A), with its witness unchecked."""
     n, m = A.n_states, A.n_symbols
     # element labels are rendered words, which can coincide with one another
     k_labels = _unique_labels(K.labels)
     elt = {t.image: k for k, t in enumerate(K.transformations)}
     nk = K.order
 
-    perms = [A.symbol_transformation(a) if c is None else None for a, c in enumerate(const)]
     delta_pi = [
         [x if p is None else elt[t.compose(p).image] for p in perms]
         for x, t in enumerate(K.transformations)
@@ -388,18 +402,14 @@ def _proof_choice(X: Semiautomaton):
     """Block targets from the chain theorem's proof: a permutation permutes the
     complement blocks along itself; anything else resets every block to the
     lowest block containing the whole image."""
-    n = X.n_states
+    n, table = X.n_states, X._table
     choice = [[0] * X.n_symbols for _ in range(n)]
-    for a in range(X.n_symbols):
-        t = X.symbol_transformation(a)
-        if t.is_permutation():
-            for i in range(n):
-                choice[i][a] = t.image[i]
-        else:
-            img = set(t.image)
-            j0 = min(j for j in range(n) if j not in img)
-            for i in range(n):
-                choice[i][a] = j0
+    for a, kind in enumerate(X._kinds):
+        image = table[a * n:(a + 1) * n]
+        if kind not in _PERMUTATIONS:
+            image = [min(set(range(n)).difference(image))] * n
+        for i in range(n):
+            choice[i][a] = image[i]
     return choice
 
 
@@ -460,6 +470,13 @@ def grouplike_cascade_split(G: FiniteGroup, H) -> GrouplikeSplit:
     which identifies the partition cascade's second factor with grouplike(H)
     driven through that connection.
     """
+    split = _coset_split(G, H)
+    _require(verify_covering(split.witness), "coset split of the grouplike automaton")
+    return split
+
+
+def _coset_split(G: FiniteGroup, H) -> GrouplikeSplit:
+    """grouplike_cascade_split, with its witness unchecked."""
     glike = grouplike_of(G)
     cp = coset_partition(G, H)
     h_group, h_elems = subgroup_as_group(G, H)
@@ -480,7 +497,6 @@ def grouplike_cascade_split(G: FiniteGroup, H) -> GrouplikeSplit:
     product = cascade_product(b, c_prime, omega)
     phi = [G.mul(h, t) for t in cp.transversal for h in h_elems]
     witness = CoveringWitness(product, glike, phi, range(G.order))
-    _require(verify_covering(witness), "coset split of the grouplike automaton")
     return GrouplikeSplit(b, c_prime, h_group, omega, product, witness, cp)
 
 
@@ -497,17 +513,16 @@ def grouplike_to_simple_cascade(G: FiniteGroup, caps: Caps = Caps()) -> Node:
         return _node("simple grouplike leaf", Leaf, LEAF_GROUPLIKE, glike, w_glike, group=G)
 
     H, quotient = next(_composition_walk(G, caps.group_order))
-    split = grouplike_cascade_split(G, H)
+    split = _coset_split(G, H)
     glq = grouplike_of(quotient)
     w_leaf = CoveringWitness(glq, split.b, range(quotient.order), split.cosets.cosets)
     leaf = _node("grouplike quotient leaf", Leaf, LEAF_GROUPLIKE, glq, w_leaf, group=quotient)
 
     inner = grouplike_to_simple_cascade(split.h_group, caps)
-    sub = substitute(
-        split.product, split.b, split.c_prime, split.omega, w_leaf, inner.witness
+    sub = _substitute(
+        split.product, split.b, split.c_prime, split.omega, w_leaf, inner.witness, split.witness
     )
-    witness = _compose(sub.witness, split.witness)
-    return _node("coset cascade", CascadeNode, leaf, inner, sub.omega, sub.product, witness)
+    return _node("coset cascade", CascadeNode, leaf, inner, sub.omega, sub.product, sub.witness)
 
 
 def _reset_states(n: int) -> int:
@@ -519,7 +534,7 @@ def _reset_states(n: int) -> int:
 class _Plan:
     """A node of the tree before it is built: the automaton it covers, its
     predicted state count, the breached cap if it stays a raw leaf, and the
-    (const, K) of _permutation_group for a factor that gets split."""
+    (const, perms, K) of _permutation_group for a factor that gets split."""
 
     automaton: Semiautomaton
     states: int
@@ -534,7 +549,7 @@ def _plan_factor(B: Semiautomaton, caps: Caps) -> _Plan:
     if is_reset(B):
         return _Plan(B, _reset_states(B.n_states))
     try:
-        const, K = _permutation_group(B, caps)
+        const, perms, K = _permutation_group(B, caps)
     except ResourceCapError as exc:
         return _Plan(B, B.n_states, str(exc))
     states = K.order * _reset_states(B.n_states)
@@ -545,7 +560,7 @@ def _plan_factor(B: Semiautomaton, caps: Caps) -> _Plan:
             "split product of %d states exceeds the cap of %d"
             % (states, caps.product_states),
         )
-    return _Plan(B, states, group=(const, K))
+    return _Plan(B, states, group=(const, perms, K))
 
 
 def _plan_chain(steps, last: Semiautomaton, caps: Caps):
@@ -603,18 +618,19 @@ def _refine_factor(plan: _Plan, caps: Caps) -> Node:
     if plan.group is None:
         return reset_to_two_state(B).tree
     split = _split(B, *plan.group)
-    G, w_g = cover_permutation_by_grouplike(split.pi, caps.closure_elements)
+    G, w_g = _grouplike_cover(split.pi, caps.closure_elements)
     g_tree = grouplike_to_simple_cascade(G, caps)
     w_pi = _compose(g_tree.witness, w_g)
 
     r_tree = reset_to_two_state(split.r).tree
-    sub = substitute(split.product, split.pi, split.r, split.omega, w_pi, r_tree.witness)
-    witness = _compose(sub.witness, split.witness)
+    sub = _substitute(
+        split.product, split.pi, split.r, split.omega, w_pi, r_tree.witness, split.witness
+    )
     left = _node(
         "grouplike cover of the permutation factor", dataclasses.replace, g_tree, witness=w_pi
     )
     return _node(
-        "permutation-reset factor", CascadeNode, left, r_tree, sub.omega, sub.product, witness
+        "permutation-reset factor", CascadeNode, left, r_tree, sub.omega, sub.product, sub.witness
     )
 
 
@@ -633,9 +649,10 @@ def krohn_rhodes_decompose(A: Semiautomaton, caps: Caps = Caps()) -> Node:
     node = _build(base, caps)
     for st, plan, states in above:
         left = _build(plan, caps)
-        sub = substitute(st.product, st.b, st.c, st.omega, left.witness, node.witness)
-        witness = _compose(sub.witness, st.witness)
-        node = _node("chain step", CascadeNode, left, node, sub.omega, sub.product, witness)
+        sub = _substitute(
+            st.product, st.b, st.c, st.omega, left.witness, node.witness, st.witness
+        )
+        node = _node("chain step", CascadeNode, left, node, sub.omega, sub.product, sub.witness)
         node = _as_planned(node, states)
     return node
 

@@ -33,7 +33,7 @@ from krcascade import (
     verify_hom_image,
     word_transformation,
 )
-from krcascade.automata import _pair_state_labels, _unique_labels
+from krcascade.automata import _pair_state_labels, _substitute, _unique_labels
 
 from conftest import make_random_automaton
 
@@ -159,6 +159,14 @@ def test_covering_witness_construction_rejections(sa3, sa2):
         CoveringWitness(sa3, sa2, [0, 1, None], [0])  # wrong xi length
     with pytest.raises(WitnessError):
         CoveringWitness(sa3, sa2, [0, 1, None], [0, 5])  # xi out of range
+    # witnesses built from checked parts keep the length and xi range checks
+    for phi, xi, message in [
+        ((0, 1), (0, 1), "phi needs one entry per upper state"),
+        ((0, 1, None), (0,), "xi needs one entry per lower symbol"),
+        ((0, 1, None), (0, 5), "xi image 5 out of range"),
+    ]:
+        with pytest.raises(WitnessError, match=message):
+            CoveringWitness._from_parts(sa3, sa2, phi, xi)
 
 
 def test_covering_domain_closure(sa2):
@@ -334,6 +342,8 @@ def test_substitute_rejects_mismatched_inputs(seven_state, seven_p, sa2):
         substitute(cov.product, cov.b, cov.c, cov.omega, w_u, w_u)
     with pytest.raises(InvalidInputError, match="does not match"):
         substitute(sa2, cov.b, cov.c, cov.omega, w_u, w_v)
+    with pytest.raises(WitnessError, match="outer witness"):
+        _substitute(cov.product, cov.b, cov.c, cov.omega, w_u, w_v, identity_witness(cov.b))
 
 
 def _violates(w, s, word):

@@ -55,6 +55,7 @@ from krcascade import (
     simulation_counterexample,
     split_permutation_reset,
     subgroup_as_group,
+    substitute,
     summarize_leaves,
     tree_report,
     verify_covering,
@@ -560,20 +561,90 @@ def _record_verify_covering(monkeypatch):
     return checked
 
 
-@pytest.mark.parametrize(
-    "name", ["five_pr", "five_state"] + ["random5-%d" % seed for seed in range(10)]
-)
-def test_decompose_verifies_each_witness_once(monkeypatch, request, name):
-    # five_pr is the README example
+# verify_covering calls on witnesses that are no node's: the root witness of
+# each permutation factor's grouplike tree, which _refine_factor replaces by
+# the cover of the factor itself (one per permutation-reset split)
+CHECKS_OUTSIDE_NODES = {
+    "five_pr": 1,
+    "five_state": 4,
+    "random5-0": 3,
+    "random5-1": 3,
+    "random5-2": 3,
+    "random5-3": 1,
+    "random5-4": 3,
+    "random5-5": 3,
+    "random5-6": 3,
+    "random5-7": 3,
+    "random5-8": 2,
+    "random5-9": 2,
+}
+
+
+# five_pr is the README example
+NAMED = ["five_pr", "five_state"] + ["random5-%d" % seed for seed in range(10)]
+
+
+def _named(request, name):
     if name.startswith("random5-"):
-        A = random_n(5, int(name.partition("-")[2]))
-    else:
-        A = request.getfixturevalue(name)
+        return random_n(5, int(name.partition("-")[2]))
+    return request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_decompose_verifies_each_witness_once(monkeypatch, request, name):
+    A = _named(request, name)
     checked = _record_verify_covering(monkeypatch)
     tree = krohn_rhodes_decompose(A)
     times = Counter(map(id, checked))
     assert [w for w in checked if times[id(w)] > 1] == []
-    assert [n for n in iter_nodes(tree) if times[id(n.witness)] != 1] == []
+    node_witnesses = [n.witness for n in iter_nodes(tree)]
+    assert [w for w in node_witnesses if times[id(w)] != 1] == []
+    assert len(checked) - len(node_witnesses) == CHECKS_OUTSIDE_NODES[name]
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_fused_substitution_matches_substitute_then_compose(monkeypatch, request, name):
+    # each node's fused substitution equals substitute followed by _compose
+    # through the outer witness, on the product table, phi and xi
+    A = _named(request, name)
+    calls = []
+    fused = automata._substitute
+
+    def recording(*args):
+        calls.append((args, fused(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(pipeline, "_substitute", recording)
+    krohn_rhodes_decompose(A)
+    assert calls
+    for args, out in calls:
+        w_out = args[-1]
+        sub = substitute(*args[:-1])
+        two_step = automata._compose(sub.witness, w_out)
+        assert out.product.table == sub.product.table
+        assert out.omega == sub.omega
+        assert out.witness.phi == two_step.phi
+        assert out.witness.xi == two_step.xi
+        assert out.witness.upper is out.product and out.witness.lower is w_out.lower
+
+
+def test_input_kinds_build_no_transformations(monkeypatch):
+    # inputs are classified off the table; a Transformation is built only for
+    # a generator of a group: each distinct permutation column of a factor
+    # that gets split, and each input of that split's permutation automaton.
+    # Building one per input to classify it would make 19,937 calls here, and
+    # one per permutation input of a split factor 3,321.
+    calls = []
+    build = Semiautomaton.symbol_transformation
+
+    def counted(self, a):
+        calls.append(a)
+        return build(self, a)
+
+    monkeypatch.setattr(Semiautomaton, "symbol_transformation", counted)
+    for seed in (0, 4, 6):
+        krohn_rhodes_decompose(random6(seed))
+    assert len(calls) == 1067
 
 
 def _corrupting(build):
@@ -598,10 +669,10 @@ CYCLE4 = Semiautomaton(["0", "1", "2", "3"], ["a"], [[1], [2], [3], [0]])
 @pytest.mark.parametrize(
     "target, name, context",
     [
-        ("substitute", "sa3", "chain step"),
-        ("substitute", "five_pr", "permutation-reset factor"),
+        ("_substitute", "sa3", "chain step"),
+        ("_substitute", "five_pr", "permutation-reset factor"),
         ("_split", "five_pr", "permutation-reset factor"),
-        ("grouplike_cascade_split", "cycle4", "coset cascade"),
+        ("_coset_split", "cycle4", "coset cascade"),
     ],
 )
 def test_corrupted_inner_witness_fails_its_node(monkeypatch, request, target, name, context):

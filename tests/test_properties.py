@@ -5,16 +5,21 @@ from hypothesis import strategies as st
 
 from krcascade import (
     CoveringWitness,
+    InputClass,
     Partition,
     Semiautomaton,
     Transformation,
     cascade_product,
+    classify_inputs,
     closure_generate,
     complementary_partition,
     direct_product,
     direct_product_monoid,
     emit_automaton,
     evaluate_word,
+    is_permutation,
+    is_permutation_reset,
+    is_reset,
     p_factor,
     parse_automaton,
     right_regular_representation,
@@ -23,6 +28,7 @@ from krcascade import (
     verify_covering,
     word_transformation,
 )
+from krcascade.automata import _CONSTANT, _IDENTITY, _OTHER, _PERMUTATION
 
 
 @st.composite
@@ -193,3 +199,50 @@ def test_verified_witness_simulates(A, data):
     mutant = CoveringWitness(A, B, phi, xi, check=False)
     if verify_covering(mutant):
         assert simulation_counterexample(mutant, 4) is None
+
+
+@st.composite
+def input_columns(draw):
+    """An automaton of 1 to 6 states and 1 to 64 symbols whose columns are
+    drawn as identities, constants, permutations or arbitrary maps."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 64))
+    columns = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["identity", "constant", "permutation", "any"]))
+        if kind == "identity":
+            columns.append(list(range(n)))
+        elif kind == "constant":
+            columns.append([draw(st.integers(0, n - 1))] * n)
+        elif kind == "permutation":
+            columns.append(draw(st.permutations(range(n))))
+        else:
+            columns.append([draw(st.integers(0, n - 1)) for _ in range(n)])
+    return Semiautomaton.from_columns(
+        ["s%d" % i for i in range(n)], ["x%d" % j for j in range(m)], columns
+    )
+
+
+@settings(deadline=None)
+@given(input_columns())
+def test_input_kinds_match_transformations(A):
+    # the kinds read off the table agree with each input's Transformation,
+    # and so do the predicates and classes built on them
+    ts = A.transformations()
+    expected = [
+        _IDENTITY if t.is_identity()
+        else _CONSTANT if t.is_reset()
+        else _PERMUTATION if t.is_permutation()
+        else _OTHER
+        for t in ts
+    ]
+    assert list(A._kinds) == expected
+    assert is_permutation(A) == all(t.is_permutation() for t in ts)
+    assert is_reset(A) == all(t.is_identity() or t.is_reset() for t in ts)
+    assert is_permutation_reset(A) == all(t.is_permutation() or t.is_reset() for t in ts)
+    assert list(classify_inputs(A).values()) == [
+        InputClass.PERMUTATION if t.is_permutation()
+        else InputClass.RESET if t.is_reset()
+        else InputClass.OTHER
+        for t in ts
+    ]
