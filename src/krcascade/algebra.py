@@ -26,15 +26,16 @@ class Transformation:
     __slots__ = ("image",)
 
     def __init__(self, image):
-        image = tuple(int(x) for x in image)
+        image = tuple(map(int, image))
         n = len(image)
         if n == 0:
             raise InvalidInputError("transformation needs at least one point")
-        for x in image:
-            if not 0 <= x < n:
-                raise InvalidInputError(
-                    "image point %d out of range for domain size %d" % (x, n)
-                )
+        if not (0 <= min(image) and max(image) < n):
+            for x in image:
+                if not 0 <= x < n:
+                    raise InvalidInputError(
+                        "image point %d out of range for domain size %d" % (x, n)
+                    )
         self.image = image
 
     @property

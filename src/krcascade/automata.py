@@ -10,10 +10,10 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import index, is_not, not_
 from typing import Optional
+from zlib import crc32
 
 from .algebra import CLOSURE_CAP, Transformation, clamp_label, closure_generate
 from .errors import InvalidInputError, WitnessError
@@ -30,6 +30,9 @@ _STATE_LIMIT = 2 ** (8 * _CELL_BYTES - 1)
 # fixed cost of a pass per symbol outweighs its lower cost per cell. Timed
 # per node witness of the krbench workloads, the law check's total is flat
 # for thresholds from 16 to 64 states on each of them, and 32 is mid-range.
+# It is also the smallest product whose columns are looked up by column
+# class: below it, finding the classes of both factors costs more than the
+# columns it saves building.
 _SYMBOL_PASS_STATES = 32
 # The kinds of input in Semiautomaton._kinds. A one-state column is the
 # identity; _CONSTANT and _PERMUTATION name the other constant maps and the
@@ -40,6 +43,9 @@ _IDENTITY, _CONSTANT, _PERMUTATION, _OTHER = range(4)
 def _unique_labels(candidates):
     """The candidates in order, each repeat renamed to the first name
     "<label>#k" not taken yet, counting k on from the label's last repeat."""
+    candidates = list(candidates)
+    if len(set(candidates)) == len(candidates):
+        return candidates
     taken = set()
     last = {}
     out = []
@@ -155,6 +161,21 @@ class Semiautomaton:
     is in range by construction and kept unscanned. Products also pass their
     state labels as a _PairLabels, which is unique by construction and
     rendered on the first read of state_labels.
+
+    The column class of an input is the lowest input whose column has the
+    same contents (_classes). Anything that depends only on a column's
+    contents, such as the input's kind, a quotient's column or a law pass,
+    is the same for every input of a class, so it is computed once per class
+    and shared. Classes are read off the table itself, never assumed from
+    how the table was built.
+
+    Values computed on first read (delta, state_labels of a product, the
+    label indexes, the kinds and the classes) are kept in plain attributes
+    that start as None. A cached_property would write through __dict__,
+    which on CPython 3.11 moves the instance's inline attribute values into
+    a dict, so that every later attribute read on the automaton takes the
+    slower dict path; and a try/except around a missing attribute costs a
+    raised AttributeError on every first read.
     """
 
     def __init__(self, state_labels, symbol_labels, delta):
@@ -199,15 +220,17 @@ class Semiautomaton:
         lazy = isinstance(state_labels, _PairLabels)
         if lazy:
             self._pending_labels = state_labels
+            self._state_labels = None
             n = len(state_labels)
         else:
-            self.state_labels = tuple(map(str, state_labels))
-            n = len(self.state_labels)
+            self._state_labels = labels = tuple(map(str, state_labels))
+            n = len(labels)
         self.symbol_labels = tuple(map(str, symbol_labels))
         self._n = n
+        self._state_positions = self._symbol_positions = None
         if n < 1:
             raise InvalidInputError("need at least one state")
-        if not lazy and len(set(self.state_labels)) != n:
+        if not lazy and len(set(labels)) != n:
             raise InvalidInputError("duplicate state label")
         if len(set(self.symbol_labels)) != len(self.symbol_labels):
             raise InvalidInputError("duplicate symbol label")
@@ -217,23 +240,32 @@ class Semiautomaton:
         if len(table) != n * len(self.symbol_labels):
             raise InvalidInputError("transition row length differs from alphabet size")
         self._table = table
+        self._rows = self._column_classes = self._first_inputs = self._input_kinds = None
         if not in_range and table and not (0 <= min(table) and max(table) < n):
             _row_fault(self.delta, len(self.symbol_labels), n)
         self.table = memoryview(table).toreadonly()
 
-    @cached_property
-    def state_labels(self):
-        labels = self._pending_labels.render()
-        del self._pending_labels
+    @property
+    def state_labels(self) -> tuple:
+        labels = self._state_labels
+        if labels is None:
+            self._state_labels = labels = self._pending_labels.render()
+            del self._pending_labels
         return labels
 
-    @cached_property
-    def _state_index(self):
-        return {lab: i for i, lab in enumerate(self.state_labels)}
+    @property
+    def _state_index(self) -> dict:
+        index = self._state_positions
+        if index is None:
+            self._state_positions = index = {lab: i for i, lab in enumerate(self.state_labels)}
+        return index
 
-    @cached_property
-    def _symbol_index(self):
-        return {lab: j for j, lab in enumerate(self.symbol_labels)}
+    @property
+    def _symbol_index(self) -> dict:
+        index = self._symbol_positions
+        if index is None:
+            self._symbol_positions = index = {lab: j for j, lab in enumerate(self.symbol_labels)}
+        return index
 
     @property
     def n_states(self) -> int:
@@ -243,27 +275,65 @@ class Semiautomaton:
     def n_symbols(self) -> int:
         return len(self.symbol_labels)
 
-    @cached_property
+    @property
     def delta(self) -> TableRows:
-        return TableRows(self._table, self._n)
+        rows = self._rows
+        if rows is None:
+            self._rows = rows = TableRows(self._table, self._n)
+        return rows
+
+    @property
+    def _classes(self) -> array:
+        """The column class of every input: the lowest input whose column has
+        the same contents. Computed on the first read, with _firsts, then
+        kept.
+
+        Columns are matched by a CRC of their cells, read through views of
+        the table, and a match is confirmed by comparing the two views cell
+        by cell; no column is copied."""
+        classes = self._column_classes
+        if classes is not None:
+            return classes
+        n, view = self._n, self.table
+        first = {}
+        classes, firsts = [], []
+        for a in range(len(self.symbol_labels)):
+            col = view[a * n:(a + 1) * n]
+            c = first.setdefault(crc32(col), a)
+            if c != a and view[c * n:(c + 1) * n] != col:
+                # two contents with one CRC: the lowest equal column
+                c = next(b for b in range(a + 1) if view[b * n:(b + 1) * n] == col)
+            if c == a:
+                firsts.append(a)
+            classes.append(c)
+        self._first_inputs = tuple(firsts)
+        self._column_classes = classes = array(_CELL, classes)
+        return classes
+
+    @property
+    def _firsts(self) -> tuple:
+        """The first input of each column class, in order."""
+        firsts = self._first_inputs
+        if firsts is None:
+            self._classes
+            firsts = self._first_inputs
+        return firsts
 
     @property
     def _kinds(self) -> bytes:
-        """The kind of every input, one byte each, in one pass over the table
-        on the first read, then kept."""
-        # kept as a plain attribute: cached_property writes through __dict__,
-        # which on CPython 3.11 moves the instance's inline attribute values
-        # into a dict, and every later attribute read on the automaton (the
-        # law check makes several per witness) takes the slower dict path
-        try:
-            return self._input_kinds
-        except AttributeError:
-            pass
+        """The kind of every input, one byte each, computed once per column
+        class on the first read, then kept."""
+        kinds = self._input_kinds
+        if kinds is not None:
+            return kinds
         n, table = self._n, self._table
         identity = array(_CELL, range(n))
         kinds = []
-        for k in range(0, len(table), n):
-            col = table[k:k + n]
+        for a, c in enumerate(self._classes):
+            if c != a:
+                kinds.append(kinds[c])
+                continue
+            col = table[a * n:(a + 1) * n]
             if col == identity:
                 kinds.append(_IDENTITY)
             else:
@@ -359,12 +429,30 @@ def word_transformation(A: Semiautomaton, w) -> Transformation:
 
 def transition_monoid(A: Semiautomaton, cap: int = CLOSURE_CAP):
     """T(A): the monoid generated by the per-symbol transformations."""
-    return closure_generate(
-        A.transformations(),
+    return _input_closure(A, range(A.n_symbols), A.symbol_transformation, cap)
+
+
+def _input_closure(A: Semiautomaton, inputs, transformation, cap: int):
+    """closure_generate on transformation(a) for the inputs a of A in order,
+    labelled by their symbols, with words over positions in inputs. inputs
+    holds the first input of the column class of each of its inputs.
+
+    Only those first inputs are handed over as generators. A later input of
+    a class acts as its first one does, and the breadth-first closure tries
+    it right after, so it never adds an element: the elements, their order,
+    their words and their labels are those of the closure over every input.
+    """
+    classes = A._classes
+    firsts = [k for k, a in enumerate(inputs) if classes[a] == a]
+    M = closure_generate(
+        [transformation(inputs[k]) for k in firsts],
         domain_size=A.n_states,
         cap=cap,
-        symbol_labels=A.symbol_labels,
+        symbol_labels=[A.symbol_labels[inputs[k]] for k in firsts],
     )
+    if len(firsts) < len(inputs):
+        M.witnesses = tuple(tuple(map(firsts.__getitem__, w)) for w in M.witnesses)
+    return M
 
 
 def _pair_state_labels(A: Semiautomaton, B: Semiautomaton):
@@ -386,6 +474,14 @@ def _product(A: Semiautomaton, B: Semiautomaton, connection) -> Semiautomaton:
     one sum of integers whose 4-byte lanes are the cells; no lane carries,
     since every cell stays below |S^A|·|S^B|, which must fit a cell. So every
     cell is a state of the product, and the table is kept without a range scan.
+
+    Column a depends only on A's column a and on the column classes of B
+    along connection[a]. Where A's column a repeats an earlier one, column a
+    of the product repeats an earlier column whenever those classes do too,
+    and then its cells are copied from it. So B's columns are read once per
+    class and the product's built once per distinct column, except in a
+    product of fewer than _SYMBOL_PASS_STATES states, which reads and builds
+    every column.
     """
     na, nb = A.n_states, B.n_states
     if na * nb > _STATE_LIMIT:
@@ -395,14 +491,29 @@ def _product(A: Semiautomaton, B: Semiautomaton, connection) -> Semiautomaton:
         )
     order = sys.byteorder
     b_table, a_table = B._table, A._table
-    blocks = [int.from_bytes(b_table[k:k + nb], order) for k in range(0, len(b_table), nb)]
+    built = None
+    if na * nb < _SYMBOL_PASS_STATES:
+        blocks = [int.from_bytes(b_table[k:k + nb], order) for k in range(0, len(b_table), nb)]
+    else:
+        b_classes = B._classes
+        first = {c: int.from_bytes(b_table[c * nb:(c + 1) * nb], order) for c in B._firsts}
+        blocks = list(map(first.__getitem__, b_classes))
+        if len(A._firsts) < A.n_symbols:
+            built, a_classes = {}, A._classes
     shift = int.from_bytes(array(_CELL, [nb]) * nb, order)
     width = nb * _CELL_BYTES
+    span = na * width
     # zero-filled at its final size, with no spare capacity
     table = array(_CELL, [0]) * (na * nb * A.n_symbols)
     cells = memoryview(table).cast("B")
     pos = 0
     for a, conn in enumerate(connection):
+        if built is not None:
+            start = built.setdefault((a_classes[a], tuple(map(b_classes.__getitem__, conn))), pos)
+            if start != pos:
+                cells[pos:pos + span] = cells[start:start + span]
+                pos += span
+                continue
         for t, c in zip(a_table[a * na:(a + 1) * na], conn):
             cells[pos:pos + width] = (blocks[c] + t * shift).to_bytes(width, order)
             pos += width
@@ -414,10 +525,35 @@ def direct_product(A: Semiautomaton, B: Semiautomaton) -> Semiautomaton:
     """Parallel composition on a shared alphabet; state (i,j) flattens to i*|S^B|+j."""
     if A.symbol_labels != B.symbol_labels:
         raise InvalidInputError("direct product needs identical alphabets")
-    return _product(A, B, map(repeat, range(A.n_symbols)))
+    na = A.n_states
+    return _product(A, B, [(a,) * na for a in range(A.n_symbols)])
 
 
 def _check_omega(A: Semiautomaton, B: Semiautomaton, omega):
+    """omega as a tuple of row tuples of ints, one row per state of A and one
+    entry per symbol of A, each a symbol of B.
+
+    Each distinct row is checked once, by builtins. Rows with entries that
+    are not ints, such as bools, go through _omega_fault, which normalizes
+    them, as does a fault, which it names."""
+    omega = tuple(map(tuple, omega))
+    try:
+        rows = dict.fromkeys(omega)
+    except TypeError:
+        return _omega_fault(A, B, omega)
+    m = A.n_symbols
+    if (
+        len(omega) == A.n_states
+        and set(map(len, rows)) == {m}
+        and {int}.issuperset(map(type, chain.from_iterable(rows)))
+        and (not m or (0 <= min(map(min, rows)) and max(map(max, rows)) < B.n_symbols))
+    ):
+        return omega
+    return _omega_fault(A, B, omega)
+
+
+def _omega_fault(A: Semiautomaton, B: Semiautomaton, omega):
+    """_check_omega by a loop over the entries, which names the first fault."""
     omega = tuple(tuple(int(x) for x in row) for row in omega)
     if len(omega) != A.n_states:
         raise InvalidInputError("connection mapping needs one row per first-factor state")
@@ -472,6 +608,7 @@ class CoveringWitness:
     def __init__(self, upper: Semiautomaton, lower: Semiautomaton, phi, xi, check=True):
         self.upper = upper
         self.lower = lower
+        self._dom = None
         phi = tuple(phi)
         image = {v: None if v is None else int(v) for v in set(phi)}
         self.phi = tuple(map(image.__getitem__, phi))
@@ -509,6 +646,7 @@ class CoveringWitness:
         """The witness with these phi and xi tuples, kept as they are."""
         self = cls.__new__(cls)
         self.upper, self.lower, self.phi, self.xi = upper, lower, phi, xi
+        self._dom = None
         if len(phi) != upper.n_states:
             raise WitnessError("phi needs one entry per upper state")
         if len(xi) != lower.n_symbols:
@@ -523,9 +661,12 @@ class CoveringWitness:
                 if not 0 <= x < m:
                     raise WitnessError("xi image %d out of range" % x)
 
-    @cached_property
-    def dom(self):
-        return tuple(compress(range(len(self.phi)), map(is_not, self.phi, repeat(None))))
+    @property
+    def dom(self) -> tuple:
+        dom = self._dom
+        if dom is None:
+            self._dom = dom = tuple(compress(range(len(self.phi)), map(is_not, self.phi, repeat(None))))
+        return dom
 
     def __repr__(self):
         return "CoveringWitness(%d of %d upper states onto %d lower states)" % (
@@ -578,6 +719,11 @@ def _law_violation(w: CoveringWitness):
     A domain of _SYMBOL_PASS_STATES states or more is checked one symbol at a
     time, a pass over the upper column xi(a) against the lower column a, and
     scanned state by state only after a failure, to name the first site.
+    The passes are those of _law_pairs: one per distinct pair (column class
+    of xi(a) in the upper automaton, column class of a in the lower one).
+    Two symbols with the same pair compare the same cells, since a class is
+    a set of inputs whose columns have the same contents, so a pass for the
+    second symbol would give the first one's verdict; skipping it is exact.
     """
     phi = w.phi
     # the domain's size is counted only where it can reach the threshold
@@ -587,12 +733,22 @@ def _law_violation(w: CoveringWitness):
     low = list(compress(phi, inside))
     upper, nu = w.upper._table, w.upper._n
     lower, nl = w.lower._table, w.lower._n
-    for a, x in enumerate(w.xi):
+    for x, a in _law_pairs(w):
         image = lower[a * nl:(a + 1) * nl].tolist()
         for t, v in zip(compress(upper[x * nu:(x + 1) * nu], inside), low):
             if phi[t] != image[v]:
                 return _first_law_failure(w)
     return None
+
+
+def _law_pairs(w: CoveringWitness):
+    """(xi(a), a) for the first lower symbol a of each distinct pair (column
+    class of xi(a) in the upper automaton, column class of a in the lower)."""
+    upper, lower = w.upper._classes, w.lower._classes
+    pairs = {}
+    for a, x in enumerate(w.xi):
+        pairs.setdefault((upper[x], lower[a]), (x, a))
+    return pairs.values()
 
 
 def _first_law_failure(w: CoveringWitness):

@@ -105,8 +105,7 @@ def _image_of_block(column, block):
 def is_admissible_partition(A: Semiautomaton, P: Partition) -> bool:
     if P.n_states != A.n_states:
         raise InvalidInputError("partition is over a different state count")
-    for a in range(A.n_symbols):
-        col = A.column(a)
+    for col in map(A.column, A._firsts):
         for block in P.blocks:
             if len({P.block_of[t] for t in _image_of_block(col, block)}) != 1:
                 return False
@@ -117,8 +116,7 @@ def is_admissible_decomposition(A: Semiautomaton, D: Decomposition) -> bool:
     if D.n_states != A.n_states:
         raise InvalidInputError("decomposition is over a different state count")
     sets = [set(b) for b in D.blocks]
-    for a in range(A.n_symbols):
-        col = A.column(a)
+    for col in map(A.column, A._firsts):
         for block in D.blocks:
             img = _image_of_block(col, block)
             if not any(img <= b for b in sets):
@@ -127,7 +125,7 @@ def is_admissible_decomposition(A: Semiautomaton, D: Decomposition) -> bool:
 
 
 def _block_label(A: Semiautomaton, block, idx: int) -> str:
-    lab = "{%s}" % ",".join(A.state_labels[s] for s in block)
+    lab = "{%s}" % ",".join(map(A.state_labels.__getitem__, block))
     return clamp_label(lab, "B%d" % idx)
 
 
@@ -135,11 +133,15 @@ def p_factor(A: Semiautomaton, P: Partition):
     """The quotient B = A/P plus the witness that A covers it (phi = block map)."""
     if not is_admissible_partition(A, P):
         raise InvalidInputError("partition is not admissible")
-    firsts = [block[0] for block in P.blocks]
+    heads = [block[0] for block in P.blocks]
+    columns = {}
+    for c in A._firsts:
+        col = A.column(c)
+        columns[c] = [P.block_of[col[s]] for s in heads]
     B = Semiautomaton.from_columns(
         _unique_labels(_block_label(A, b, i) for i, b in enumerate(P.blocks)),
         A.symbol_labels,
-        [[P.block_of[col[s]] for s in firsts] for col in map(A.column, range(A.n_symbols))],
+        map(columns.__getitem__, A._classes),
     )
     witness = CoveringWitness(A, B, P.block_of, range(A.n_symbols))
     return B, witness
@@ -154,14 +156,18 @@ def d_factor(A: Semiautomaton, D: Decomposition, choice=None):
     if not is_admissible_decomposition(A, D):
         raise InvalidInputError("decomposition is not admissible")
     sets = [set(b) for b in D.blocks]
-    columns = [A.column(a) for a in range(A.n_symbols)]
+    classes = A._classes
+    columns = [(c, A.column(c)) for c in A._firsts]
     delta = []
     dont_care = set()
     for i, block in enumerate(D.blocks):
-        row = []
-        for a, col in enumerate(columns):
+        # the blocks that contain the block's image, once per column class
+        contain = {}
+        for c, col in columns:
             img = _image_of_block(col, block)
-            candidates = [j for j, b in enumerate(sets) if img <= b]
+            contain[c] = [j for j, b in enumerate(sets) if img <= b]
+        row = []
+        for a, candidates in enumerate(map(contain.__getitem__, classes)):
             if choice is not None:
                 j = int(choice[i][a])
                 if j not in candidates:
@@ -236,33 +242,29 @@ def cascade_cover_from_partition(A: Semiautomaton, P: Partition, q: Optional[Par
 
     nsym = A.n_symbols
     c_symbols = _unique_labels(
-        clamp_label(
-            "(%s,%s)" % (B.state_labels[i], A.symbol_labels[a]),
-            "x%d" % (i * nsym + a),
-        )
-        for i in range(B.n_states)
-        for a in range(nsym)
+        clamp_label("(%s,%s)" % (block, symbol), "x%d" % (i * nsym + a))
+        for i, block in enumerate(B.state_labels)
+        for a, symbol in enumerate(A.symbol_labels)
     )
     # meets[i][j]: the unique state in P_i ∩ Q_j, or None when they miss
     meets = []
     for pb in P.blocks:
         pset = set(pb)
         meets.append([next(iter(pset.intersection(qb)), None) for qb in Q.blocks])
-    # cell (j, (i,a)): the state meets[i][j] moved by a, read off in Q
-    a_columns = [A.column(a) for a in range(nsym)]
+    # cell (j, (i,a)): the state meets[i][j] moved by a, read off in Q, once
+    # per column class of A
+    classes = A._classes
+    a_columns = [(c, A.column(c)) for c in A._firsts]
     columns_c = []
     dont_care = set()
     for i, states in enumerate(meets):
-        for a, col in enumerate(a_columns):
-            sym = i * nsym + a
-            column = []
-            for j, s in enumerate(states):
-                if s is None:
-                    column.append(0)
-                    dont_care.add((j, sym))
-                else:
-                    column.append(Q.block_of[col[s]])
-            columns_c.append(column)
+        column = {}
+        for c, col in a_columns:
+            column[c] = [0 if s is None else Q.block_of[col[s]] for s in states]
+        columns_c.extend(map(column.__getitem__, classes))
+        missing = [j for j, s in enumerate(states) if s is None]
+        if missing:
+            dont_care.update((j, i * nsym + a) for a in range(nsym) for j in missing)
     C = Semiautomaton.from_columns(
         _unique_labels(_block_label(A, b, j) for j, b in enumerate(Q.blocks)),
         c_symbols,
@@ -300,9 +302,16 @@ def yoeli_auxiliary(A: Semiautomaton, D: Decomposition, factor=None) -> YoeliAux
     if B.n_states != D.count or B.symbol_labels != A.symbol_labels:
         raise InvalidInputError("factor automaton does not match the decomposition")
     sets = [set(b) for b in D.blocks]
-    columns = [(A.column(a), B.column(a)) for a in range(A.n_symbols)]
+    # everything below depends on a symbol's columns in A and B only, so it
+    # runs for the first symbol of each pair of column classes
+    pairs = list(zip(A._classes, B._classes))
+    first = {}
+    for a, pair in enumerate(pairs):
+        first.setdefault(pair, a)
+    columns = {pair: (A.column(a), B.column(a)) for pair, a in first.items()}
     for i, block in enumerate(D.blocks):
-        for a, (col, b_col) in enumerate(columns):
+        for pair, a in first.items():
+            col, b_col = columns[pair]
             if not _image_of_block(col, block) <= sets[b_col[i]]:
                 raise InvalidInputError(
                     "factor automaton violates containment at block %d, symbol %s"
@@ -311,15 +320,16 @@ def yoeli_auxiliary(A: Semiautomaton, D: Decomposition, factor=None) -> YoeliAux
 
     states = tuple((s, i) for i, b in enumerate(D.blocks) for s in b)
     index = {pair: k for k, pair in enumerate(states)}
+    a_labels, b_labels = A.state_labels, B.state_labels
     labels = _unique_labels(
-        clamp_label("(%s,%s)" % (A.state_labels[s], B.state_labels[i]), "q%d" % k)
+        clamp_label("(%s,%s)" % (a_labels[s], b_labels[i]), "q%d" % k)
         for k, (s, i) in enumerate(states)
     )
-    a_star = Semiautomaton.from_columns(
-        labels,
-        A.symbol_labels,
-        [[index[(col[s], b_col[i])] for s, i in states] for col, b_col in columns],
-    )
+    star = {
+        pair: [index[(col[s], b_col[i])] for s, i in states]
+        for pair, (col, b_col) in columns.items()
+    }
+    a_star = Semiautomaton.from_columns(labels, A.symbol_labels, map(star.__getitem__, pairs))
 
     d_star = Partition(
         len(states),

@@ -14,7 +14,10 @@ _split, _grouplike_cover and _coset_split.
 
 A cascade node's witness is built in one pass by _substitute, which reads
 phi off the inner and outer witnesses, and input kinds are read off the flat
-table (Semiautomaton._kinds).
+table (Semiautomaton._kinds). Work that depends only on an input's column
+runs once per column class (Semiautomaton._classes): the kinds, the proof's
+choice table, the columns of a split's Pi and R, and the generators of every
+group closure.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .algebra import CLOSURE_CAP, clamp_label, closure_generate
+from .algebra import CLOSURE_CAP, clamp_label
 from .automata import (
     _CONSTANT,
     _IDENTITY,
@@ -33,6 +36,8 @@ from .automata import (
     CoveringWitness,
     Semiautomaton,
     _compose,
+    _input_closure,
+    _rows,
     _substitute,
     _unique_labels,
     cascade_product,
@@ -213,8 +218,8 @@ def _grouplike_cover(pi: Semiautomaton, closure_cap: int):
     G = FiniteGroup(M)
     glike = grouplike_of(G)
     elt = {t.image: k for k, t in enumerate(M.transformations)}
-    xi = [elt[tuple(pi.column(a).tolist())] for a in range(pi.n_symbols)]
-    return G, CoveringWitness(glike, pi, range(pi.n_states), xi)
+    xi = {c: elt[tuple(pi.column(c).tolist())] for c in pi._firsts}
+    return G, CoveringWitness(glike, pi, range(pi.n_states), map(xi.__getitem__, pi._classes))
 
 
 @dataclass
@@ -240,23 +245,13 @@ def _permutation_group(A: Semiautomaton, caps: Caps):
             "input %s is neither a permutation nor a reset"
             % A.symbol_labels[kinds.index(_OTHER)]
         )
-    n, table = A.n_states, A._table
+    n, table, classes = A.n_states, A._table, A._classes
     const = [table[a * n] if k == _CONSTANT else None for a, k in enumerate(kinds)]
     perm = [a for a, c in enumerate(const) if c is None]
-    # one Transformation per distinct column, shared by the inputs that act by it
-    perms = [None] * A.n_symbols
-    by_column = {}
-    for a in perm:
-        column = table[a * n:(a + 1) * n].tobytes()
-        if column not in by_column:
-            by_column[column] = A.symbol_transformation(a)
-        perms[a] = by_column[column]
-    K = closure_generate(
-        [perms[a] for a in perm],
-        domain_size=n,
-        cap=caps.closure_elements,
-        symbol_labels=[A.symbol_labels[a] for a in perm],
-    )
+    # one Transformation per column class, shared by the inputs of the class
+    by_class = {c: A.symbol_transformation(c) for c in A._firsts if const[c] is None}
+    perms = [None if k is not None else by_class[c] for k, c in zip(const, classes)]
+    K = _input_closure(A, perm, perms.__getitem__, caps.closure_elements)
     if K.order > caps.group_order:
         raise ResourceCapError(
             "permutation group of order %d exceeds the cap of %d"
@@ -288,26 +283,33 @@ def _split(A: Semiautomaton, const, perms, K) -> PRSplit:
     elt = {t.image: k for k, t in enumerate(K.transformations)}
     nk = K.order
 
-    delta_pi = [
-        [x if p is None else elt[t.compose(p).image] for p in perms]
-        for x, t in enumerate(K.transformations)
-    ]
-    pi = Semiautomaton(k_labels, A.symbol_labels, delta_pi)
+    # every column of Pi and every block of R's columns is computed once per
+    # column class of A and shared by the inputs of the class
+    classes, firsts = A._classes, A._firsts
+    columns_pi = {}
+    for c in firsts:
+        p = perms[c]
+        columns_pi[c] = list(range(nk)) if p is None else [
+            elt[t.compose(p).image] for t in K.transformations
+        ]
+    pi = Semiautomaton.from_columns(k_labels, A.symbol_labels, map(columns_pi.__getitem__, classes))
 
     r_symbols = _unique_labels(
         clamp_label("(%s,%s)" % (k_labels[x], A.symbol_labels[a]), "x%d" % (x * m + a))
         for x in range(nk)
         for a in range(m)
     )
-    inverses = [K.transformations[x].inverse().image for x in range(nk)]
-    delta_r = []
-    for s in range(n):
-        row = []
-        for x in range(nk):
-            for a in range(m):
-                row.append(s if const[a] is None else inverses[x][const[a]])
-        delta_r.append(row)
-    r = Semiautomaton(list(A.state_labels), r_symbols, delta_r)
+    # R's symbol (x, a) keeps a permutation input's state and sends a reset
+    # to c to c shifted back by the inverse of x
+    identity = list(range(n))
+    columns_r = []
+    for x in range(nk):
+        inverse = K.transformations[x].inverse().image
+        block = {
+            c: identity if const[c] is None else [inverse[const[c]]] * n for c in firsts
+        }
+        columns_r.extend(map(block.__getitem__, classes))
+    r = Semiautomaton.from_columns(list(A.state_labels), r_symbols, columns_r)
 
     omega = tuple(tuple(x * m + a for a in range(m)) for x in range(nk))
     product = cascade_product(pi, r, omega)
@@ -402,15 +404,14 @@ def _proof_choice(X: Semiautomaton):
     """Block targets from the chain theorem's proof: a permutation permutes the
     complement blocks along itself; anything else resets every block to the
     lowest block containing the whole image."""
-    n, table = X.n_states, X._table
-    choice = [[0] * X.n_symbols for _ in range(n)]
-    for a, kind in enumerate(X._kinds):
-        image = table[a * n:(a + 1) * n]
-        if kind not in _PERMUTATIONS:
+    n, table, kinds, classes = X.n_states, X._table, X._kinds, X._classes
+    images = {}
+    for c in X._firsts:
+        image = table[c * n:(c + 1) * n].tolist()
+        if kinds[c] not in _PERMUTATIONS:
             image = [min(set(range(n)).difference(image))] * n
-        for i in range(n):
-            choice[i][a] = image[i]
-    return choice
+        images[c] = image
+    return list(_rows(list(map(images.__getitem__, classes)), n))
 
 
 def _chain_steps(A: Semiautomaton):

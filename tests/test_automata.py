@@ -33,7 +33,13 @@ from krcascade import (
     verify_hom_image,
     word_transformation,
 )
-from krcascade.automata import _pair_state_labels, _substitute, _unique_labels
+from krcascade.automata import (
+    _check_omega,
+    _omega_fault,
+    _pair_state_labels,
+    _substitute,
+    _unique_labels,
+)
 
 from conftest import make_random_automaton
 
@@ -108,6 +114,56 @@ def test_transition_monoid(sa3):
         (1, 1, 2),
         (1, 1, 1),
     }
+
+
+class _Index:
+    """An integer-like entry that is not an int."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    __int__ = __index__
+
+
+@pytest.mark.parametrize(
+    "omega",
+    [
+        [[1, 1], [0, 0], [0, 1]],
+        [(True, False), (0, 0), (0, 1)],
+        [[1, 1], [0, _Index(1)], [0, 1]],
+        [[1.0, 1], [0, 0], [0, 1]],
+        [["1", 1], [0, 0], [0, 1]],
+        [[1, 1], [0, 0]],
+        [[1, 1], [0, 0], [0, 1], [0, 0]],
+        [[1, 1], [0, 0, 0], [0, 1]],
+        [[1, 1], [0, 0], [0]],
+        [[1, 2], [0, 0], [0, 1]],
+        [[1, 1], [0, -1], [0, 1]],
+        [[1, 1], [0, 2 ** 40], [0, 1]],
+        [[1, 1], [0, 0], [0, 1.5]],
+        [[1, 1], [0, "x"], [0, 1]],
+        [[1, 1], [0, [0]], [0, 1]],
+        [[1, 1], 0, [0, 1]],
+        iter([iter([1, 1]), iter([0, 0]), iter([0, 1])]),
+    ],
+)
+def test_check_omega_matches_entry_loop(sa2, sa3, omega):
+    # the check by builtins returns what the loop over every entry returns,
+    # ints only, and raises what it raises, with the same message
+    rows = [list(row) if not isinstance(row, int) else row for row in omega]
+    try:
+        want = _omega_fault(sa3, sa2, rows)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as got:
+            _check_omega(sa3, sa2, rows)
+        assert str(got.value) == str(exc)
+    else:
+        got = _check_omega(sa3, sa2, rows)
+        assert got == want
+        assert {type(x) for row in got for x in row} == {int}
 
 
 def test_direct_product(sa2):
@@ -495,7 +551,7 @@ def test_product_labels_are_rendered_on_first_read(sa2, sa3):
         (cascade_product(sa3, sa2, [[1, 1], [0, 0], [0, 1]]), (sa3, sa2)),
         (direct_product(A, B), (A, B)),
     ):
-        assert "state_labels" not in vars(product)
+        assert vars(product)["_state_labels"] is None
         assert product.state_labels == tuple(_pair_state_labels(*factors))
         assert product.state_index(product.state_labels[-1]) == product.n_states - 1
     assert direct_product(A, B).state_labels == ("(1,2,1)", "(1,1)", "(1,2,2,1)", "(1,2,1)#1")

@@ -164,6 +164,29 @@ def test_yoeli_auxiliary(six_state, six_d):
     assert covering_implies_simulation(aux.witness, 6)
 
 
+def test_repeated_column_keeps_its_own_choices(six_state, six_d):
+    # b and c have one column in A, but the choice table sends their
+    # arbitrary cells to different blocks, so their columns differ in B and
+    # in A*: work shared by a column class of A must also follow B's classes
+    a, b = (list(six_state.column(j)) for j in range(2))
+    A = Semiautomaton.from_columns(six_state.state_labels, ["a", "b", "c"], [a, b, b])
+    B, fc = d_factor(A, six_d, choice=[[0, 1, 1], [0, 0, 1], [1, 0, 1]])
+    assert fc.dont_care == {(1, 1), (2, 1), (1, 2), (2, 2)}
+    assert list(B.column(1)) == [1, 0, 0] and list(B.column(2)) == [1, 1, 1]
+    aux = yoeli_auxiliary(A, six_d, (B, fc))
+    index = {pair: k for k, pair in enumerate(aux.states)}
+    for x in range(3):
+        col, b_col = A.column(x), B.column(x)
+        assert list(aux.a_star.column(x)) == [index[(col[s], b_col[i])] for s, i in aux.states]
+    assert aux.b_star.table == B.table
+    # a containment fault in c's column of B is named at c
+    bad = Semiautomaton.from_columns(
+        B.state_labels, B.symbol_labels, [list(B.column(0)), list(B.column(1)), [0, 1, 1]]
+    )
+    with pytest.raises(InvalidInputError, match="at block 0, symbol c$"):
+        yoeli_auxiliary(A, six_d, factor=(bad, fc))
+
+
 def test_yoeli_rejects_mismatched_factor(six_state, six_d):
     B, fc = d_factor(six_state, six_d)
     wrong = Semiautomaton(["x", "y", "z"], ["a", "b"], [[1, 1], [2, 2], [0, 0]])

@@ -3,6 +3,8 @@
 import dataclasses
 import random
 import sys
+import tracemalloc
+from array import array
 from collections import Counter
 
 import pytest
@@ -631,9 +633,10 @@ def test_fused_substitution_matches_substitute_then_compose(monkeypatch, request
 def test_input_kinds_build_no_transformations(monkeypatch):
     # inputs are classified off the table; a Transformation is built only for
     # a generator of a group: each distinct permutation column of a factor
-    # that gets split, and each input of that split's permutation automaton.
-    # Building one per input to classify it would make 19,937 calls here, and
-    # one per permutation input of a split factor 3,321.
+    # that gets split, and each distinct column of that split's permutation
+    # automaton. Building one per input to classify it would make 19,937
+    # calls here, one per permutation input of a split factor 3,321, and one
+    # per input of each split's permutation automaton 1,067.
     calls = []
     build = Semiautomaton.symbol_transformation
 
@@ -644,7 +647,7 @@ def test_input_kinds_build_no_transformations(monkeypatch):
     monkeypatch.setattr(Semiautomaton, "symbol_transformation", counted)
     for seed in (0, 4, 6):
         krohn_rhodes_decompose(random6(seed))
-    assert len(calls) == 1067
+    assert len(calls) == 61
 
 
 def _corrupting(build):
@@ -737,7 +740,7 @@ def test_witness_domains_are_built_on_first_read():
     assert ok
     tree_report(tree, sim_len=6)
     witnesses = [node.witness for node in iter_nodes(tree)]
-    assert [w for w in witnesses if "dom" in vars(w)] == []
+    assert [w for w in witnesses if vars(w)["_dom"] is not None] == []
     rng = random.Random(5000)
     for w in witnesses:
         for c in [w] + _one_entry_corruptions(w, rng):
@@ -749,9 +752,9 @@ def test_witness_domains_are_built_on_first_read():
             )
             assert repr(c) == shown
             verify_covering(c)
-            assert "dom" not in vars(c)
+            assert vars(c)["_dom"] is None
             assert c.dom == dom
-            assert vars(c)["dom"] is c.dom
+            assert vars(c)["_dom"] is c.dom
             assert repr(c) == shown
 
 
@@ -810,3 +813,113 @@ def test_verify_tree_runs_one_law_pass_per_node(monkeypatch, request, name):
         assert [(id(n), r) for n, r in results] == [(id(n), r) for n, r in want]
         verdicts.append(ok)
     assert verdicts[0] and False in verdicts[1:]
+
+
+def _law_violation_per_symbol(w):
+    """The law check with one symbol pass per lower symbol, repeated columns
+    included: the check as it was before column classes."""
+    phi = w.phi
+    threshold = automata._SYMBOL_PASS_STATES
+    if len(phi) < threshold or len(phi) - phi.count(None) < threshold:
+        return automata._first_law_failure(w)
+    inside = [v is not None for v in phi]
+    low = [v for v in phi if v is not None]
+    upper, nu = w.upper.table, w.upper.n_states
+    lower, nl = w.lower.table, w.lower.n_states
+    for a, x in enumerate(w.xi):
+        image = lower[a * nl:(a + 1) * nl].tolist()
+        column = upper[x * nu:(x + 1) * nu].tolist()
+        for t, v in zip((t for t, keep in zip(column, inside) if keep), low):
+            if phi[t] != image[v]:
+                return automata._first_law_failure(w)
+    return None
+
+
+def _verdicts(w):
+    """verify_covering's (ok, reason, site) on w, and the same with the law
+    checked one symbol at a time."""
+    got = verify_covering(w)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(automata, "_law_violation", _law_violation_per_symbol)
+        want = verify_covering(w)
+    return (got.ok, got.reason, got.site), (want.ok, want.reason, want.site)
+
+
+def _twin_column_corruptions(w, rng):
+    """Copies of w with one cell changed in a column of the upper or of the
+    lower automaton that has the same contents as another column, on a state
+    the law check reads. The upper one is made only below 100,000 states,
+    since a failure renders every upper state label."""
+    out = []
+    for side in ("upper", "lower"):
+        X = getattr(w, side)
+        n = X.n_states
+        twins = [a for a, c in enumerate(X._classes) if c != a]
+        if n < 2 or not twins or (side == "upper" and n > 100_000):
+            continue
+        a = rng.choice(twins)
+        if side == "upper":
+            s = rng.choice(w.dom)
+        else:
+            s = rng.choice([v for v in set(w.phi) if v is not None])
+        table = array("i", X.table)
+        table[a * n + s] = (table[a * n + s] + 1) % n
+        Y = Semiautomaton.from_columns(
+            X.state_labels, X.symbol_labels, [table[k:k + n] for k in range(0, len(table), n)]
+        )
+        upper, lower = (Y, w.lower) if side == "upper" else (w.upper, Y)
+        out.append(CoveringWitness(upper, lower, w.phi, w.xi, check=False))
+    return out
+
+
+@pytest.mark.parametrize("n, seeds", [(5, range(10)), (6, (0, 4, 6))])
+def test_law_check_by_column_class_matches_per_symbol_check(n, seeds):
+    # one symbol pass per distinct pair of column classes gives the verdict,
+    # reason and site of one pass per symbol, on every node witness and on
+    # copies with a cell changed in a column that had a twin
+    rng = random.Random(n)
+    skipped = failed = 0
+    for seed in seeds:
+        tree = krohn_rhodes_decompose(random_n(n, seed))
+        for node in iter_nodes(tree):
+            w = node.witness
+            got, want = _verdicts(w)
+            assert got == want and got[0]
+            skipped += len(w.xi) - len(automata._law_pairs(w))
+            for c in _twin_column_corruptions(w, rng):
+                got, want = _verdicts(c)
+                assert got == want
+                failed += not got[0]
+    assert skipped > 0 and failed > 0
+
+
+def test_law_check_passes_once_per_distinct_column_pair(monkeypatch):
+    # decomposing random-6 seed 0 makes 56 symbol passes where one per
+    # lower symbol would make 374
+    passes = []
+    pairs = automata._law_pairs
+
+    def counted(w):
+        out = pairs(w)
+        passes.append((len(out), len(w.xi)))
+        return out
+
+    monkeypatch.setattr(automata, "_law_pairs", counted)
+    krohn_rhodes_decompose(random6(0))
+    assert (sum(p for p, _ in passes), sum(m for _, m in passes)) == (56, 374)
+
+
+def test_column_classes_copy_no_column():
+    # the classes of the random-6 seed-0 root come from views of its table,
+    # without a copy of a column
+    root = krohn_rhodes_decompose(random6(0)).automaton
+    assert (root.n_states, root.n_symbols) == (368_640, 2)
+    root._column_classes = None
+    tracemalloc.start()
+    try:
+        classes = root._classes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(classes) == [0, 1]
+    assert peak < root.n_states * root.table.itemsize

@@ -1,7 +1,10 @@
 """Property-based checks of the algebraic laws on randomly generated inputs."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import krcascade.automata as kr_automata
 
 from krcascade import (
     CoveringWitness,
@@ -25,10 +28,11 @@ from krcascade import (
     right_regular_representation,
     run,
     simulation_counterexample,
+    transition_monoid,
     verify_covering,
     word_transformation,
 )
-from krcascade.automata import _CONSTANT, _IDENTITY, _OTHER, _PERMUTATION
+from krcascade.automata import _CONSTANT, _IDENTITY, _OTHER, _PERMUTATION, _input_closure
 
 
 @st.composite
@@ -202,11 +206,11 @@ def test_verified_witness_simulates(A, data):
 
 
 @st.composite
-def input_columns(draw):
+def input_columns(draw, max_states=6, max_symbols=64):
     """An automaton of 1 to 6 states and 1 to 64 symbols whose columns are
     drawn as identities, constants, permutations or arbitrary maps."""
-    n = draw(st.integers(1, 6))
-    m = draw(st.integers(1, 64))
+    n = draw(st.integers(1, max_states))
+    m = draw(st.integers(1, max_symbols))
     columns = []
     for _ in range(m):
         kind = draw(st.sampled_from(["identity", "constant", "permutation", "any"]))
@@ -246,3 +250,43 @@ def test_input_kinds_match_transformations(A):
         else InputClass.OTHER
         for t in ts
     ]
+
+
+@settings(deadline=None)
+@given(input_columns(), st.booleans())
+def test_column_classes_match_column_equality(A, collide):
+    # the class of an input is the lowest input with an equal column; with
+    # every CRC made equal, the cell-by-cell comparison alone must find it
+    columns = [tuple(A.column(a)) for a in range(A.n_symbols)]
+    expected = tuple(columns.index(col) for col in columns)
+    with pytest.MonkeyPatch.context() as mp:
+        if collide:
+            mp.setattr(kr_automata, "crc32", lambda column: 0)
+        B = Semiautomaton.from_columns(A.state_labels, A.symbol_labels, columns)
+        assert tuple(B._classes) == expected
+    assert list(A._kinds) == [A._kinds[c] for c in expected]
+
+
+@settings(deadline=None)
+@given(input_columns(max_states=4, max_symbols=8), st.data())
+def test_closure_over_classes_matches_closure_over_inputs(A, data):
+    # one generator per column class gives the closure over every input:
+    # the same elements in the same order, with the same words and labels;
+    # the inputs are every input of some of the classes, as the permutation
+    # inputs of an automaton are
+    chosen = data.draw(st.sets(st.sampled_from(A._firsts)))
+    inputs = [a for a, c in enumerate(A._classes) if c in chosen]
+    M = _input_closure(A, inputs, A.symbol_transformation, 10_000)
+    N = closure_generate(
+        [A.symbol_transformation(a) for a in inputs],
+        domain_size=A.n_states,
+        symbol_labels=[A.symbol_labels[a] for a in inputs],
+    )
+    assert M.transformations == N.transformations
+    assert M.witnesses == N.witnesses
+    assert M.labels == N.labels
+    assert M.table == N.table
+    T, U = transition_monoid(A), closure_generate(
+        A.transformations(), domain_size=A.n_states, symbol_labels=A.symbol_labels
+    )
+    assert (T.transformations, T.witnesses, T.labels) == (U.transformations, U.witnesses, U.labels)
