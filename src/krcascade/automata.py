@@ -10,7 +10,7 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from operator import index, is_not, not_
 from typing import Optional
 from zlib import crc32
@@ -104,6 +104,12 @@ class _PairLabels:
 
     def render(self):
         return tuple(_pair_state_labels(self.A, self.B))
+
+    def label(self, s):
+        """Label s alone. _unique_labels renames a repeat only by the labels
+        before it, so the candidates after s are not rendered, and none of
+        the rendered ones is kept."""
+        return _unique_labels(islice(_pair_candidates(self.A, self.B), s + 1))[s]
 
 
 class TableRows:
@@ -455,13 +461,17 @@ def _input_closure(A: Semiautomaton, inputs, transformation, cap: int):
     return M
 
 
-def _pair_state_labels(A: Semiautomaton, B: Semiautomaton):
+def _pair_candidates(A: Semiautomaton, B: Semiautomaton):
     nb = B.n_states
-    return _unique_labels(
+    return (
         clamp_label("(%s,%s)" % (la, lb), "q%d" % (i * nb + j))
         for i, la in enumerate(A.state_labels)
         for j, lb in enumerate(B.state_labels)
     )
+
+
+def _pair_state_labels(A: Semiautomaton, B: Semiautomaton):
+    return _unique_labels(_pair_candidates(A, B))
 
 
 def _product(A: Semiautomaton, B: Semiautomaton, connection) -> Semiautomaton:
@@ -770,6 +780,13 @@ def _first_law_failure(w: CoveringWitness):
     return None
 
 
+def _state_label(X: Semiautomaton, s: int) -> str:
+    """X's state label s. A product whose labels are not rendered yet
+    renders the labels up to s only, and keeps none of them."""
+    labels = X._state_labels
+    return X._pending_labels.label(s) if labels is None else labels[s]
+
+
 def verify_covering(w: CoveringWitness) -> VerificationResult:
     """Exhaustive check of surjectivity, domain closure, and the per-symbol law."""
     upper, lower = w.upper, w.lower
@@ -780,7 +797,7 @@ def verify_covering(w: CoveringWitness) -> VerificationResult:
     if covered != set(range(lower.n_states)):
         missing = min(set(range(lower.n_states)) - covered)
         return VerificationResult(
-            False, "phi misses lower state %s" % lower.state_labels[missing]
+            False, "phi misses lower state %s" % _state_label(lower, missing)
         )
     site = _law_violation(w)
     if site is None:
@@ -793,7 +810,7 @@ def verify_covering(w: CoveringWitness) -> VerificationResult:
     return VerificationResult(
         False,
         "covering law fails at state %s under symbol %s"
-        % (upper.state_labels[s], lower.symbol_labels[a]),
+        % (_state_label(upper, s), lower.symbol_labels[a]),
         site,
     )
 
@@ -822,21 +839,12 @@ def identity_witness(A: Semiautomaton) -> CoveringWitness:
     return CoveringWitness(A, A, range(A.n_states), range(A.n_symbols))
 
 
-def _compose(w1: CoveringWitness, w2: CoveringWitness) -> CoveringWitness:
-    """From C >= B and B >= A, the transitive witness C >= A, with no checks."""
-    image = dict(enumerate(w2.phi))
-    image[None] = None
-    phi = tuple(map(image.__getitem__, w1.phi))
-    xi = tuple(map(w1.xi.__getitem__, w2.xi))
-    return CoveringWitness._from_parts(w1.upper, w2.lower, phi, xi)
-
-
 def compose_coverings(w1: CoveringWitness, w2: CoveringWitness) -> CoveringWitness:
     """From C >= B and B >= A, the transitive witness C >= A.
 
     Both inputs are verified first, so the result covers by transitivity.
-    Inside krohn_rhodes_decompose the unchecked _compose is used instead, and
-    each witness is verified once, where the tree node that keeps it is made.
+    krohn_rhodes_decompose composes none: it reads each node's witness off
+    its parts (_substitute) and verifies it once, where the node is made.
     """
     if w1.lower != w2.upper:
         raise WitnessError("middle automata of the two witnesses differ")
@@ -845,7 +853,11 @@ def compose_coverings(w1: CoveringWitness, w2: CoveringWitness) -> CoveringWitne
         raise WitnessError("first witness does not verify: %s" % r1.reason)
     if not r2:
         raise WitnessError("second witness does not verify: %s" % r2.reason)
-    return _compose(w1, w2)
+    image = dict(enumerate(w2.phi))
+    image[None] = None
+    phi = tuple(map(image.__getitem__, w1.phi))
+    xi = tuple(map(w1.xi.__getitem__, w2.xi))
+    return CoveringWitness._from_parts(w1.upper, w2.lower, phi, xi)
 
 
 def simulation_counterexample(w: CoveringWitness, max_len: int):
@@ -895,44 +907,44 @@ class Substitution:
 
 
 def _substitute(
-    product_ac, A, C, omega, w_u: CoveringWitness, w_v: CoveringWitness, w_out: CoveringWitness
+    A, C, omega, w_u: CoveringWitness, w_v: CoveringWitness, phi, xi, X: Semiautomaton
 ) -> Substitution:
-    """substitute, with its witness composed with w_out, a witness
-    A∘C >= X: the Substitution's witness is U'∘V >= X, built in one pass.
+    """substitute, composed with a cover A∘C >= X given by its parts, which
+    never needs A∘C built: phi has one entry per state a·|C| + c of A∘C, and
+    xi one entry per symbol of X. The Substitution's witness is U'∘V >= X,
+    built in one pass.
 
-    phi(u, v) = phi_out(phi_U(u)·|C| + phi_V(v)), outside the domain when
-    phi_U(u), phi_V(v) or that entry of phi_out is. It is one block of |V|
-    entries per distinct phi_U(u), read off phi_out's row phi_U(u), so the
-    entries are phi_out's own. xi is xi_out, since the product keeps A's
-    alphabet. The witness is built unchecked from those parts
-    (CoveringWitness._from_parts): verify it once, or verify the tree node
-    witness it becomes, as krohn_rhodes_decompose does.
+    phi'(u, v) = phi(phi_U(u)·|C| + phi_V(v)), outside the domain when
+    phi_U(u), phi_V(v) or that entry of phi is. It is one block of |V|
+    entries per distinct phi_U(u), read off phi's row phi_U(u), so the
+    entries are phi's own. xi' is xi, since the product keeps A's alphabet.
+    The witness is built unchecked (CoveringWitness._from_parts): verify it
+    once, or verify the tree node witness it becomes, as
+    krohn_rhodes_decompose does.
     """
     omega = _check_omega(A, C, omega)
     if w_u.lower != A:
         raise WitnessError("inner witness does not cover the first factor")
     if w_v.lower != C:
         raise WitnessError("inner witness does not cover the second factor")
-    if product_ac.n_states != A.n_states * C.n_states:
+    nc = C.n_states
+    if len(phi) != A.n_states * nc:
         raise InvalidInputError("product automaton does not match the given factors")
-    if w_out.upper != product_ac:
-        raise WitnessError("outer witness does not start at the product automaton")
     U, V = w_u.upper, w_v.upper
     u_prime = Semiautomaton.from_columns(
         U.state_labels, A.symbol_labels, [U.column(x) for x in w_u.xi]
     )
-    nc = C.n_states
     rows, blocks = {}, {None: (None,) * V.n_states}
     for pu in set(w_u.phi):
         rows[pu] = tuple(map(w_v.xi.__getitem__, omega[0 if pu is None else pu]))
         if pu is not None:
-            image = dict(enumerate(w_out.phi[pu * nc:(pu + 1) * nc]))
+            image = dict(enumerate(phi[pu * nc:(pu + 1) * nc]))
             image[None] = None
             blocks[pu] = tuple(map(image.__getitem__, w_v.phi))
     omega2 = tuple(map(rows.__getitem__, w_u.phi))
     product = cascade_product(u_prime, V, omega2)
-    phi = tuple(chain.from_iterable(map(blocks.__getitem__, w_u.phi)))
-    witness = CoveringWitness._from_parts(product, w_out.lower, phi, w_out.xi)
+    phi2 = tuple(chain.from_iterable(map(blocks.__getitem__, w_u.phi)))
+    witness = CoveringWitness._from_parts(product, X, phi2, tuple(xi))
     return Substitution(u_prime, product, omega2, witness)
 
 
@@ -952,7 +964,8 @@ def substitute(
     unchecked: verify it once, or verify the tree node witness it is composed
     into, as krohn_rhodes_decompose does.
     """
-    return _substitute(product_ac, A, C, omega, w_u, w_v, identity_witness(product_ac))
+    n, m = product_ac.n_states, product_ac.n_symbols
+    return _substitute(A, C, omega, w_u, w_v, range(n), range(m), product_ac)
 
 
 def substitute_right(product_ac, A, C, omega, w_v: CoveringWitness) -> Substitution:

@@ -8,13 +8,7 @@ from itertools import chain
 from typing import Optional
 
 from .algebra import clamp_label
-from .automata import (
-    CoveringWitness,
-    Semiautomaton,
-    _compose,
-    _unique_labels,
-    cascade_product,
-)
+from .automata import CoveringWitness, Semiautomaton, _unique_labels, cascade_product
 from .errors import InvalidInputError
 
 
@@ -239,14 +233,25 @@ def cascade_cover_from_partition(A: Semiautomaton, P: Partition, q: Optional[Par
     B, _ = p_factor(A, P)
     Q = complementary_partition(A.n_states, P) if q is None else q
     _check_complementary(P, Q)
+    C, omega, meets = _partition_cover(A, P, Q, B)
+    m = A.n_symbols
+    missing = [(i, j) for i, states in enumerate(meets) for j, s in enumerate(states) if s is None]
+    dont_care = frozenset((j, i * m + a) for i, j in missing for a in range(m))
+    product = cascade_product(B, C, omega)
+    witness = CoveringWitness(product, A, chain.from_iterable(meets), range(m))
+    return CascadeCover(B, C, omega, product, witness, dont_care, P, Q)
 
+
+def _partition_cover(A: Semiautomaton, P: Partition, Q: Partition, B: Semiautomaton):
+    """(C, omega, meets) of cascade_cover_from_partition, for B = A/P,
+    without the product B∘C: meets[i][j] is the unique state in P_i ∩ Q_j,
+    or None when they miss, so the cover's phi is meets read row by row."""
     nsym = A.n_symbols
     c_symbols = _unique_labels(
         clamp_label("(%s,%s)" % (block, symbol), "x%d" % (i * nsym + a))
         for i, block in enumerate(B.state_labels)
         for a, symbol in enumerate(A.symbol_labels)
     )
-    # meets[i][j]: the unique state in P_i ∩ Q_j, or None when they miss
     meets = []
     for pb in P.blocks:
         pset = set(pb)
@@ -256,28 +261,18 @@ def cascade_cover_from_partition(A: Semiautomaton, P: Partition, q: Optional[Par
     classes = A._classes
     a_columns = [(c, A.column(c)) for c in A._firsts]
     columns_c = []
-    dont_care = set()
     for i, states in enumerate(meets):
         column = {}
         for c, col in a_columns:
             column[c] = [0 if s is None else Q.block_of[col[s]] for s in states]
         columns_c.extend(map(column.__getitem__, classes))
-        missing = [j for j, s in enumerate(states) if s is None]
-        if missing:
-            dont_care.update((j, i * nsym + a) for a in range(nsym) for j in missing)
     C = Semiautomaton.from_columns(
         _unique_labels(_block_label(A, b, j) for j, b in enumerate(Q.blocks)),
         c_symbols,
         columns_c,
     )
-
-    omega = tuple(
-        tuple(i * nsym + a for a in range(nsym)) for i in range(B.n_states)
-    )
-    product = cascade_product(B, C, omega)
-
-    witness = CoveringWitness(product, A, chain.from_iterable(meets), range(nsym))
-    return CascadeCover(B, C, omega, product, witness, frozenset(dont_care), P, Q)
+    omega = tuple(tuple(i * nsym + a for a in range(nsym)) for i in range(B.n_states))
+    return C, omega, meets
 
 
 @dataclass
@@ -358,13 +353,23 @@ class DecompositionCover:
 def cascade_cover_from_decomposition(A: Semiautomaton, D: Decomposition, choice=None) -> DecompositionCover:
     """B*∘C >= A for an admissible decomposition, via the auxiliary automaton.
 
-    The two covers are composed unchecked; verify the witness before relying
-    on it, as krohn_rhodes_decompose does at the tree node that keeps it.
+    The witness is built unchecked; verify it before relying on it.
     """
+    aux, fc, C, omega, phi = _decomposition_cover(A, D, choice)
+    product = cascade_product(aux.b_star, C, omega)
+    witness = CoveringWitness(product, A, phi, range(A.n_symbols), check=False)
+    return DecompositionCover(aux.b_star, C, omega, product, witness, aux, fc)
+
+
+def _decomposition_cover(A: Semiautomaton, D: Decomposition, choice):
+    """(aux, fc, C, omega, phi) of cascade_cover_from_decomposition, without
+    the product B*∘C: the partition cover of A* by D*, on the auxiliary's
+    own B* = A*/D*, with phi read on through A* >= A, which forgets the
+    block."""
     B, fc = d_factor(A, D, choice)
     aux = yoeli_auxiliary(A, D, (B, fc))
-    cover = cascade_cover_from_partition(aux.a_star, aux.d_star)
-    witness = _compose(cover.witness, aux.witness)
-    return DecompositionCover(
-        cover.b, cover.c, cover.omega, cover.product, witness, aux, fc
-    )
+    Q = complementary_partition(aux.a_star.n_states, aux.d_star)
+    C, omega, meets = _partition_cover(aux.a_star, aux.d_star, Q, aux.b_star)
+    forget = aux.witness.phi
+    phi = tuple(None if k is None else forget[k] for k in chain.from_iterable(meets))
+    return aux, fc, C, omega, phi

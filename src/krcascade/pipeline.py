@@ -3,28 +3,27 @@ decomposition tree.
 
 Every constructed covering is kept as an explicit witness; the tree's root
 witness proves that the assembled cascade covers the original automaton. Each
-node's witness is verified once, by _node where the node is made; the
-witnesses composed into it along the way are not checked on their own. The
-one other check is on the root witness of each permutation factor's grouplike
-tree, verified as that tree's root before _refine_factor replaces it by the
-cover of the factor itself. split_permutation_reset,
-cover_permutation_by_grouplike and grouplike_cascade_split verify the witness
-each of them returns; the tree is built through their unchecked bodies,
-_split, _grouplike_cover and _coset_split.
+node's witness is verified once, by _node where the node is made, and no
+other witness is: the ones composed into it along the way are not checked on
+their own. split_permutation_reset, cover_permutation_by_grouplike and
+grouplike_cascade_split verify the witness each of them returns; the tree is
+built through their unchecked bodies, _split, _grouplike_cover and
+_coset_split, which build no product: a cascade step's outer cover reaches
+_substitute as its parts, phi and xi, so the tree builds only its nodes.
 
 A cascade node's witness is built in one pass by _substitute, which reads
-phi off the inner and outer witnesses, and input kinds are read off the flat
-table (Semiautomaton._kinds). Work that depends only on an input's column
-runs once per column class (Semiautomaton._classes): the kinds, the proof's
-choice table, the columns of a split's Pi and R, and the generators of every
-group closure.
+phi off the inner witnesses and the outer cover, and input kinds are read off
+the flat table (Semiautomaton._kinds). Work that depends only on an input's
+column runs once per column class (Semiautomaton._classes): the kinds, the
+proof's choice table, the columns of a split's Pi and R, and the generators
+of every group closure.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Union
 
 from .algebra import CLOSURE_CAP, clamp_label
@@ -35,16 +34,13 @@ from .automata import (
     _PERMUTATION,
     CoveringWitness,
     Semiautomaton,
-    _compose,
     _input_closure,
     _rows,
     _substitute,
     _unique_labels,
     cascade_product,
-    compose_coverings,
     direct_product,
     identity_witness,
-    substitute_right,
     transition_monoid,
     verify_covering,
 )
@@ -65,7 +61,7 @@ from .groups import (
 from .partitions import (
     Decomposition,
     Partition,
-    cascade_cover_from_decomposition,
+    _decomposition_cover,
     complementary_partition,
     p_factor,
 )
@@ -269,14 +265,16 @@ def split_permutation_reset(A: Semiautomaton, caps: Caps = Caps()) -> PRSplit:
     back by the inverse of the accumulated permutation, and phi replays the
     permutation on top of R's state.
     """
-    split = _split(A, *_permutation_group(A, caps))
-    _require(verify_covering(split.witness), "permutation-reset split")
-    return split
+    pi, r, omega, phi = _split(A, *_permutation_group(A, caps))
+    product = cascade_product(pi, r, omega)
+    witness = CoveringWitness(product, A, phi, range(A.n_symbols), check=False)
+    _require(verify_covering(witness), "permutation-reset split")
+    return PRSplit(pi, r, omega, product, witness)
 
 
-def _split(A: Semiautomaton, const, perms, K) -> PRSplit:
-    """split_permutation_reset on the (const, perms, K) of
-    _permutation_group(A), with its witness unchecked."""
+def _split(A: Semiautomaton, const, perms, K):
+    """(Pi, R, omega, phi) of split_permutation_reset on the (const, perms,
+    K) of _permutation_group(A), without the product Pi∘R."""
     n, m = A.n_states, A.n_symbols
     # element labels are rendered words, which can coincide with one another
     k_labels = _unique_labels(K.labels)
@@ -312,10 +310,8 @@ def _split(A: Semiautomaton, const, perms, K) -> PRSplit:
     r = Semiautomaton.from_columns(list(A.state_labels), r_symbols, columns_r)
 
     omega = tuple(tuple(x * m + a for a in range(m)) for x in range(nk))
-    product = cascade_product(pi, r, omega)
-    phi = [K.transformations[x].image[s] for x in range(nk) for s in range(n)]
-    witness = CoveringWitness(product, A, phi, range(m), check=False)
-    return PRSplit(pi, r, omega, product, witness)
+    phi = tuple(chain.from_iterable(t.image for t in K.transformations))
+    return pi, r, omega, phi
 
 
 @dataclass
@@ -388,8 +384,7 @@ class ChainStep:
     b: Semiautomaton
     c: Semiautomaton
     omega: tuple
-    product: Semiautomaton
-    witness: CoveringWitness
+    phi: tuple
 
 
 @dataclass
@@ -423,11 +418,9 @@ def _chain_steps(A: Semiautomaton):
     while not is_permutation_reset(X):
         n = X.n_states
         D = Decomposition(n, [sorted(set(range(n)) - {i}) for i in range(n)])
-        cover = cascade_cover_from_decomposition(X, D, _proof_choice(X))
-        steps.append(
-            ChainStep(X, cover.b_star, cover.c, cover.omega, cover.product, cover.witness)
-        )
-        X = cover.c
+        aux, _, C, omega, phi = _decomposition_cover(X, D, _proof_choice(X))
+        steps.append(ChainStep(X, aux.b_star, C, omega, phi))
+        X = C
     for B in [st.b for st in steps] + [X]:
         if not is_permutation_reset(B):
             raise InvalidInputError("chain produced a non-permutation-reset factor")
@@ -440,15 +433,23 @@ def pr_chain(A: Semiautomaton) -> PRChain:
     Repeatedly applies the decomposition into all (n-1)-element state subsets
     until the continuation is itself permutation-reset; with the proof's block
     choice every factor comes out permutation-reset, and each step shrinks the
-    continuation by one state, so at most n-1 factors appear.
+    continuation by one state, so at most n-1 factors appear. The cascade is
+    assembled as krohn_rhodes_decompose assembles its chain, each factor
+    covered by itself, and its witness is verified once.
     """
     steps, X = _chain_steps(A)
-    cascade, witness = X, identity_witness(X)
+    witness = identity_witness(X)
     for st in reversed(steps):
-        sub = substitute_right(st.product, st.b, st.c, st.omega, witness)
-        cascade = sub.product
-        witness = compose_coverings(sub.witness, st.witness)
-    return PRChain([st.b for st in steps] + [X], steps, cascade, witness)
+        witness = _chain_cascade(st, identity_witness(st.b), witness).witness
+    _require(verify_covering(witness), "permutation-reset chain")
+    return PRChain([st.b for st in steps] + [X], steps, witness.upper, witness)
+
+
+def _chain_cascade(st: ChainStep, w_b: CoveringWitness, w_c: CoveringWitness):
+    """The Substitution that covers chain step st's source by the cascade of
+    w_b's upper over w_c's, where w_b covers the step's B and w_c its C."""
+    X = st.source
+    return _substitute(st.b, st.c, st.omega, w_b, w_c, st.phi, range(X.n_symbols), X)
 
 
 @dataclass
@@ -471,14 +472,17 @@ def grouplike_cascade_split(G: FiniteGroup, H) -> GrouplikeSplit:
     which identifies the partition cascade's second factor with grouplike(H)
     driven through that connection.
     """
-    split = _coset_split(G, H)
-    _require(verify_covering(split.witness), "coset split of the grouplike automaton")
-    return split
-
-
-def _coset_split(G: FiniteGroup, H) -> GrouplikeSplit:
-    """grouplike_cascade_split, with its witness unchecked."""
     glike = grouplike_of(G)
+    b, c_prime, omega, phi, h_group, cp = _coset_split(glike, G, H)
+    product = cascade_product(b, c_prime, omega)
+    witness = CoveringWitness(product, glike, phi, range(G.order), check=False)
+    _require(verify_covering(witness), "coset split of the grouplike automaton")
+    return GrouplikeSplit(b, c_prime, h_group, omega, product, witness, cp)
+
+
+def _coset_split(glike: Semiautomaton, G: FiniteGroup, H):
+    """(B, C', omega, phi, H as a group, cosets) of grouplike_cascade_split,
+    with glike = grouplike(G), without the product B∘C'."""
     cp = coset_partition(G, H)
     h_group, h_elems = subgroup_as_group(G, H)
     b, _ = p_factor(glike, Partition(G.order, [cp.block(i) for i in range(cp.count)]))
@@ -494,35 +498,38 @@ def _coset_split(G: FiniteGroup, H) -> GrouplikeSplit:
             row.append(h_index[G.mul(x, G.inv(rep))])
         omega.append(row)
     omega = tuple(tuple(r) for r in omega)
-
-    product = cascade_product(b, c_prime, omega)
-    phi = [G.mul(h, t) for t in cp.transversal for h in h_elems]
-    witness = CoveringWitness(product, glike, phi, range(G.order))
-    return GrouplikeSplit(b, c_prime, h_group, omega, product, witness, cp)
+    phi = tuple(G.mul(h, t) for t in cp.transversal for h in h_elems)
+    return b, c_prime, omega, phi, h_group, cp
 
 
-def grouplike_to_simple_cascade(G: FiniteGroup, caps: Caps = Caps()) -> Node:
+def grouplike_to_simple_cascade(
+    G: FiniteGroup, caps: Caps = Caps(), cover: Optional[CoveringWitness] = None
+) -> Node:
     """Cascade of simple grouplike leaves covering grouplike(G), one leaf per
-    composition factor."""
+    composition factor. Given cover, a witness grouplike(G) >= X, the root
+    covers X through it; the default is the identity cover of grouplike(G)."""
     if G.order > caps.group_order:
         raise ResourceCapError(
             "group of order %d exceeds the cap of %d" % (G.order, caps.group_order)
         )
+    if cover is None:
+        cover = identity_witness(grouplike_of(G))
+    elif tuple(cover.upper.table) != tuple(chain.from_iterable(zip(*G.table))):
+        raise InvalidInputError("cover does not start at the grouplike automaton of G")
+    glike = cover.upper
     if G.order == 1 or is_simple(G, caps.group_order):
-        glike = grouplike_of(G)
-        w_glike = identity_witness(glike)
-        return _node("simple grouplike leaf", Leaf, LEAF_GROUPLIKE, glike, w_glike, group=G)
+        return _node("simple grouplike leaf", Leaf, LEAF_GROUPLIKE, glike, cover, group=G)
 
     H, quotient = next(_composition_walk(G, caps.group_order))
-    split = _coset_split(G, H)
+    b, c_prime, omega, phi, h_group, cp = _coset_split(glike, G, H)
     glq = grouplike_of(quotient)
-    w_leaf = CoveringWitness(glq, split.b, range(quotient.order), split.cosets.cosets)
+    w_leaf = CoveringWitness(glq, b, range(quotient.order), cp.cosets)
     leaf = _node("grouplike quotient leaf", Leaf, LEAF_GROUPLIKE, glq, w_leaf, group=quotient)
 
-    inner = grouplike_to_simple_cascade(split.h_group, caps)
-    sub = _substitute(
-        split.product, split.b, split.c_prime, split.omega, w_leaf, inner.witness, split.witness
-    )
+    inner = grouplike_to_simple_cascade(h_group, caps)
+    # the split's xi is the identity, so the root's xi is the cover's
+    phi = tuple(map(cover.phi.__getitem__, phi))
+    sub = _substitute(b, c_prime, omega, w_leaf, inner.witness, phi, cover.xi, cover.lower)
     return _node("coset cascade", CascadeNode, leaf, inner, sub.omega, sub.product, sub.witness)
 
 
@@ -618,20 +625,13 @@ def _refine_factor(plan: _Plan, caps: Caps) -> Node:
     B = plan.automaton
     if plan.group is None:
         return reset_to_two_state(B).tree
-    split = _split(B, *plan.group)
-    G, w_g = _grouplike_cover(split.pi, caps.closure_elements)
-    g_tree = grouplike_to_simple_cascade(G, caps)
-    w_pi = _compose(g_tree.witness, w_g)
-
-    r_tree = reset_to_two_state(split.r).tree
-    sub = _substitute(
-        split.product, split.pi, split.r, split.omega, w_pi, r_tree.witness, split.witness
-    )
-    left = _node(
-        "grouplike cover of the permutation factor", dataclasses.replace, g_tree, witness=w_pi
-    )
+    pi, r, omega, phi = _split(B, *plan.group)
+    G, w_g = _grouplike_cover(pi, caps.closure_elements)
+    g_tree = grouplike_to_simple_cascade(G, caps, w_g)
+    r_tree = reset_to_two_state(r).tree
+    sub = _substitute(pi, r, omega, g_tree.witness, r_tree.witness, phi, range(B.n_symbols), B)
     return _node(
-        "permutation-reset factor", CascadeNode, left, r_tree, sub.omega, sub.product, sub.witness
+        "permutation-reset factor", CascadeNode, g_tree, r_tree, sub.omega, sub.product, sub.witness
     )
 
 
@@ -650,9 +650,7 @@ def krohn_rhodes_decompose(A: Semiautomaton, caps: Caps = Caps()) -> Node:
     node = _build(base, caps)
     for st, plan, states in above:
         left = _build(plan, caps)
-        sub = _substitute(
-            st.product, st.b, st.c, st.omega, left.witness, node.witness, st.witness
-        )
+        sub = _chain_cascade(st, left.witness, node.witness)
         node = _node("chain step", CascadeNode, left, node, sub.omega, sub.product, sub.witness)
         node = _as_planned(node, states)
     return node

@@ -34,6 +34,7 @@ from krcascade import (
     word_transformation,
 )
 from krcascade.automata import (
+    _PairLabels,
     _check_omega,
     _omega_fault,
     _pair_state_labels,
@@ -398,8 +399,10 @@ def test_substitute_rejects_mismatched_inputs(seven_state, seven_p, sa2):
         substitute(cov.product, cov.b, cov.c, cov.omega, w_u, w_u)
     with pytest.raises(InvalidInputError, match="does not match"):
         substitute(sa2, cov.b, cov.c, cov.omega, w_u, w_v)
-    with pytest.raises(WitnessError, match="outer witness"):
-        _substitute(cov.product, cov.b, cov.c, cov.omega, w_u, w_v, identity_witness(cov.b))
+    # the outer cover's phi needs one entry per state of the product
+    short = range(cov.product.n_states - 1)
+    with pytest.raises(InvalidInputError, match="does not match"):
+        _substitute(cov.b, cov.c, cov.omega, w_u, w_v, short, range(2), seven_state)
 
 
 def _violates(w, s, word):
@@ -552,7 +555,10 @@ def test_product_labels_are_rendered_on_first_read(sa2, sa3):
         (direct_product(A, B), (A, B)),
     ):
         assert vars(product)["_state_labels"] is None
-        assert product.state_labels == tuple(_pair_state_labels(*factors))
+        # each label rendered alone is the one of the full rendering
+        pending = _PairLabels(*factors)
+        alone = tuple(map(pending.label, range(len(pending))))
+        assert product.state_labels == tuple(_pair_state_labels(*factors)) == alone
         assert product.state_index(product.state_labels[-1]) == product.n_states - 1
     assert direct_product(A, B).state_labels == ("(1,2,1)", "(1,1)", "(1,2,2,1)", "(1,2,1)#1")
 

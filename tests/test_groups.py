@@ -264,9 +264,9 @@ def random5_groups():
     seen = []
     build = pipeline.grouplike_to_simple_cascade
 
-    def recorded(g, caps=pipeline.Caps()):
+    def recorded(g, caps=pipeline.Caps(), cover=None):
         seen.append(g)
-        return build(g, caps)
+        return build(g, caps, cover)
 
     pipeline.grouplike_to_simple_cascade = recorded
     try:

@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from krcascade import automata, partitions, pipeline
+from krcascade import automata, pipeline
 from krcascade import (
     Caps,
     CoveringWitness,
@@ -109,10 +109,15 @@ def test_pr_chain(five_state):
     assert [first.delta[i][0] for i in range(5)] == [1, 2, 3, 4, 0]
     assert [first.delta[i][1] for i in range(5)] == [0, 0, 0, 0, 0]
 
-    shapes = [
-        (st.source.n_states, st.source.n_symbols, st.c.n_states, st.c.n_symbols, st.product.n_states)
-        for st in chain.steps
-    ]
+    shapes = []
+    for st in chain.steps:
+        # each step's phi covers its source by the step's own B∘C
+        product = cascade_product(st.b, st.c, st.omega)
+        xi = range(st.source.n_symbols)
+        assert verify_covering(CoveringWitness(product, st.source, st.phi, xi))
+        shapes.append(
+            (st.source.n_states, st.source.n_symbols, st.c.n_states, st.c.n_symbols, product.n_states)
+        )
     assert shapes == [(5, 2, 4, 10, 20), (4, 10, 3, 40, 12), (3, 40, 2, 120, 6)]
 
     assert chain.cascade.n_states == 120
@@ -389,6 +394,25 @@ def test_grouplike_to_simple_cascade(klein):
         grouplike_to_simple_cascade(klein, Caps(group_order=2))
 
 
+@pytest.mark.parametrize("order", [4, 5, 6])
+def test_grouplike_tree_covers_through_its_root_cover(order):
+    # given a cover grouplike(G) >= X, the root covers X with the tree of
+    # the default identity cover and the cover's phi and xi composed in
+    pi = Semiautomaton.from_columns(
+        [str(i) for i in range(order)], ["a", "b"], [[(i + 1) % order for i in range(order)]] * 2
+    )
+    G, w = cover_permutation_by_grouplike(pi)
+    plain = grouplike_to_simple_cascade(G)
+    tree = grouplike_to_simple_cascade(G, Caps(), w)
+    assert tree.witness.lower is pi
+    assert tree.automaton == plain.automaton
+    assert tree.witness.phi == tuple(None if v is None else w.phi[v] for v in plain.witness.phi)
+    assert tree.witness.xi == tuple(plain.witness.xi[x] for x in w.xi)
+    assert verify_tree(tree, sim_len=4)[0]
+    with pytest.raises(InvalidInputError, match="grouplike automaton"):
+        grouplike_to_simple_cascade(G, Caps(), identity_witness(pi))
+
+
 def test_decompose_one_state():
     one = Semiautomaton(["only"], ["a", "b"], [[0, 0]])
     tree = krohn_rhodes_decompose(one)
@@ -502,22 +526,32 @@ def test_random6_cap_outcomes(seed, root_states, raw_states, reason):
     assert ok
 
 
+def _record_products(monkeypatch):
+    """Route automata._product through a recorder; returns the list of
+    products it builds, in order."""
+    built = []
+    build = automata._product
+
+    def recording(A, B, connection):
+        built.append(build(A, B, connection))
+        return built[-1]
+
+    monkeypatch.setattr(automata, "_product", recording)
+    return built
+
+
 def test_cap_hit_builds_no_big_product(monkeypatch):
     # seed 4 breaches the chain cap with a predicted 589,824-state product;
-    # the plan finds that before any product of that size is built
-    cells = []
-    build = automata.cascade_product
-
-    def counted(A, B, omega):
-        product = build(A, B, omega)
-        cells.append(product.n_states * product.n_symbols)
-        return product
-
-    for module in (automata, partitions, pipeline):
-        monkeypatch.setattr(module, "cascade_product", counted)
+    # the plan finds that before any product is built, and the chain steps
+    # build none of their own
+    built = _record_products(monkeypatch)
     tree = krohn_rhodes_decompose(random6(4))
     assert tree.automaton.n_states == 6
-    assert cells and sum(cells) < 10_000
+    assert built == []
+    # the recorder sees the products of a tree that has cascade nodes
+    tree = krohn_rhodes_decompose(random6(6))
+    assert tree.automaton.n_states == 120
+    assert any(X is tree.automaton for X in built)
 
 
 def test_cascade_nodes_build_one_product_each(monkeypatch):
@@ -525,19 +559,36 @@ def test_cascade_nodes_build_one_product_each(monkeypatch):
     # at a time would also build an intermediate product (354,268 cells here).
     # Each reset level and coset split builds only the product the tree keeps;
     # a second product to compose through or compare against would add 8
-    # products (2,712 cells here).
-    cells = []
-    build = automata._product
-
-    def counted(A, B, connection):
-        product = build(A, B, connection)
-        cells.append(product.n_states * product.n_symbols)
-        return product
-
-    monkeypatch.setattr(automata, "_product", counted)
+    # products (2,712 cells here). The chain steps, the permutation-reset
+    # splits and the coset splits take their outer cover as phi and xi, with
+    # no product of their own; building those would add 10 products (3,332
+    # cells here).
+    built = _record_products(monkeypatch)
     tree = krohn_rhodes_decompose(random_n(5, 0))
     assert tree.automaton.n_states == 73728
-    assert (len(cells), sum(cells)) == (24, 251_904)
+    cells = [X.n_states * X.n_symbols for X in built]
+    assert (len(cells), sum(cells)) == (14, 248_572)
+
+
+# five_pr is the README example
+NAMED = ["five_pr", "five_state"] + ["random5-%d" % seed for seed in range(10)]
+
+
+def _named(request, name):
+    if name.startswith("random5-"):
+        return random_n(5, int(name.partition("-")[2]))
+    if name.startswith("random6-"):
+        return random6(int(name.partition("-")[2]))
+    return request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize("name", NAMED + ["random6-0", "random6-4", "random6-6"])
+def test_decompose_builds_only_node_automata(monkeypatch, request, name):
+    A = _named(request, name)
+    built = _record_products(monkeypatch)
+    tree = krohn_rhodes_decompose(A)
+    kept = {id(node.automaton) for node in iter_nodes(tree)}
+    assert [X for X in built if id(X) not in kept] == []
 
 
 def test_plan_disagreeing_with_build_raises(monkeypatch, five_state):
@@ -563,35 +614,6 @@ def _record_verify_covering(monkeypatch):
     return checked
 
 
-# verify_covering calls on witnesses that are no node's: the root witness of
-# each permutation factor's grouplike tree, which _refine_factor replaces by
-# the cover of the factor itself (one per permutation-reset split)
-CHECKS_OUTSIDE_NODES = {
-    "five_pr": 1,
-    "five_state": 4,
-    "random5-0": 3,
-    "random5-1": 3,
-    "random5-2": 3,
-    "random5-3": 1,
-    "random5-4": 3,
-    "random5-5": 3,
-    "random5-6": 3,
-    "random5-7": 3,
-    "random5-8": 2,
-    "random5-9": 2,
-}
-
-
-# five_pr is the README example
-NAMED = ["five_pr", "five_state"] + ["random5-%d" % seed for seed in range(10)]
-
-
-def _named(request, name):
-    if name.startswith("random5-"):
-        return random_n(5, int(name.partition("-")[2]))
-    return request.getfixturevalue(name)
-
-
 @pytest.mark.parametrize("name", NAMED)
 def test_decompose_verifies_each_witness_once(monkeypatch, request, name):
     A = _named(request, name)
@@ -601,13 +623,15 @@ def test_decompose_verifies_each_witness_once(monkeypatch, request, name):
     assert [w for w in checked if times[id(w)] > 1] == []
     node_witnesses = [n.witness for n in iter_nodes(tree)]
     assert [w for w in node_witnesses if times[id(w)] != 1] == []
-    assert len(checked) - len(node_witnesses) == CHECKS_OUTSIDE_NODES[name]
+    # no witness outside a node is verified
+    assert len(checked) == len(node_witnesses)
 
 
 @pytest.mark.parametrize("name", NAMED)
 def test_fused_substitution_matches_substitute_then_compose(monkeypatch, request, name):
-    # each node's fused substitution equals substitute followed by _compose
-    # through the outer witness, on the product table, phi and xi
+    # each node's fused substitution equals substitute on the built product
+    # A∘C, followed by composition with the outer cover (phi, xi), on the
+    # product table, phi and xi
     A = _named(request, name)
     calls = []
     fused = automata._substitute
@@ -620,14 +644,13 @@ def test_fused_substitution_matches_substitute_then_compose(monkeypatch, request
     krohn_rhodes_decompose(A)
     assert calls
     for args, out in calls:
-        w_out = args[-1]
-        sub = substitute(*args[:-1])
-        two_step = automata._compose(sub.witness, w_out)
+        A, C, omega, w_u, w_v, phi, xi, X = args
+        sub = substitute(cascade_product(A, C, omega), A, C, omega, w_u, w_v)
         assert out.product.table == sub.product.table
         assert out.omega == sub.omega
-        assert out.witness.phi == two_step.phi
-        assert out.witness.xi == two_step.xi
-        assert out.witness.upper is out.product and out.witness.lower is w_out.lower
+        assert out.witness.phi == tuple(None if p is None else phi[p] for p in sub.witness.phi)
+        assert out.witness.xi == tuple(sub.witness.xi[x] for x in xi)
+        assert out.witness.upper is out.product and out.witness.lower is X
 
 
 def test_input_kinds_build_no_transformations(monkeypatch):
@@ -650,18 +673,34 @@ def test_input_kinds_build_no_transformations(monkeypatch):
     assert len(calls) == 61
 
 
+def _moved(phi, n):
+    """phi with its first entry in the domain sent to the next of the n
+    lower states."""
+    phi = list(phi)
+    s = next(s for s, v in enumerate(phi) if v is not None)
+    phi[s] = (phi[s] + 1) % n
+    return tuple(phi)
+
+
 def _corrupting(build):
-    """build, with one phi entry of the witness it returns sent to another
-    lower state."""
+    """build, with one phi entry of the cover it returns sent to another
+    lower state: the witness of a Substitution or of _grouplike_cover's
+    (G, witness), or the phi of _split's or _coset_split's parts, which is
+    onto the lower states."""
 
     def corrupted(*args, **kwargs):
         out = build(*args, **kwargs)
-        w = out.witness
-        phi = list(w.phi)
-        s = w.dom[0]
-        phi[s] = (phi[s] + 1) % w.lower.n_states
-        bad = CoveringWitness(w.upper, w.lower, phi, w.xi, check=False)
-        return dataclasses.replace(out, witness=bad)
+        if isinstance(out, automata.Substitution):
+            w = out.witness
+        elif isinstance(out[1], CoveringWitness):
+            w = out[1]
+        else:
+            phi = out[3]
+            return out[:3] + (_moved(phi, max(v for v in phi if v is not None) + 1),) + out[4:]
+        bad = CoveringWitness(w.upper, w.lower, _moved(w.phi, w.lower.n_states), w.xi, check=False)
+        if isinstance(out, automata.Substitution):
+            return dataclasses.replace(out, witness=bad)
+        return out[0], bad
 
     return corrupted
 
@@ -676,6 +715,7 @@ CYCLE4 = Semiautomaton(["0", "1", "2", "3"], ["a"], [[1], [2], [3], [0]])
         ("_substitute", "five_pr", "permutation-reset factor"),
         ("_split", "five_pr", "permutation-reset factor"),
         ("_coset_split", "cycle4", "coset cascade"),
+        ("_grouplike_cover", "five_pr", "simple grouplike leaf"),
     ],
 )
 def test_corrupted_inner_witness_fails_its_node(monkeypatch, request, target, name, context):
@@ -732,6 +772,24 @@ def _one_entry_corruptions(w, rng):
         xi[a] = (xi[a] + 1) % w.upper.n_symbols
         out.append(CoveringWitness(w.upper, w.lower, w.phi, xi, check=False))
     return out
+
+
+def test_failing_state_is_named_without_rendering_every_label():
+    # verify_covering names a failing state of a product by rendering the
+    # labels up to it only, and keeps none of them; the reason is the one
+    # that full rendering gives
+    w = krohn_rhodes_decompose(random_n(5, 0)).witness
+    upper = w.upper
+    phi = list(w.phi)
+    s = next(s for s in range(len(phi) // 2, len(phi)) if phi[s] is not None)
+    phi[s] = (phi[s] + 1) % w.lower.n_states
+    bad = CoveringWitness(upper, w.lower, phi, w.xi, check=False)
+    result = verify_covering(bad)
+    assert result.reason.startswith("covering law fails at state ")
+    assert result.site[0] > 0
+    assert vars(upper)["_state_labels"] is None
+    assert len(upper.state_labels) == 73728
+    assert verify_covering(bad).reason == result.reason
 
 
 def test_witness_domains_are_built_on_first_read():
@@ -849,7 +907,7 @@ def _twin_column_corruptions(w, rng):
     """Copies of w with one cell changed in a column of the upper or of the
     lower automaton that has the same contents as another column, on a state
     the law check reads. The upper one is made only below 100,000 states,
-    since a failure renders every upper state label."""
+    since the copy renders and keeps every upper state label."""
     out = []
     for side in ("upper", "lower"):
         X = getattr(w, side)
