@@ -1,0 +1,116 @@
+"""Cells compared and CPU time of the covering-law check, flat and factored.
+
+    python benchmarks/law_check.py [--out BENCH_law_check.json]
+
+Run from the root of a source checkout; the library is imported from its
+src/ directory. The corpus is the ROADMAP "random n" automata for n = 5
+(seeds 0-9) and n = 6 (seeds 0, 4 and 6, the random6 workload of krbench).
+For every node witness of each decomposition tree, the law check's passes
+(krcascade._lawcheck.holds, over the law pairs of automata._law_pairs) run
+twice: on the witness as built, where an upper automaton of
+_FACTORED_STATES states or more records its factors and the passes go
+through them, and on a copy of the upper made by Semiautomaton._from_table,
+which records none, so that the passes are the flat ones over whole
+columns. The passes run on every node witness, also on those whose domain
+is too small for the library to use them. Each entry records the upper's
+states, the domain size, the number of law pairs, and per side the cells
+compared and the least CPU time of REPEATS runs. The entries and their
+totals per n are written as JSON.
+"""
+
+import argparse
+import json
+import os
+import platform
+import random
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from krcascade import Semiautomaton, iter_nodes, krohn_rhodes_decompose  # noqa: E402
+from krcascade import _lawcheck, automata  # noqa: E402
+
+CORPUS = [(5, seed) for seed in range(10)] + [(6, seed) for seed in (0, 4, 6)]
+REPEATS = 5
+KEYS = ("flat_cells", "factored_cells", "flat_s", "factored_s")
+
+
+def random_n(n, seed):
+    """The ROADMAP "random n" recipe: 2 symbols, targets drawn state-major."""
+    rng = random.Random(1000 * n + seed)
+    delta = [[rng.randrange(n) for _ in range(2)] for _ in range(n)]
+    return Semiautomaton(["s%d" % i for i in range(n)], "ab", delta)
+
+
+def unrecorded(X):
+    """X's table in an automaton that records no factors. A product's labels
+    stay unrendered, as in X."""
+    if X._factors is None:
+        return X
+    A, B, _ = X._factors
+    return Semiautomaton._from_table(
+        automata._PairLabels(A, B), X.symbol_labels, X._table, in_range=True
+    )
+
+
+def passes(w, upper, pairs):
+    """(cells compared, least CPU seconds) of the law check's passes on w,
+    with its upper automaton replaced by upper."""
+    best = None
+    for _ in range(REPEATS):
+        check = _lawcheck.LawCheck(w.lower)
+        start = time.process_time()
+        ok = _lawcheck.holds(check, upper, w.phi, pairs)
+        took = time.process_time() - start
+        if not ok:
+            raise SystemExit("a node witness fails the law check")
+        best = took if best is None else min(best, took)
+    return check.cells, best
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_law_check.json"))
+    args = parser.parse_args()
+    entries = []
+    for n, seed in CORPUS:
+        tree = krohn_rhodes_decompose(random_n(n, seed))
+        for k, node in enumerate(iter_nodes(tree)):
+            w = node.witness
+            pairs = list(automata._law_pairs(w))
+            flat_cells, flat_s = passes(w, unrecorded(w.upper), pairs)
+            cells, took = passes(w, w.upper, pairs)
+            entries.append({
+                "automaton": "random%d-%d" % (n, seed),
+                "node": k,
+                "states": w.upper.n_states,
+                "domain": len(w.phi) - w.phi.count(None),
+                "law_pairs": len(pairs),
+                "recorded": w.upper._factors is not None,
+                "flat_cells": flat_cells,
+                "factored_cells": cells,
+                "flat_s": flat_s,
+                "factored_s": took,
+            })
+    totals = {}
+    for n in sorted({n for n, _ in CORPUS}):
+        group = [e for e in entries if e["automaton"].startswith("random%d-" % n)]
+        t = totals["random%d" % n] = {"witnesses": len(group)}
+        t.update((key, sum(e[key] for e in group)) for key in KEYS)
+        print("random%d  %3d witnesses  cells %9d flat %7d factored  "
+              "CPU %.4f s flat %.4f s factored"
+              % (n, t["witnesses"], t["flat_cells"], t["factored_cells"], t["flat_s"],
+                 t["factored_s"]))
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump({"python": sys.version.split()[0], "machine": platform.machine(),
+                   "factored_states": automata._FACTORED_STATES, "repeats": REPEATS,
+                   "witnesses": entries, "totals": totals}, fh, indent=2)
+        fh.write("\n")
+    print("written to %s" % args.out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,8 +11,15 @@ call is over, and the peak of traced memory above the starting point during
 the call. Both are Python allocations only: they leave out the interpreter
 and the allocator's own overhead, which peak RSS includes. One unrecorded
 warm-up decomposition of the first automaton runs before the corpus, so that
-the first entry is not charged with the process's one-time allocations. The
-results, one entry per automaton and the totals, are written as JSON.
+the first entry is not charged with the process's one-time allocations.
+
+The bytes a tree holds move with CPython's sizing of instance attribute
+arrays, which depends on what else the process has made, so they can change
+when the tree's objects do not. Each entry therefore also counts the
+objects the tree holds, by a walk of gc.get_referents from the tree that
+does not enter classes, modules or functions, and the bytes of the
+transition tables among them. The results, one entry per automaton and the
+totals, are written as JSON.
 """
 
 import argparse
@@ -22,6 +29,7 @@ import os
 import random
 import sys
 import tracemalloc
+import types
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -38,9 +46,28 @@ def random_n(n, seed):
     return Semiautomaton(["s%d" % i for i in range(n)], "ab", delta)
 
 
+# what a walk of the objects a tree holds does not enter: shared code
+_SHARED = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+
+
+def held_objects(tree):
+    """(objects, table bytes) that the tree holds: the distinct objects
+    reachable from it, and the bytes of the tables of the automata among
+    them."""
+    seen = {id(tree): tree}
+    stack = [tree]
+    while stack:
+        for ref in gc.get_referents(stack.pop()):
+            if id(ref) not in seen and not isinstance(ref, _SHARED):
+                seen[id(ref)] = ref
+                stack.append(ref)
+    tables = {id(x._table): x._table for x in seen.values() if isinstance(x, Semiautomaton)}
+    return len(seen), sum(len(t) * t.itemsize for t in tables.values())
+
+
 def measure(A):
     """(bytes the tree holds, peak bytes during the decomposition, cells of
-    the tree's node automata)."""
+    the tree's node automata, objects the tree holds, its table bytes)."""
     gc.collect()
     tracemalloc.start()
     base = tracemalloc.get_traced_memory()[0]
@@ -49,7 +76,7 @@ def measure(A):
     held, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     cells = sum(n.automaton.n_states * n.automaton.n_symbols for n in iter_nodes(tree))
-    return held - base, peak - base, cells
+    return (held - base, peak - base, cells) + held_objects(tree)
 
 
 def main():
@@ -59,18 +86,21 @@ def main():
     measure(random_n(*CORPUS[0]))
     entries = []
     for n, seed in CORPUS:
-        held, peak, cells = measure(random_n(n, seed))
+        held, peak, cells, objects, table_bytes = measure(random_n(n, seed))
         entries.append({
             "automaton": "random%d-%d" % (n, seed),
             "tree_bytes": held,
             "decompose_peak_bytes": peak,
             "node_cells": cells,
+            "tree_objects": objects,
+            "table_bytes": table_bytes,
         })
-        print("random%d-%d  tree %8.1f MB  peak %8.1f MB  %9d cells"
-              % (n, seed, held / 1e6, peak / 1e6, cells))
+        print("random%d-%d  tree %8.1f MB  peak %8.1f MB  %9d cells  %7d objects"
+              % (n, seed, held / 1e6, peak / 1e6, cells, objects))
     totals = {
         key: sum(e[key] for e in entries)
-        for key in ("tree_bytes", "decompose_peak_bytes", "node_cells")
+        for key in ("tree_bytes", "decompose_peak_bytes", "node_cells", "tree_objects",
+                    "table_bytes")
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump({"python": sys.version.split()[0], "automata": entries,

@@ -1,15 +1,17 @@
 """The decomposition pipeline end to end, from input classes to the full tree."""
 
 import dataclasses
+import pickle
 import random
 import sys
 import tracemalloc
 from array import array
 from collections import Counter
+from itertools import islice
 
 import pytest
 
-from krcascade import automata, pipeline
+from krcascade import _lawcheck, automata, pipeline
 from krcascade import (
     Caps,
     CoveringWitness,
@@ -879,7 +881,7 @@ def _law_violation_per_symbol(w):
     phi = w.phi
     threshold = automata._SYMBOL_PASS_STATES
     if len(phi) < threshold or len(phi) - phi.count(None) < threshold:
-        return automata._first_law_failure(w)
+        return _lawcheck.first_failure(w)
     inside = [v is not None for v in phi]
     low = [v for v in phi if v is not None]
     upper, nu = w.upper.table, w.upper.n_states
@@ -889,7 +891,7 @@ def _law_violation_per_symbol(w):
         column = upper[x * nu:(x + 1) * nu].tolist()
         for t, v in zip((t for t, keep in zip(column, inside) if keep), low):
             if phi[t] != image[v]:
-                return automata._first_law_failure(w)
+                return _lawcheck.first_failure(w)
     return None
 
 
@@ -965,6 +967,114 @@ def test_law_check_passes_once_per_distinct_column_pair(monkeypatch):
     monkeypatch.setattr(automata, "_law_pairs", counted)
     krohn_rhodes_decompose(random6(0))
     assert (sum(p for p, _ in passes), sum(m for _, m in passes)) == (56, 374)
+
+
+@pytest.fixture(scope="module")
+def random6_root_witness():
+    return krohn_rhodes_decompose(random6(0)).witness
+
+
+def _cells_compared(w, upper=None):
+    """The cells the law check's passes compare on w, its upper automaton
+    replaced by upper if given."""
+    check = _lawcheck.LawCheck(w.lower)
+    U = w.upper if upper is None else upper
+    assert _lawcheck.holds(check, U, w.phi, automata._law_pairs(w))
+    return check.cells
+
+
+def _unrecorded(X):
+    """X rebuilt from its columns: the same table, and no factor record."""
+    return Semiautomaton.from_columns(
+        X.state_labels, X.symbol_labels, [X.column(a) for a in range(X.n_symbols)]
+    )
+
+
+def test_factored_law_check_compares_one_block_per_distinct_triple(random6_root_witness):
+    # on the random-6 seed-0 root, a product of products of products, the
+    # check through the recorded factors compares 17,280 cells where the flat
+    # pass compares every domain state once per law pair
+    w = random6_root_witness
+    U = w.upper
+    # an unrecorded copy whose labels stay unrendered, as the root's do:
+    # _unrecorded would render all 368,640 of them
+    A, B, _ = U._factors
+    flat = Semiautomaton._from_table(
+        automata._PairLabels(A, B), U.symbol_labels, U._table, in_range=True
+    )
+    assert flat._factors is None
+    dom = len(w.phi) - w.phi.count(None)
+    assert (U.n_states, dom, len(automata._law_pairs(w))) == (368_640, 207_360, 2)
+    assert _cells_compared(w) == 17_280
+    assert _cells_compared(w, flat) == 414_720
+
+
+def test_factored_law_check_finds_a_change_in_a_repeated_block(random6_root_witness):
+    # a phi entry changed inside a block of the root's phi, at a level of its
+    # factors, whose contents repeat an earlier block's: the factored check
+    # fails with the flat pass's reason and site
+    w = random6_root_witness
+    X, repeats = w.upper, []
+    while X._factors is not None:
+        X = X._factors[1]
+        nb = X.n_states
+        blocks = [w.phi[k:k + nb] for k in range(0, len(w.phi), nb)]
+        empty, seen = (None,) * nb, set()
+        for u, b in enumerate(blocks):
+            if b in seen and b != empty:
+                repeats.append(u * nb + next(v for v, p in enumerate(b) if p is not None))
+            seen.add(b)
+    # the first repeat sits in a block of 9,216 states, one level down
+    assert len(repeats) > 1000
+    s = repeats[0]
+    phi = list(w.phi)
+    phi[s] = (phi[s] + 1) % w.lower.n_states
+    bad = CoveringWitness(w.upper, w.lower, phi, w.xi, check=False)
+    got, want = _verdicts(bad)
+    assert got == want and not got[0]
+    assert got[1].startswith("covering law fails at state ")
+
+
+def test_unrecorded_copies_take_the_flat_pass():
+    # a product rebuilt from its columns, or through pickle, records no
+    # factors: the law check takes the flat pass on it, with the verdict,
+    # reason and site of the check through the original's factors
+    w = krohn_rhodes_decompose(random_n(5, 1)).witness
+    U = w.upper
+    assert U.n_states == 6144 and U._factors is not None
+    flat = len(w.phi) - w.phi.count(None)
+    flat *= len(automata._law_pairs(w))
+    assert _cells_compared(w) < flat
+    rng = random.Random(6144)
+    witnesses = [w] + _one_entry_corruptions(w, rng) + _twin_column_corruptions(w, rng)
+    verdicts = [verify_covering(c) for c in witnesses]
+    assert verdicts[0] and not all(verdicts)
+    for V in (_unrecorded(U), pickle.loads(pickle.dumps(U))):
+        assert V == U and V._factors is None
+        assert _cells_compared(w, V) == flat
+        for c, got in zip(witnesses, verdicts):
+            copy = verify_covering(CoveringWitness(V, c.lower, c.phi, c.xi, check=False))
+            assert (got.ok, got.reason, got.site) == (copy.ok, copy.reason, copy.site)
+
+
+def test_failing_root_state_renders_no_factor_label():
+    # naming a failing state of the random-6 seed-0 root renders the labels
+    # of the root's factors for that one call and keeps none of them; the
+    # reason is the one that full rendering of the factor labels gives
+    w = krohn_rhodes_decompose(random6(0)).witness
+    upper = w.upper
+    A, B, _ = upper._factors
+    phi = list(w.phi)
+    s = next(s for s in range(len(phi) // 2, len(phi)) if phi[s] is not None)
+    phi[s] = (phi[s] + 1) % w.lower.n_states
+    result = verify_covering(CoveringWitness(upper, w.lower, phi, w.xi, check=False))
+    assert B.n_states == 46_080
+    assert vars(upper)["_state_labels"] is None and vars(B)["_state_labels"] is None
+    t = result.site[0]
+    candidates = automata._pair_candidates(A.state_labels, B.state_labels, B.n_states)
+    label = automata._unique_labels(islice(candidates, t + 1))[t]
+    symbol = w.lower.symbol_labels[result.site[1]]
+    assert result.reason == "covering law fails at state %s under symbol %s" % (label, symbol)
 
 
 def test_column_classes_copy_no_column():

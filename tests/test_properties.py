@@ -23,6 +23,8 @@ from krcascade import (
     is_permutation,
     is_permutation_reset,
     is_reset,
+    iter_nodes,
+    krohn_rhodes_decompose,
     p_factor,
     parse_automaton,
     right_regular_representation,
@@ -290,3 +292,85 @@ def test_closure_over_classes_matches_closure_over_inputs(A, data):
         A.transformations(), domain_size=A.n_states, symbol_labels=A.symbol_labels
     )
     assert (T.transformations, T.witnesses, T.labels) == (U.transformations, U.witnesses, U.labels)
+
+
+def _drive(A, B, data):
+    """A direct product of A and B when they share an alphabet and the draw
+    says so, else a cascade with a drawn connection."""
+    if A.symbol_labels == B.symbol_labels and data.draw(st.booleans()):
+        return direct_product(A, B)
+    omega = [
+        [data.draw(st.integers(0, B.n_symbols - 1)) for _ in range(A.n_symbols)]
+        for _ in range(A.n_states)
+    ]
+    return cascade_product(A, B, omega)
+
+
+def _projection(X, A):
+    """The cover X >= A of a product X whose first factor is A: phi sends
+    each state to its A-part."""
+    nb = X.n_states // A.n_states
+    return CoveringWitness(X, A, [s // nb for s in range(X.n_states)], range(A.n_symbols))
+
+
+def _law_corruptions(w, data):
+    """Copies of w with one entry of phi, one of xi or one cell of the lower
+    table changed."""
+    n, m = w.lower.n_states, w.upper.n_symbols
+    phi = list(w.phi)
+    s = data.draw(st.integers(0, len(phi) - 1))
+    phi[s] = data.draw(st.sampled_from([None] + list(range(n))))
+    xi = list(w.xi)
+    a = data.draw(st.integers(0, len(xi) - 1))
+    xi[a] = data.draw(st.integers(0, m - 1))
+    columns = [list(w.lower.column(b)) for b in range(w.lower.n_symbols)]
+    columns[a][data.draw(st.integers(0, n - 1))] = data.draw(st.integers(0, n - 1))
+    lower = Semiautomaton.from_columns(w.lower.state_labels, w.lower.symbol_labels, columns)
+    return [
+        CoveringWitness(w.upper, w.lower, phi, w.xi, check=False),
+        CoveringWitness(w.upper, w.lower, w.phi, xi, check=False),
+        CoveringWitness(w.upper, lower, w.phi, w.xi, check=False),
+    ]
+
+
+def _flat_verdict(w):
+    """verify_covering's (ok, reason, site) with the upper automaton copied
+    into one that records no factors, so that the law check takes the flat
+    pass."""
+    U = w.upper
+    flat = Semiautomaton.from_columns(
+        U.state_labels, U.symbol_labels, [U.column(a) for a in range(U.n_symbols)]
+    )
+    r = verify_covering(CoveringWitness(flat, w.lower, w.phi, w.xi, check=False))
+    return r.ok, r.reason, r.site
+
+
+@settings(deadline=None)
+@given(
+    automata(max_states=3, max_symbols=2),
+    automata(max_states=3, max_symbols=2),
+    automata(max_states=3, max_symbols=2),
+    st.data(),
+)
+def test_factored_law_check_matches_flat_pass(A, B, C, data):
+    # with every product recording its factors and every domain checked a
+    # pass at a time, the check through the factors gives the flat pass's
+    # verdict, reason and site on valid covers and on corrupted copies
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kr_automata, "_FACTORED_STATES", 1)
+        mp.setattr(kr_automata, "_SYMBOL_PASS_STATES", 1)
+        AB = _drive(A, B, data)
+        right = _drive(A, _drive(B, C, data), data)
+        left = _drive(AB, C, data)
+        covers = [kr_automata.identity_witness(right)]
+        covers += [_projection(right, A), _projection(left, AB)]
+        for X in (A, B):
+            covers += [node.witness for node in iter_nodes(krohn_rhodes_decompose(X))]
+        recorded = 0
+        for w in covers:
+            recorded += w.upper._factors is not None
+            for c in [w] + _law_corruptions(w, data):
+                r = verify_covering(c)
+                assert (r.ok, r.reason, r.site) == _flat_verdict(c)
+            assert verify_covering(w)
+        assert recorded >= 3
