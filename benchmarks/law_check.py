@@ -1,4 +1,5 @@
-"""Cells compared and CPU time of the covering-law check, flat and factored.
+"""Cells compared and CPU time of the covering-law check, flat and factored,
+and CPU time of the whole verify_covering on each side.
 
     python benchmarks/law_check.py [--out BENCH_law_check.json]
 
@@ -6,16 +7,18 @@ Run from the root of a source checkout; the library is imported from its
 src/ directory. The corpus is the ROADMAP "random n" automata for n = 5
 (seeds 0-9) and n = 6 (seeds 0, 4 and 6, the random6 workload of krbench).
 For every node witness of each decomposition tree, the law check's passes
-(krcascade._lawcheck.holds, over the law pairs of automata._law_pairs) run
-twice: on the witness as built, where an upper automaton of
-_FACTORED_STATES states or more records its factors and the passes go
-through them, and on a copy of the upper made by Semiautomaton._from_table,
-which records none, so that the passes are the flat ones over whole
-columns. The passes run on every node witness, also on those whose domain
-is too small for the library to use them. Each entry records the upper's
-states, the domain size, the number of law pairs, and per side the cells
-compared and the least CPU time of REPEATS runs. The entries and their
-totals per n are written as JSON.
+(krcascade._lawcheck.passes on the descent of _lawcheck.descend, over the
+law pairs of automata._law_pairs) run twice: on the witness as built, where
+an upper automaton of _FACTORED_STATES states or more records its factors
+and the passes go through them, and on a copy of the upper made by
+Semiautomaton._from_table, which records none, so that the passes are the
+flat ones over whole columns. The passes run on every node witness, also on those whose domain
+is too small for the library to use them. verify_covering, which also
+checks that phi is onto, runs on the witness as built and on a witness
+over the unrecorded copy. Each entry records the upper's states, the
+domain size, the number of law pairs, and per side the cells compared and
+the least CPU time of REPEATS runs of the passes and of verify_covering.
+The entries and their totals per n are written as JSON.
 """
 
 import argparse
@@ -29,12 +32,19 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from krcascade import Semiautomaton, iter_nodes, krohn_rhodes_decompose  # noqa: E402
+from krcascade import (  # noqa: E402
+    CoveringWitness,
+    Semiautomaton,
+    iter_nodes,
+    krohn_rhodes_decompose,
+    verify_covering,
+)
 from krcascade import _lawcheck, automata  # noqa: E402
 
 CORPUS = [(5, seed) for seed in range(10)] + [(6, seed) for seed in (0, 4, 6)]
 REPEATS = 5
-KEYS = ("flat_cells", "factored_cells", "flat_s", "factored_s")
+KEYS = ("flat_cells", "factored_cells", "flat_s", "factored_s", "flat_verify_s",
+        "factored_verify_s")
 
 
 def random_n(n, seed):
@@ -62,12 +72,25 @@ def passes(w, upper, pairs):
     for _ in range(REPEATS):
         check = _lawcheck.LawCheck(w.lower)
         start = time.process_time()
-        ok = _lawcheck.holds(check, upper, w.phi, pairs)
+        ok = _lawcheck.passes(check, _lawcheck.descend(upper, w.phi, pairs))
         took = time.process_time() - start
         if not ok:
             raise SystemExit("a node witness fails the law check")
         best = took if best is None else min(best, took)
     return check.cells, best
+
+
+def verify(w):
+    """The least CPU seconds of verify_covering on w."""
+    best = None
+    for _ in range(REPEATS):
+        start = time.process_time()
+        ok = verify_covering(w)
+        took = time.process_time() - start
+        if not ok:
+            raise SystemExit("a node witness fails verify_covering")
+        best = took if best is None else min(best, took)
+    return best
 
 
 def main():
@@ -80,8 +103,10 @@ def main():
         for k, node in enumerate(iter_nodes(tree)):
             w = node.witness
             pairs = list(automata._law_pairs(w))
-            flat_cells, flat_s = passes(w, unrecorded(w.upper), pairs)
+            flat = unrecorded(w.upper)
+            flat_cells, flat_s = passes(w, flat, pairs)
             cells, took = passes(w, w.upper, pairs)
+            flat_verify_s = verify(CoveringWitness._from_parts(flat, w.lower, w.phi, w.xi))
             entries.append({
                 "automaton": "random%d-%d" % (n, seed),
                 "node": k,
@@ -93,6 +118,8 @@ def main():
                 "factored_cells": cells,
                 "flat_s": flat_s,
                 "factored_s": took,
+                "flat_verify_s": flat_verify_s,
+                "factored_verify_s": verify(w),
             })
     totals = {}
     for n in sorted({n for n, _ in CORPUS}):
@@ -100,9 +127,10 @@ def main():
         t = totals["random%d" % n] = {"witnesses": len(group)}
         t.update((key, sum(e[key] for e in group)) for key in KEYS)
         print("random%d  %3d witnesses  cells %9d flat %7d factored  "
-              "CPU %.4f s flat %.4f s factored"
+              "passes %.4f s flat %.4f s factored  verify_covering %.4f s flat "
+              "%.4f s factored"
               % (n, t["witnesses"], t["flat_cells"], t["factored_cells"], t["flat_s"],
-                 t["factored_s"]))
+                 t["factored_s"], t["flat_verify_s"], t["factored_verify_s"]))
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump({"python": sys.version.split()[0], "machine": platform.machine(),
                    "factored_states": automata._FACTORED_STATES, "repeats": REPEATS,

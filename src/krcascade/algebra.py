@@ -183,6 +183,22 @@ def closure_generate(generators, *, domain_size=None, cap=CLOSURE_CAP, symbol_la
     elif len(symbol_labels) != len(gens):
         raise InvalidInputError("need one symbol label per generator")
 
+    elems, words, index = _closure(gens, n, cap)
+    table = [
+        [index[tuple(map(b.image.__getitem__, a.image))] for b in elems]
+        for a in elems
+    ]
+    labels = _word_labels(words, symbol_labels)
+    return FiniteMonoid(labels, table, 0, transformations=elems, witnesses=words, check=False)
+
+
+def _closure(gens, n: int, cap: int):
+    """(elements, words, index) of the monoid that the Transformations gens
+    of n points generate: its elements in closure_generate's order, their
+    shortlex witness words, and each element's position by its image.
+
+    Raises ResourceCapError when there are more than cap elements.
+    """
     ident = Transformation.identity(n)
     elems = [ident]
     words = [()]
@@ -201,16 +217,16 @@ def closure_generate(generators, *, domain_size=None, cap=CLOSURE_CAP, symbol_la
                 elems.append(Transformation(img))
                 words.append(words[i] + (gi,))
         i += 1
+    return elems, words, index
 
-    table = [
-        [index[tuple(map(b.image.__getitem__, a.image))] for b in elems]
-        for a in elems
-    ]
-    labels = [
+
+def _word_labels(words, symbol_labels):
+    """The element labels of closure_generate: each witness word rendered
+    over the generators' symbol labels, clamped."""
+    return [
         clamp_label(render_word(w, symbol_labels), "w%d" % i)
         for i, w in enumerate(words)
     ]
-    return FiniteMonoid(labels, table, 0, transformations=elems, witnesses=words, check=False)
 
 
 def evaluate_word(word, generators, domain_size):

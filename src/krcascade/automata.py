@@ -638,13 +638,14 @@ class CoveringWitness:
 
     dom, the upper states in the domain of phi in order, is computed on its
     first read and then kept; neither the checks nor verify_covering read it,
-    so a witness that only gets verified never holds it.
+    so a witness that only gets verified never holds it. _descent holds a
+    descent of the law check only while verify_covering hands it over.
     """
 
     def __init__(self, upper: Semiautomaton, lower: Semiautomaton, phi, xi, check=True):
         self.upper = upper
         self.lower = lower
-        self._dom = None
+        self._dom = self._descent = None
         phi = tuple(phi)
         image = {v: None if v is None else int(v) for v in set(phi)}
         self.phi = tuple(map(image.__getitem__, phi))
@@ -682,7 +683,7 @@ class CoveringWitness:
         """The witness with these phi and xi tuples, kept as they are."""
         self = cls.__new__(cls)
         self.upper, self.lower, self.phi, self.xi = upper, lower, phi, xi
-        self._dom = None
+        self._dom = self._descent = None
         if len(phi) != upper.n_states:
             raise WitnessError("phi needs one entry per upper state")
         if len(xi) != lower.n_symbols:
@@ -753,18 +754,26 @@ def _law_violation(w: CoveringWitness):
     phi(s·xi(a)) != phi(s)·a; leaving the domain of phi counts. None if none.
 
     A domain of _SYMBOL_PASS_STATES states or more is checked by the passes
-    of _lawcheck.holds, and scanned state by state only after a failure, to
-    name the first site. There is one pass per pair of _law_pairs, and two
-    symbols with the same pair (column class of xi(a) in the upper, column
-    class of a in the lower) compare cells of the same contents, so
-    skipping the second is exact. Where the upper records its factors, a
-    pass compares each distinct block of phi once, which is exact too.
+    of _lawcheck, on the descent that verify_covering hands over in
+    w._descent or on one made here, and scanned state by state only after a
+    failure, to name the first site. A recorded upper takes the passes
+    whatever its domain, which is counted only on an upper without a
+    record. There is one pass per pair of _law_pairs, and two symbols with
+    the same pair (column class of xi(a) in the upper, column class of a in
+    the lower) compare cells of the same contents, so skipping the second
+    is exact. Where the upper records its factors, a pass compares each
+    distinct block of phi once, which is exact too.
     """
     phi = w.phi
-    # the domain's size is counted only where it can reach the threshold
-    if len(phi) < _SYMBOL_PASS_STATES or len(phi) - phi.count(None) < _SYMBOL_PASS_STATES:
+    if len(phi) < _SYMBOL_PASS_STATES:
         return _lawcheck.first_failure(w)
-    if _lawcheck.holds(_lawcheck.LawCheck(w.lower), w.upper, phi, _law_pairs(w)):
+    descent = w._descent
+    if descent is None:
+        upper = w.upper
+        if upper._factors is None and len(phi) - phi.count(None) < _SYMBOL_PASS_STATES:
+            return _lawcheck.first_failure(w)
+        descent = _lawcheck.descend(upper, phi, _law_pairs(w))
+    if _lawcheck.passes(_lawcheck.LawCheck(w.lower), descent):
         return None
     return _lawcheck.first_failure(w)
 
@@ -788,22 +797,47 @@ def _state_label(X: Semiautomaton, s: int) -> str:
 
 
 def verify_covering(w: CoveringWitness) -> VerificationResult:
-    """Exhaustive check of surjectivity, domain closure, and the per-symbol law."""
-    upper, lower = w.upper, w.lower
-    covered = set(w.phi)
+    """Exhaustive check of surjectivity, domain closure, and the per-symbol law.
+
+    A failure names, in this order: an empty domain, a missed lower state,
+    an entry of phi out of range, a law site. Where the upper automaton
+    records its factors, phi is read once, by the law check's descent
+    (_lawcheck.descend): the states phi covers are read off it, and
+    _law_violation's passes run on it.
+    """
+    upper, lower, phi = w.upper, w.lower, w.phi
+    descent = None
+    if upper._factors is None:
+        covered = set(phi)
+    else:
+        descent = _lawcheck.descend(upper, phi, _law_pairs(w))
+        # with no law pair, the descent has no tasks to read them off
+        covered = _lawcheck.covered(descent) if descent[1] else set(phi)
     covered.discard(None)
     if not covered:
         return VerificationResult(False, "phi has an empty domain")
     if covered != set(range(lower.n_states)):
-        missing = min(set(range(lower.n_states)) - covered)
-        return VerificationResult(
-            False, "phi misses lower state %s" % _state_label(lower, missing)
-        )
-    site = _law_violation(w)
+        missing = set(range(lower.n_states)) - covered
+        if missing:
+            return VerificationResult(
+                False, "phi misses lower state %s" % _state_label(lower, min(missing))
+            )
+        # an entry out of range, which only _from_parts leaves unchecked
+        for v in phi:
+            if v is not None and not 0 <= v < lower.n_states:
+                return VerificationResult(False, "phi image %d out of range" % v)
+    if descent is None:
+        site = _law_violation(w)
+    else:
+        w._descent = descent
+        try:
+            site = _law_violation(w)
+        finally:
+            w._descent = None
     if site is None:
         return VerificationResult(True)
     s, a = site
-    if w.phi[upper.step(s, w.xi[a])] is None:
+    if phi[upper.step(s, w.xi[a])] is None:
         return VerificationResult(
             False, "domain not closed under symbol %s" % lower.symbol_labels[a], site
         )

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Optional, Union
 
-from .algebra import CLOSURE_CAP, clamp_label
+from .algebra import CLOSURE_CAP, _closure, _word_labels, clamp_label
 from .automata import (
     _CONSTANT,
     _IDENTITY,
@@ -34,7 +34,6 @@ from .automata import (
     _PERMUTATION,
     CoveringWitness,
     Semiautomaton,
-    _input_closure,
     _rows,
     _substitute,
     _unique_labels,
@@ -228,12 +227,13 @@ class PRSplit:
 
 
 def _permutation_group(A: Semiautomaton, caps: Caps):
-    """(const, perms, K) of a permutation-reset automaton: the reset target of
-    every input (None for a permutation), the Transformation of every
-    permutation input (None for a reset) and the group K that they generate,
-    in closure order.
+    """(const, perms, elements, labels) of a permutation-reset automaton: the
+    reset target of every input (None for a permutation), the Transformation
+    of every permutation input (None for a reset), and the elements of the
+    group K that they generate, in closure order, with their labels.
 
-    Raises ResourceCapError when K outgrows the closure or group-order cap.
+    Raises ResourceCapError when K outgrows the closure or group-order cap,
+    before anything but its elements is built: no Cayley table is.
     """
     kinds = A._kinds
     if _OTHER in kinds:
@@ -243,17 +243,18 @@ def _permutation_group(A: Semiautomaton, caps: Caps):
         )
     n, table, classes = A.n_states, A._table, A._classes
     const = [table[a * n] if k == _CONSTANT else None for a, k in enumerate(kinds)]
-    perm = [a for a, c in enumerate(const) if c is None]
-    # one Transformation per column class, shared by the inputs of the class
+    # one Transformation per column class, shared by the inputs of the class;
+    # the classes' first inputs generate K, as all of them do (_input_closure)
     by_class = {c: A.symbol_transformation(c) for c in A._firsts if const[c] is None}
     perms = [None if k is not None else by_class[c] for k, c in zip(const, classes)]
-    K = _input_closure(A, perm, perms.__getitem__, caps.closure_elements)
-    if K.order > caps.group_order:
+    elements, words, _ = _closure(list(by_class.values()), n, caps.closure_elements)
+    if len(elements) > caps.group_order:
         raise ResourceCapError(
             "permutation group of order %d exceeds the cap of %d"
-            % (K.order, caps.group_order)
+            % (len(elements), caps.group_order)
         )
-    return const, perms, K
+    labels = _word_labels(words, [A.symbol_labels[c] for c in by_class])
+    return const, perms, elements, labels
 
 
 def split_permutation_reset(A: Semiautomaton, caps: Caps = Caps()) -> PRSplit:
@@ -272,14 +273,14 @@ def split_permutation_reset(A: Semiautomaton, caps: Caps = Caps()) -> PRSplit:
     return PRSplit(pi, r, omega, product, witness)
 
 
-def _split(A: Semiautomaton, const, perms, K):
+def _split(A: Semiautomaton, const, perms, elements, labels):
     """(Pi, R, omega, phi) of split_permutation_reset on the (const, perms,
-    K) of _permutation_group(A), without the product Pi∘R."""
+    elements, labels) of _permutation_group(A), without the product Pi∘R."""
     n, m = A.n_states, A.n_symbols
     # element labels are rendered words, which can coincide with one another
-    k_labels = _unique_labels(K.labels)
-    elt = {t.image: k for k, t in enumerate(K.transformations)}
-    nk = K.order
+    k_labels = _unique_labels(labels)
+    elt = {t.image: k for k, t in enumerate(elements)}
+    nk = len(elements)
 
     # every column of Pi and every block of R's columns is computed once per
     # column class of A and shared by the inputs of the class
@@ -288,7 +289,7 @@ def _split(A: Semiautomaton, const, perms, K):
     for c in firsts:
         p = perms[c]
         columns_pi[c] = list(range(nk)) if p is None else [
-            elt[t.compose(p).image] for t in K.transformations
+            elt[t.compose(p).image] for t in elements
         ]
     pi = Semiautomaton.from_columns(k_labels, A.symbol_labels, map(columns_pi.__getitem__, classes))
 
@@ -302,7 +303,7 @@ def _split(A: Semiautomaton, const, perms, K):
     identity = list(range(n))
     columns_r = []
     for x in range(nk):
-        inverse = K.transformations[x].inverse().image
+        inverse = elements[x].inverse().image
         block = {
             c: identity if const[c] is None else [inverse[const[c]]] * n for c in firsts
         }
@@ -310,7 +311,7 @@ def _split(A: Semiautomaton, const, perms, K):
     r = Semiautomaton.from_columns(list(A.state_labels), r_symbols, columns_r)
 
     omega = tuple(tuple(x * m + a for a in range(m)) for x in range(nk))
-    phi = tuple(chain.from_iterable(t.image for t in K.transformations))
+    phi = tuple(chain.from_iterable(t.image for t in elements))
     return pi, r, omega, phi
 
 
@@ -542,7 +543,8 @@ def _reset_states(n: int) -> int:
 class _Plan:
     """A node of the tree before it is built: the automaton it covers, its
     predicted state count, the breached cap if it stays a raw leaf, and the
-    (const, perms, K) of _permutation_group for a factor that gets split."""
+    (const, perms, elements, labels) of _permutation_group for a factor that
+    gets split."""
 
     automaton: Semiautomaton
     states: int
@@ -557,10 +559,10 @@ def _plan_factor(B: Semiautomaton, caps: Caps) -> _Plan:
     if is_reset(B):
         return _Plan(B, _reset_states(B.n_states))
     try:
-        const, perms, K = _permutation_group(B, caps)
+        const, perms, elements, labels = _permutation_group(B, caps)
     except ResourceCapError as exc:
         return _Plan(B, B.n_states, str(exc))
-    states = K.order * _reset_states(B.n_states)
+    states = len(elements) * _reset_states(B.n_states)
     if states > caps.product_states:
         return _Plan(
             B,
@@ -568,7 +570,7 @@ def _plan_factor(B: Semiautomaton, caps: Caps) -> _Plan:
             "split product of %d states exceeds the cap of %d"
             % (states, caps.product_states),
         )
-    return _Plan(B, states, group=(const, perms, K))
+    return _Plan(B, states, group=(const, perms, elements, labels))
 
 
 def _plan_chain(steps, last: Semiautomaton, caps: Caps):

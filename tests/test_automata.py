@@ -7,6 +7,7 @@ from array import array
 
 import pytest
 
+import krcascade.automata as kr_automata
 from krcascade import (
     CoveringWitness,
     HomImageWitness,
@@ -224,6 +225,28 @@ def test_covering_witness_construction_rejections(sa3, sa2):
     ]:
         with pytest.raises(WitnessError, match=message):
             CoveringWitness._from_parts(sa3, sa2, phi, xi)
+
+
+def test_verify_covering_names_a_phi_entry_out_of_range(sa3, sa2, monkeypatch):
+    # _from_parts leaves phi's range unchecked: a phi that covers every lower
+    # state and holds an entry out of range fails, naming the first such
+    # entry, on a small witness and on one read through its product's factors
+    w = CoveringWitness._from_parts(sa3, sa2, (0, 1, 5), (0, 1))
+    res = verify_covering(w)
+    assert (res.ok, res.reason, res.site) == (False, "phi image 5 out of range", None)
+    monkeypatch.setattr(kr_automata, "_FACTORED_STATES", 1)
+    monkeypatch.setattr(kr_automata, "_SYMBOL_PASS_STATES", 1)
+    upper = direct_product(sa3, direct_product(sa3, sa2))
+    assert upper._factors is not None
+    phi = [s % 2 for s in range(upper.n_states)]
+    for bad in (7, -1):
+        phi[9], phi[13] = bad, 2
+        res = verify_covering(CoveringWitness._from_parts(upper, sa2, tuple(phi), (0, 1)))
+        assert (res.ok, res.reason) == (False, "phi image %d out of range" % bad)
+    # a lower state missed is named before an entry out of range
+    phi = (0,) * upper.n_states
+    res = verify_covering(CoveringWitness._from_parts(upper, sa2, phi[:-1] + (5,), (0, 1)))
+    assert res.reason == "phi misses lower state 2"
 
 
 def test_covering_domain_closure(sa2):

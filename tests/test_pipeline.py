@@ -979,7 +979,7 @@ def _cells_compared(w, upper=None):
     replaced by upper if given."""
     check = _lawcheck.LawCheck(w.lower)
     U = w.upper if upper is None else upper
-    assert _lawcheck.holds(check, U, w.phi, automata._law_pairs(w))
+    assert _lawcheck.passes(check, _lawcheck.descend(U, w.phi, automata._law_pairs(w)))
     return check.cells
 
 
@@ -1033,6 +1033,41 @@ def test_factored_law_check_finds_a_change_in_a_repeated_block(random6_root_witn
     got, want = _verdicts(bad)
     assert got == want and not got[0]
     assert got[1].startswith("covering law fails at state ")
+
+
+def test_verify_covering_descends_once(monkeypatch, random6_root_witness):
+    # one check of a recorded product's witness runs the descent once: the
+    # states phi covers and the law's passes are both read off it, and the
+    # witness keeps none of it
+    w = random6_root_witness
+    calls = []
+    descend = _lawcheck.descend
+
+    def counted(X, phi, pairs):
+        calls.append(X)
+        return descend(X, phi, pairs)
+
+    monkeypatch.setattr(_lawcheck, "descend", counted)
+    assert verify_covering(w)
+    assert calls == [w.upper] and w._descent is None
+
+
+def test_factored_law_check_tells_apart_pieces_with_one_sampled_key(random6_root_witness):
+    # blocks 0 and 5 of 9,216 states of the root's phi are equal, and are
+    # numbered by a sample of their entries: a change in block 5 off the
+    # sample leaves the two samples equal, and the check, which confirms a
+    # sample by the whole contents, fails with the flat pass's reason and site
+    w = random6_root_witness
+    nb = w.upper._factors[1]._factors[1].n_states
+    step = nb // _lawcheck._SAMPLE | 1
+    assert nb >= _lawcheck._WIDE and w.phi[:nb] == w.phi[5 * nb:6 * nb]
+    j = next(j for j in range(nb) if j % step and w.phi[5 * nb + j] is not None)
+    phi = list(w.phi)
+    phi[5 * nb + j] = (phi[5 * nb + j] + 1) % w.lower.n_states
+    assert phi[:nb:step] == phi[5 * nb:6 * nb:step] and phi[:nb] != phi[5 * nb:6 * nb]
+    bad = CoveringWitness(w.upper, w.lower, phi, w.xi, check=False)
+    got, want = _verdicts(bad)
+    assert got == want and not got[0]
 
 
 def test_unrecorded_copies_take_the_flat_pass():

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import krcascade.automata as kr_automata
+from krcascade import _lawcheck
 
 from krcascade import (
     CoveringWitness,
@@ -374,3 +375,103 @@ def test_factored_law_check_matches_flat_pass(A, B, C, data):
                 assert (r.ok, r.reason, r.site) == _flat_verdict(c)
             assert verify_covering(w)
         assert recorded >= 3
+
+
+def _reference_verdict(w):
+    """verify_covering's (ok, reason, site) from the flat check: the states
+    phi covers from set(phi), and the law from a scan of every domain state
+    under every lower symbol."""
+    phi, xi, upper, lower = w.phi, w.xi, w.upper, w.lower
+    covered = set(phi) - {None}
+    if not covered:
+        return False, "phi has an empty domain", None
+    missing = set(range(lower.n_states)) - covered
+    if missing:
+        return False, "phi misses lower state %s" % lower.state_labels[min(missing)], None
+    for v in phi:
+        if v is not None and not 0 <= v < lower.n_states:
+            return False, "phi image %d out of range" % v, None
+    for s, v in enumerate(phi):
+        for a in range(len(xi) if v is not None else 0):
+            t = phi[upper.step(s, xi[a])]
+            if t is None:
+                return False, "domain not closed under symbol %s" % lower.symbol_labels[a], (s, a)
+            if t != lower.step(v, a):
+                reason = "covering law fails at state %s under symbol %s" % (
+                    upper.state_labels[s],
+                    lower.symbol_labels[a],
+                )
+                return False, reason, (s, a)
+    return True, None, None
+
+
+@st.composite
+def _lowers(draw):
+    """A lower automaton of up to three states, with no symbols at times."""
+    if draw(st.booleans()):
+        return draw(automata(max_states=3, max_symbols=2))
+    n = draw(st.integers(1, 3))
+    return Semiautomaton(["s%d" % i for i in range(n)], [], [[] for _ in range(n)])
+
+
+def _cover_cases(X, L, widths, data):
+    """Witnesses of X over L: the projection onto X's first factor, where that
+    factor has L's states and symbols, and drawn phi and xi that keep one
+    lower state inside a single deepest block only, then miss it; each of
+    these with an all-None block of a drawn width in widths, and with an
+    entry out of range."""
+    n, nl = X.n_states, L.n_states
+    xi = tuple(data.draw(st.integers(0, X.n_symbols - 1)) for _ in range(L.n_symbols))
+    values = st.sampled_from([None] + list(range(nl)))
+    p, v = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, nl - 1))
+    kept = [data.draw(values) for _ in range(n)]
+    kept = [None if u == v else u for u in kept]
+    kept[p] = v
+    missed = kept[:p] + [None] + kept[p + 1:]
+    phis = [kept, missed]
+    first = X._factors[0]
+    if first.n_states == nl and first.symbol_labels == L.symbol_labels:
+        phis.append([s * nl // n for s in range(n)])
+        xi = tuple(range(L.n_symbols))
+    for phi in list(phis):
+        w = data.draw(st.sampled_from(widths))
+        u = data.draw(st.integers(0, n // w - 1))
+        phis.append(phi[:u * w] + [None] * w + phi[(u + 1) * w:])
+        bad = list(phi)
+        bad[data.draw(st.integers(0, n - 1))] = data.draw(st.sampled_from([-1, nl]))
+        phis.append(bad)
+    return [CoveringWitness._from_parts(X, L, tuple(phi), xi) for phi in phis]
+
+
+@settings(deadline=None)
+@given(
+    automata(max_states=3, max_symbols=2),
+    automata(max_states=3, max_symbols=2),
+    automata(max_states=3, max_symbols=2),
+    _lowers(),
+    st.data(),
+)
+def test_cover_check_through_the_descent_matches_flat_reference(A, B, C, L, data):
+    # with every product recording its factors, every witness checked
+    # through the descent, and every piece of two entries or more numbered by
+    # its first entry alone, so that pieces of different contents share a
+    # sampled key, verify_covering gives the verdict, reason and site of the
+    # flat set(phi) check and the scan of every symbol
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kr_automata, "_FACTORED_STATES", 1)
+        mp.setattr(kr_automata, "_SYMBOL_PASS_STATES", 1)
+        mp.setattr(_lawcheck, "_WIDE", 2)
+        mp.setattr(_lawcheck, "_SAMPLE", 1)
+        BC = _drive(B, C, data)
+        uppers = [_drive(A, BC, data), _drive(_drive(A, B, data), C, data)]
+        if L.n_symbols:
+            uppers.append(_drive(L, BC, data))
+        for X in uppers:
+            widths = [X.n_states]
+            Y = X
+            while Y._factors is not None:
+                Y = Y._factors[1]
+                widths.append(Y.n_states)
+            for w in _cover_cases(X, L, widths, data):
+                r = verify_covering(w)
+                assert (r.ok, r.reason, r.site) == _reference_verdict(w)
