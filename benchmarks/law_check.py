@@ -8,17 +8,20 @@ src/ directory. The corpus is the ROADMAP "random n" automata for n = 5
 (seeds 0-9) and n = 6 (seeds 0, 4 and 6, the random6 workload of krbench).
 For every node witness of each decomposition tree, the law check's passes
 (krcascade._lawcheck.passes on the descent of _lawcheck.descend, over the
-law pairs of automata._law_pairs) run twice: on the witness as built, where
-an upper automaton of _FACTORED_STATES states or more records its factors
-and the passes go through them, and on a copy of the upper made by
+law pairs of automata._law_pairs) run twice: on the witness as built,
+where an upper automaton of _FACTORED_STATES states or more records its
+factors and the passes go through them, and on a copy of the upper made by
 Semiautomaton._from_table, which records none, so that the passes are the
-flat ones over whole columns. The passes run on every node witness, also on those whose domain
-is too small for the library to use them. verify_covering, which also
-checks that phi is onto, runs on the witness as built and on a witness
-over the unrecorded copy. Each entry records the upper's states, the
-domain size, the number of law pairs, and per side the cells compared and
-the least CPU time of REPEATS runs of the passes and of verify_covering.
-The entries and their totals per n are written as JSON.
+flat ones over whole columns. Each run is timed with its descent, and the
+cells it compares are counted off the descent: one per entry of a task's
+source block that is not None. The passes run on every node witness, also
+on those with too few upper states for the library to use them.
+verify_covering, which also checks that phi is onto, runs on the witness as
+built and on a witness over the unrecorded copy. Each entry records the
+upper's states, the domain size, the number of law pairs, and per side the
+cells compared and the least CPU time of REPEATS runs of the passes and of
+verify_covering (witness_entry). The entries and their totals per n are
+written as JSON.
 """
 
 import argparse
@@ -65,19 +68,26 @@ def unrecorded(X):
     )
 
 
+def cells_compared(descent):
+    """The cells the passes compare on a descent that holds: one per entry
+    of a task's source block that is not None."""
+    _, tasks, blocks = descent
+    return sum(len(blocks[src]) - blocks[src].count(None) for _, src, _, _ in tasks)
+
+
 def passes(w, upper, pairs):
     """(cells compared, least CPU seconds) of the law check's passes on w,
     with its upper automaton replaced by upper."""
     best = None
     for _ in range(REPEATS):
-        check = _lawcheck.LawCheck(w.lower)
         start = time.process_time()
-        ok = _lawcheck.passes(check, _lawcheck.descend(upper, w.phi, pairs))
+        descent = _lawcheck.descend(upper, w.phi, pairs)
+        ok = _lawcheck.passes(w.lower, descent)
         took = time.process_time() - start
         if not ok:
             raise SystemExit("a node witness fails the law check")
         best = took if best is None else min(best, took)
-    return check.cells, best
+    return cells_compared(descent), best
 
 
 def verify(w):
@@ -93,6 +103,27 @@ def verify(w):
     return best
 
 
+def witness_entry(w):
+    """The entry of the node witness w, without its automaton and node."""
+    pairs = list(automata._law_pairs(w))
+    flat = unrecorded(w.upper)
+    flat_cells, flat_s = passes(w, flat, pairs)
+    cells, took = passes(w, w.upper, pairs)
+    flat_verify_s = verify(CoveringWitness._from_parts(flat, w.lower, w.phi, w.xi))
+    return {
+        "states": w.upper.n_states,
+        "domain": len(w.phi) - w.phi.count(None),
+        "law_pairs": len(pairs),
+        "recorded": w.upper._factors is not None,
+        "flat_cells": flat_cells,
+        "factored_cells": cells,
+        "flat_s": flat_s,
+        "factored_s": took,
+        "flat_verify_s": flat_verify_s,
+        "factored_verify_s": verify(w),
+    }
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_law_check.json"))
@@ -101,26 +132,9 @@ def main():
     for n, seed in CORPUS:
         tree = krohn_rhodes_decompose(random_n(n, seed))
         for k, node in enumerate(iter_nodes(tree)):
-            w = node.witness
-            pairs = list(automata._law_pairs(w))
-            flat = unrecorded(w.upper)
-            flat_cells, flat_s = passes(w, flat, pairs)
-            cells, took = passes(w, w.upper, pairs)
-            flat_verify_s = verify(CoveringWitness._from_parts(flat, w.lower, w.phi, w.xi))
-            entries.append({
-                "automaton": "random%d-%d" % (n, seed),
-                "node": k,
-                "states": w.upper.n_states,
-                "domain": len(w.phi) - w.phi.count(None),
-                "law_pairs": len(pairs),
-                "recorded": w.upper._factors is not None,
-                "flat_cells": flat_cells,
-                "factored_cells": cells,
-                "flat_s": flat_s,
-                "factored_s": took,
-                "flat_verify_s": flat_verify_s,
-                "factored_verify_s": verify(w),
-            })
+            entry = {"automaton": "random%d-%d" % (n, seed), "node": k}
+            entry.update(witness_entry(node.witness))
+            entries.append(entry)
     totals = {}
     for n in sorted({n for n, _ in CORPUS}):
         group = [e for e in entries if e["automaton"].startswith("random%d-" % n)]

@@ -15,10 +15,10 @@ whole of phi, once per law pair.
 The descent reads every entry of phi once, and nothing else in a check
 needs to: covered reads the states phi covers off the source blocks the
 descent ends with, so that verify_covering tests surjectivity on the same
-descent that the passes check. After a failure, first_failure scans the
-domain state by state to name the first failing site. Nothing here imports
-the rest of the package: an automaton's record is read off its _factors
-attribute, (A, B, connection) or None.
+descent that the passes check; a check makes at most one descent. After a
+failure, first_failure scans the domain state by state to name the first
+failing site. Nothing here imports the rest of the package: an automaton's
+record is read off its _factors attribute, (A, B, connection) or None.
 """
 
 from itertools import compress, repeat
@@ -29,17 +29,6 @@ from operator import is_not
 # pieces of 9,216 and 46,080 entries took about a quarter of cutting them.
 _WIDE = 1024
 _SAMPLE = 64
-
-
-class LawCheck:
-    """One law check against a lower automaton: its table and state count,
-    and the number of cells the passes have compared so far."""
-
-    __slots__ = ("images", "nl", "cells")
-
-    def __init__(self, lower):
-        self.images, self.nl = lower._table, lower._n
-        self.cells = 0
 
 
 def descend(X, phi, pairs):
@@ -118,13 +107,14 @@ def _cut(block, na, nb, pieces, ids):
     return parts
 
 
-def passes(check, descent):
+def passes(lower, descent):
     """Whether every task of the descent holds on its last automaton X, which
-    records no factors: one pass per task over X's column x, read at the
-    domain states of src."""
+    records no factors, against the lower automaton: one pass per task over
+    X's column x, read at the domain states of src. A pass compares one cell
+    per entry of src that is not None."""
     X, tasks, blocks = descent
     table, n = X._table, X._n
-    images, nl = check.images, check.nl
+    images, nl = lower._table, lower._n
     domains, columns = {}, {}
     for x, src, dst, a in tasks:
         domain = domains.get(src)
@@ -140,7 +130,6 @@ def passes(check, descent):
         for t, v in zip(compress(table[x * n:(x + 1) * n], inside), low):
             if target[t] != image[v]:
                 return False
-        check.cells += len(low)
     return True
 
 

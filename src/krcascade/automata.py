@@ -11,7 +11,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
-from operator import index, is_not, not_
+from operator import index, is_not
 from typing import Optional
 from zlib import crc32
 
@@ -27,13 +27,11 @@ from .errors import InvalidInputError, WitnessError
 _CELL = "i"
 _CELL_BYTES = array(_CELL).itemsize
 _STATE_LIMIT = 2 ** (8 * _CELL_BYTES - 1)
-# The smallest witness domain checked a symbol at a time: below it, the
-# fixed cost of a pass per symbol outweighs its lower cost per cell. Timed
-# per node witness of the krbench workloads, the law check's total is flat
-# for thresholds from 16 to 64 states on each of them, and 32 is mid-range.
-# It is also the smallest product whose columns are looked up by column
-# class: below it, finding the classes of both factors costs more than the
-# columns it saves building.
+# The fewest upper states of a witness whose law is checked a symbol at a
+# time: below it, the fixed cost of a pass per symbol outweighs its lower
+# cost per cell. Timed per node witness of the krbench workloads, the law
+# check's total is flat for thresholds from 16 to 64 states on each of
+# them, and 32 is mid-range.
 _SYMBOL_PASS_STATES = 32
 # The smallest product that records its factors for the law check. Timed
 # over the node witnesses of random-5 seeds 0-9 and random-6 seeds 0, 4 and
@@ -512,9 +510,7 @@ def _product(A: Semiautomaton, B: Semiautomaton, connection) -> Semiautomaton:
     along connection[a]. Where A's column a repeats an earlier one, column a
     of the product repeats an earlier column whenever those classes do too,
     and then its cells are copied from it. So B's columns are read once per
-    class and the product's built once per distinct column, except in a
-    product of fewer than _SYMBOL_PASS_STATES states, which reads and builds
-    every column.
+    class and the product's built once per distinct column.
     """
     na, nb = A.n_states, B.n_states
     if na * nb > _STATE_LIMIT:
@@ -524,15 +520,11 @@ def _product(A: Semiautomaton, B: Semiautomaton, connection) -> Semiautomaton:
         )
     order = sys.byteorder
     b_table, a_table = B._table, A._table
-    built = None
-    if na * nb < _SYMBOL_PASS_STATES:
-        blocks = [int.from_bytes(b_table[k:k + nb], order) for k in range(0, len(b_table), nb)]
-    else:
-        b_classes = B._classes
-        first = {c: int.from_bytes(b_table[c * nb:(c + 1) * nb], order) for c in B._firsts}
-        blocks = list(map(first.__getitem__, b_classes))
-        if len(A._firsts) < A.n_symbols:
-            built, a_classes = {}, A._classes
+    built, b_classes = None, B._classes
+    first = {c: int.from_bytes(b_table[c * nb:(c + 1) * nb], order) for c in B._firsts}
+    blocks = list(map(first.__getitem__, b_classes))
+    if len(A._firsts) < A.n_symbols:
+        built, a_classes = {}, A._classes
     shift = int.from_bytes(array(_CELL, [nb]) * nb, order)
     width = nb * _CELL_BYTES
     span = na * width
@@ -624,28 +616,29 @@ class CoveringWitness:
 
     phi: per upper state, a lower-state index or None (None = outside the domain).
     xi: per lower symbol, an upper symbol index.
-    Construction rejects witnesses whose domain is empty, not surjective, or not
-    closed under the xi-image transitions; the per-symbol law itself is checked
-    by verify_covering. check=False skips these checks, for witnesses that are
-    verified later anyway, as every tree node witness is.
+    Construction normalizes phi and xi and checks their lengths and ranges;
+    with check=True it then runs verify_covering, the one checker of a
+    covering, and raises WitnessError with its reason when the witness does
+    not verify. check=False builds the witness without that call, for one
+    that gets verified later anyway.
 
     _from_parts builds a witness from phi and xi tuples whose entries are
-    already normalized, such as the entries of other witnesses: it keeps the
-    length checks and the xi range check, and skips the pass that normalizes
-    phi and checks its range. krohn_rhodes_decompose builds its node witnesses
-    so, and relies on verify_covering at the node, whose covered ==
-    set(range(n)) test proves that phi is onto and in range.
+    already normalized: it keeps the length checks and the xi range check,
+    and skips the pass that normalizes phi and checks its range. Every
+    witness the library derives is made so (a parsed one goes through the
+    constructor), and is verified only where the library relies on it: at a
+    tree node, by a public wrapper or by compose_coverings. verify_covering's
+    covered == set(range(n)) test proves that phi is onto and in range.
 
     dom, the upper states in the domain of phi in order, is computed on its
-    first read and then kept; neither the checks nor verify_covering read it,
-    so a witness that only gets verified never holds it. _descent holds a
-    descent of the law check only while verify_covering hands it over.
+    first read and then kept; verify_covering does not read it, so a witness
+    that only gets verified never holds it.
     """
 
     def __init__(self, upper: Semiautomaton, lower: Semiautomaton, phi, xi, check=True):
         self.upper = upper
         self.lower = lower
-        self._dom = self._descent = None
+        self._dom = None
         phi = tuple(phi)
         image = {v: None if v is None else int(v) for v in set(phi)}
         self.phi = tuple(map(image.__getitem__, phi))
@@ -661,29 +654,16 @@ class CoveringWitness:
                     raise WitnessError("phi image %d out of range" % v)
         self._check_xi_range()
         if check:
-            if not covered:
-                raise WitnessError("phi has an empty domain")
-            if covered != set(range(lower.n_states)):
-                missing = min(set(range(lower.n_states)) - covered)
-                raise WitnessError(
-                    "phi is not surjective: lower state %s has no preimage"
-                    % lower.state_labels[missing]
-                )
-            if not _domain_closed(self):
-                for s in self.dom:
-                    for a in range(lower.n_symbols):
-                        if self.phi[upper.step(s, self.xi[a])] is None:
-                            raise WitnessError(
-                                "domain of phi is not closed: state %s leaves it under %s"
-                                % (upper.state_labels[s], lower.symbol_labels[a])
-                            )
+            result = verify_covering(self)
+            if not result:
+                raise WitnessError(result.reason)
 
     @classmethod
     def _from_parts(cls, upper: Semiautomaton, lower: Semiautomaton, phi: tuple, xi: tuple):
         """The witness with these phi and xi tuples, kept as they are."""
         self = cls.__new__(cls)
         self.upper, self.lower, self.phi, self.xi = upper, lower, phi, xi
-        self._dom = self._descent = None
+        self._dom = None
         if len(phi) != upper.n_states:
             raise WitnessError("phi needs one entry per upper state")
         if len(xi) != lower.n_symbols:
@@ -714,7 +694,11 @@ class CoveringWitness:
 
 
 class HomImageWitness:
-    """Proof object for a homomorphic image: total phi and xi, both surjective."""
+    """Proof object for a homomorphic image: total phi and xi, both surjective.
+
+    Construction checks the lengths and ranges of phi and xi; with
+    check=True it then runs verify_hom_image and raises WitnessError with
+    its reason when the witness does not verify."""
 
     def __init__(self, source: Semiautomaton, target: Semiautomaton, phi, xi, check=True):
         self.source = source
@@ -732,48 +716,30 @@ class HomImageWitness:
             if not 0 <= x < target.n_symbols:
                 raise WitnessError("xi image %d out of range" % x)
         if check:
-            if set(self.phi) != set(range(target.n_states)):
-                raise WitnessError("phi is not surjective onto the target states")
-            if set(self.xi) != set(range(target.n_symbols)):
-                raise WitnessError("xi is not surjective onto the target alphabet")
+            result = verify_hom_image(self)
+            if not result:
+                raise WitnessError(result.reason)
 
 
-def _domain_closed(w: CoveringWitness) -> bool:
-    """Whether no domain state leaves the domain of phi under an image xi(a)."""
-    inside = list(map(is_not, w.phi, repeat(None)))
-    outside = set(compress(range(len(inside)), map(not_, inside)))
-    table, n = w.upper._table, w.upper.n_states
-    return not outside or all(
-        outside.isdisjoint(compress(table[x * n:(x + 1) * n], inside))
-        for x in set(w.xi)
-    )
-
-
-def _law_violation(w: CoveringWitness):
+def _law_violation(w: CoveringWitness, descent=None):
     """The first (s, a), domain states in order and then lower symbols, where
     phi(s·xi(a)) != phi(s)·a; leaving the domain of phi counts. None if none.
 
-    A domain of _SYMBOL_PASS_STATES states or more is checked by the passes
-    of _lawcheck, on the descent that verify_covering hands over in
-    w._descent or on one made here, and scanned state by state only after a
-    failure, to name the first site. A recorded upper takes the passes
-    whatever its domain, which is counted only on an upper without a
-    record. There is one pass per pair of _law_pairs, and two symbols with
-    the same pair (column class of xi(a) in the upper, column class of a in
-    the lower) compare cells of the same contents, so skipping the second
-    is exact. Where the upper records its factors, a pass compares each
+    A witness of _SYMBOL_PASS_STATES upper states or more is checked by the
+    passes of _lawcheck, on the given descent or on one made here, and
+    scanned state by state only after a failure, to name the first site.
+    There is one pass per pair of _law_pairs, and two symbols with the same
+    pair (column class of xi(a) in the upper, column class of a in the
+    lower) compare cells of the same contents, so skipping the second is
+    exact. Where the upper records its factors, a pass compares each
     distinct block of phi once, which is exact too.
     """
     phi = w.phi
     if len(phi) < _SYMBOL_PASS_STATES:
         return _lawcheck.first_failure(w)
-    descent = w._descent
     if descent is None:
-        upper = w.upper
-        if upper._factors is None and len(phi) - phi.count(None) < _SYMBOL_PASS_STATES:
-            return _lawcheck.first_failure(w)
-        descent = _lawcheck.descend(upper, phi, _law_pairs(w))
-    if _lawcheck.passes(_lawcheck.LawCheck(w.lower), descent):
+        descent = _lawcheck.descend(w.upper, phi, _law_pairs(w))
+    if _lawcheck.passes(w.lower, descent):
         return None
     return _lawcheck.first_failure(w)
 
@@ -797,13 +763,17 @@ def _state_label(X: Semiautomaton, s: int) -> str:
 
 
 def verify_covering(w: CoveringWitness) -> VerificationResult:
-    """Exhaustive check of surjectivity, domain closure, and the per-symbol law.
+    """Exhaustive check of surjectivity, domain closure, and the per-symbol
+    law: the one checker of a covering witness, which CoveringWitness(...,
+    check=True) runs too.
 
     A failure names, in this order: an empty domain, a missed lower state,
-    an entry of phi out of range, a law site. Where the upper automaton
-    records its factors, phi is read once, by the law check's descent
-    (_lawcheck.descend): the states phi covers are read off it, and
-    _law_violation's passes run on it.
+    an entry of phi out of range, a law site. Each check makes at most one
+    descent of the law check (_lawcheck.descend). Where the upper automaton
+    records its factors, the descent is made here and phi is read once, by
+    it: the states phi covers are read off it, and _law_violation's passes
+    run on it. Otherwise the states covered are set(phi), and
+    _law_violation makes the descent if its passes need one.
     """
     upper, lower, phi = w.upper, w.lower, w.phi
     descent = None
@@ -826,14 +796,7 @@ def verify_covering(w: CoveringWitness) -> VerificationResult:
         for v in phi:
             if v is not None and not 0 <= v < lower.n_states:
                 return VerificationResult(False, "phi image %d out of range" % v)
-    if descent is None:
-        site = _law_violation(w)
-    else:
-        w._descent = descent
-        try:
-            site = _law_violation(w)
-        finally:
-            w._descent = None
+    site = _law_violation(w, descent)
     if site is None:
         return VerificationResult(True)
     s, a = site
@@ -870,7 +833,7 @@ def verify_hom_image(w: HomImageWitness) -> VerificationResult:
 
 
 def identity_witness(A: Semiautomaton) -> CoveringWitness:
-    return CoveringWitness(A, A, range(A.n_states), range(A.n_symbols))
+    return CoveringWitness._from_parts(A, A, tuple(range(A.n_states)), tuple(range(A.n_symbols)))
 
 
 def compose_coverings(w1: CoveringWitness, w2: CoveringWitness) -> CoveringWitness:

@@ -124,14 +124,14 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument(
         "--cap-group",
         type=int,
-        default=24,
-        help="largest permutation group order to decompose (default 24)",
+        default=Caps.group_order,
+        help="largest permutation group order to decompose (default %(default)d)",
     )
     d.add_argument(
         "--cap-states",
         type=int,
-        default=500_000,
-        help="largest intermediate product state count (default 500000)",
+        default=Caps.product_states,
+        help="largest intermediate product state count (default %(default)d)",
     )
     d.add_argument(
         "--verify-len",

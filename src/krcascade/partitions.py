@@ -124,7 +124,8 @@ def _block_label(A: Semiautomaton, block, idx: int) -> str:
 
 
 def p_factor(A: Semiautomaton, P: Partition):
-    """The quotient B = A/P plus the witness that A covers it (phi = block map)."""
+    """The quotient B = A/P plus the witness that A covers it (phi = block
+    map), built unchecked; verify it before relying on it."""
     if not is_admissible_partition(A, P):
         raise InvalidInputError("partition is not admissible")
     heads = [block[0] for block in P.blocks]
@@ -137,7 +138,7 @@ def p_factor(A: Semiautomaton, P: Partition):
         A.symbol_labels,
         map(columns.__getitem__, A._classes),
     )
-    witness = CoveringWitness(A, B, P.block_of, range(A.n_symbols))
+    witness = CoveringWitness._from_parts(A, B, P.block_of, tuple(range(A.n_symbols)))
     return B, witness
 
 
@@ -228,7 +229,8 @@ def cascade_cover_from_partition(A: Semiautomaton, P: Partition, q: Optional[Par
     complementary partition Q (any partition meeting each P-block at most once
     may be passed in as q). C's inputs are the pairs (B-state, symbol); its
     unconstrained cells go to block 0 and are reported as dont_care pairs
-    (C-state, C-symbol index).
+    (C-state, C-symbol index). The witness is built unchecked; verify it
+    before relying on it.
     """
     B, _ = p_factor(A, P)
     Q = complementary_partition(A.n_states, P) if q is None else q
@@ -238,7 +240,8 @@ def cascade_cover_from_partition(A: Semiautomaton, P: Partition, q: Optional[Par
     missing = [(i, j) for i, states in enumerate(meets) for j, s in enumerate(states) if s is None]
     dont_care = frozenset((j, i * m + a) for i, j in missing for a in range(m))
     product = cascade_product(B, C, omega)
-    witness = CoveringWitness(product, A, chain.from_iterable(meets), range(m))
+    phi = tuple(chain.from_iterable(meets))
+    witness = CoveringWitness._from_parts(product, A, phi, tuple(range(m)))
     return CascadeCover(B, C, omega, product, witness, dont_care, P, Q)
 
 
@@ -289,7 +292,8 @@ def yoeli_auxiliary(A: Semiautomaton, D: Decomposition, factor=None) -> YoeliAux
 
     The second component follows the D-factor B, so the partition D* by second
     component is admissible and A*/D* reproduces B's table exactly; phi
-    forgetting the block component makes A* cover A.
+    forgetting the block component makes A* cover A. The witness is built
+    unchecked; verify it before relying on it.
     """
     if factor is None:
         factor = d_factor(A, D)
@@ -330,8 +334,8 @@ def yoeli_auxiliary(A: Semiautomaton, D: Decomposition, factor=None) -> YoeliAux
         len(states),
         [[k for k, (s, i) in enumerate(states) if i == j] for j in range(D.count)],
     )
-    witness = CoveringWitness(
-        a_star, A, [s for s, i in states], range(A.n_symbols)
+    witness = CoveringWitness._from_parts(
+        a_star, A, tuple(s for s, i in states), tuple(range(A.n_symbols))
     )
     b_star, _ = p_factor(a_star, d_star)
     if b_star.table != B.table:
@@ -357,7 +361,7 @@ def cascade_cover_from_decomposition(A: Semiautomaton, D: Decomposition, choice=
     """
     aux, fc, C, omega, phi = _decomposition_cover(A, D, choice)
     product = cascade_product(aux.b_star, C, omega)
-    witness = CoveringWitness(product, A, phi, range(A.n_symbols), check=False)
+    witness = CoveringWitness._from_parts(product, A, phi, tuple(range(A.n_symbols)))
     return DecompositionCover(aux.b_star, C, omega, product, witness, aux, fc)
 
 

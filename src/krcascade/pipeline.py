@@ -76,7 +76,6 @@ class Caps:
 
     group_order: int = 24
     product_states: int = 500_000
-    closure_elements: int = CLOSURE_CAP
 
 
 class InputClass(enum.Enum):
@@ -188,23 +187,23 @@ def grouplike_of(G: FiniteGroup) -> Semiautomaton:
     return Semiautomaton(labels, labels, [list(row) for row in G.table])
 
 
-def cover_permutation_by_grouplike(pi: Semiautomaton, closure_cap: int = CLOSURE_CAP):
+def cover_permutation_by_grouplike(pi: Semiautomaton):
     """The grouplike cover of a permutation semiautomaton in regular form.
 
     Expects the states to be the elements of the automaton's own transition
     group in closure order (as split_permutation_reset produces); phi is then
     the identity and each input maps to the group element acting like it.
     """
-    G, witness = _grouplike_cover(pi, closure_cap)
+    G, witness = _grouplike_cover(pi)
     _require(verify_covering(witness), "grouplike cover of the permutation automaton")
     return G, witness
 
 
-def _grouplike_cover(pi: Semiautomaton, closure_cap: int):
+def _grouplike_cover(pi: Semiautomaton):
     """cover_permutation_by_grouplike, with its witness unchecked."""
     if not is_permutation(pi):
         raise InvalidInputError("not a permutation semiautomaton")
-    M = transition_monoid(pi, cap=closure_cap)
+    M = transition_monoid(pi)
     if M.order != pi.n_states:
         raise InvalidInputError(
             "states do not form the transition group: %d states, group order %d"
@@ -214,7 +213,8 @@ def _grouplike_cover(pi: Semiautomaton, closure_cap: int):
     glike = grouplike_of(G)
     elt = {t.image: k for k, t in enumerate(M.transformations)}
     xi = {c: elt[tuple(pi.column(c).tolist())] for c in pi._firsts}
-    return G, CoveringWitness(glike, pi, range(pi.n_states), map(xi.__getitem__, pi._classes))
+    xi = tuple(map(xi.__getitem__, pi._classes))
+    return G, CoveringWitness._from_parts(glike, pi, tuple(range(pi.n_states)), xi)
 
 
 @dataclass
@@ -247,7 +247,7 @@ def _permutation_group(A: Semiautomaton, caps: Caps):
     # the classes' first inputs generate K, as all of them do (_input_closure)
     by_class = {c: A.symbol_transformation(c) for c in A._firsts if const[c] is None}
     perms = [None if k is not None else by_class[c] for k, c in zip(const, classes)]
-    elements, words, _ = _closure(list(by_class.values()), n, caps.closure_elements)
+    elements, words, _ = _closure(list(by_class.values()), n, CLOSURE_CAP)
     if len(elements) > caps.group_order:
         raise ResourceCapError(
             "permutation group of order %d exceeds the cap of %d"
@@ -268,7 +268,7 @@ def split_permutation_reset(A: Semiautomaton, caps: Caps = Caps()) -> PRSplit:
     """
     pi, r, omega, phi = _split(A, *_permutation_group(A, caps))
     product = cascade_product(pi, r, omega)
-    witness = CoveringWitness(product, A, phi, range(A.n_symbols), check=False)
+    witness = CoveringWitness._from_parts(product, A, phi, tuple(range(A.n_symbols)))
     _require(verify_covering(witness), "permutation-reset split")
     return PRSplit(pi, r, omega, product, witness)
 
@@ -335,7 +335,7 @@ def _two_state_identity_cover(A: Semiautomaton) -> Leaf:
         A.symbol_labels,
         [[0] * A.n_symbols, [1] * A.n_symbols],
     )
-    witness = CoveringWitness(two, A, [0, 0], range(A.n_symbols))
+    witness = CoveringWitness._from_parts(two, A, (0, 0), tuple(range(A.n_symbols)))
     return _node("two-state cover of a one-state automaton", Leaf, LEAF_RESET, two, witness)
 
 
@@ -366,12 +366,12 @@ def reset_to_two_state(R: Semiautomaton) -> ResetFactorization:
         sub = build(rest)
         product = direct_product(B, sub.automaton)
         # Q's block j holds the j-th state of each P-block long enough to have one
-        phi = [
+        phi = tuple(
             pb[v] if v is not None and v < len(pb) else None
             for pb in P.blocks
             for v in sub.witness.phi
-        ]
-        witness = CoveringWitness(product, X, phi, range(X.n_symbols), check=False)
+        )
+        witness = CoveringWitness._from_parts(product, X, phi, tuple(range(X.n_symbols)))
         left = _node("two-state reset leaf", Leaf, LEAF_RESET, B, identity_witness(B))
         return _node("two-state reset factorization", DirectNode, left, sub, product, witness)
 
@@ -476,7 +476,7 @@ def grouplike_cascade_split(G: FiniteGroup, H) -> GrouplikeSplit:
     glike = grouplike_of(G)
     b, c_prime, omega, phi, h_group, cp = _coset_split(glike, G, H)
     product = cascade_product(b, c_prime, omega)
-    witness = CoveringWitness(product, glike, phi, range(G.order), check=False)
+    witness = CoveringWitness._from_parts(product, glike, phi, tuple(range(G.order)))
     _require(verify_covering(witness), "coset split of the grouplike automaton")
     return GrouplikeSplit(b, c_prime, h_group, omega, product, witness, cp)
 
@@ -524,7 +524,7 @@ def grouplike_to_simple_cascade(
     H, quotient = next(_composition_walk(G, caps.group_order))
     b, c_prime, omega, phi, h_group, cp = _coset_split(glike, G, H)
     glq = grouplike_of(quotient)
-    w_leaf = CoveringWitness(glq, b, range(quotient.order), cp.cosets)
+    w_leaf = CoveringWitness._from_parts(glq, b, tuple(range(quotient.order)), cp.cosets)
     leaf = _node("grouplike quotient leaf", Leaf, LEAF_GROUPLIKE, glq, w_leaf, group=quotient)
 
     inner = grouplike_to_simple_cascade(h_group, caps)
@@ -628,7 +628,7 @@ def _refine_factor(plan: _Plan, caps: Caps) -> Node:
     if plan.group is None:
         return reset_to_two_state(B).tree
     pi, r, omega, phi = _split(B, *plan.group)
-    G, w_g = _grouplike_cover(pi, caps.closure_elements)
+    G, w_g = _grouplike_cover(pi)
     g_tree = grouplike_to_simple_cascade(G, caps, w_g)
     r_tree = reset_to_two_state(r).tree
     sub = _substitute(pi, r, omega, g_tree.witness, r_tree.witness, phi, range(B.n_symbols), B)

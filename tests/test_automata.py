@@ -256,6 +256,27 @@ def test_covering_domain_closure(sa2):
         CoveringWitness(upper, sa2, [0, None, 1], [0, 1])
 
 
+def test_covering_construction_raises_verify_coverings_reason(sa3, sa2):
+    # a checked construction fails with the reason verify_covering gives on
+    # the same witness, for each kind of failure: an empty domain, a missed
+    # lower state, a domain that is not closed, and a law failure on a
+    # witness that is onto and closed
+    closing = Semiautomaton(["1", "2", "3"], ["a", "b"], [[0, 1], [0, 1], [0, 1]])
+    lawless = Semiautomaton(["1", "2"], ["a", "b"], [[1, 1], [0, 1]])
+    cases = [
+        (sa3, sa2, [None, None, None], "phi has an empty domain"),
+        (sa3, sa2, [0, 0, None], "phi misses lower state 2"),
+        (closing, sa2, [0, None, 1], "domain not closed under symbol b"),
+        (sa3, lawless, [0, 1, None], "covering law fails at state 1 under symbol a"),
+    ]
+    for upper, lower, phi, reason in cases:
+        res = verify_covering(CoveringWitness(upper, lower, phi, [0, 1], check=False))
+        assert (res.ok, res.reason) == (False, reason)
+        with pytest.raises(WitnessError) as exc:
+            CoveringWitness(upper, lower, phi, [0, 1])
+        assert str(exc.value) == reason
+
+
 def test_covering_law_failure_site(sa3):
     # lower disagrees with what phi transports at state 1 under a
     lower = Semiautomaton(["1", "2"], ["a", "b"], [[1, 1], [0, 1]])
@@ -282,6 +303,22 @@ def test_hom_image(sa2):
     res = verify_hom_image(skewed)
     assert not res
     assert res.site is not None
+
+
+def test_hom_image_construction_raises_verify_hom_images_reason():
+    # a checked construction fails with the reason verify_hom_image gives:
+    # on a phi that is not onto, and on one that is onto and breaks the law
+    source = Semiautomaton(["1", "2", "3"], ["a"], [[2], [2], [2]])
+    target = Semiautomaton(["1", "2"], ["a"], [[1], [1]])
+    for phi, reason in [
+        ([0, 0, 0], "phi is not surjective"),
+        ([1, 1, 0], "homomorphism law fails at state 1 under symbol a"),
+    ]:
+        res = verify_hom_image(HomImageWitness(source, target, phi, [0], check=False))
+        assert (res.ok, res.reason) == (False, reason)
+        with pytest.raises(WitnessError) as exc:
+            HomImageWitness(source, target, phi, [0])
+        assert str(exc.value) == reason
 
 
 def test_identity_witness(sa3):

@@ -1,25 +1,32 @@
-"""The library surface that the krbench benchmark reaches into.
+"""The library surface that the krbench benchmark and the scripts under
+benchmarks/ reach into.
 
 krbench/spans.py rebinds functions by (module, name), and krbench/run.py
 calls verify_tree and tree_report with sim_len, so a rename or a dropped
 parameter would break the benchmark without failing any other test.
+benchmarks/law_check.py and benchmarks/tree_memory.py call internals of the
+law check and of the automata, so their per-witness and per-tree functions
+run here on a small tree.
 """
 
 import importlib
 import importlib.util
 import os
 
-from krcascade import krohn_rhodes_decompose, tree_report, verify_tree
+from krcascade import iter_nodes, krohn_rhodes_decompose, tree_report, verify_tree
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _spans():
-    path = os.path.join(ROOT, "krbench", "spans.py")
-    spec = importlib.util.spec_from_file_location("krbench_spans", path)
+def _load(name, *path):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, *path))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _spans():
+    return _load("krbench_spans", "krbench", "spans.py")
 
 
 def test_traced_names_resolve():
@@ -40,3 +47,25 @@ def test_benchmark_calls_take_sim_len(five_state):
     report = tree_report(tree, sim_len=5)
     assert report["complete"] and report["witnesses_verified"]
     assert report["simulation_length"] == 5
+
+
+def test_law_check_script_runs_per_witness(monkeypatch, five_pr):
+    # five_pr is the README example
+    law_check = _load("law_check", "benchmarks", "law_check.py")
+    monkeypatch.setattr(law_check, "REPEATS", 1)
+    tree = krohn_rhodes_decompose(five_pr)
+    entries = [law_check.witness_entry(node.witness) for node in iter_nodes(tree)]
+    assert len(entries) == 7 and set(entries[0]) == set(law_check.KEYS) | {
+        "states", "domain", "law_pairs", "recorded"}
+    for e in entries:
+        # no upper this small records its factors: both sides are flat
+        assert not e["recorded"] and e["flat_cells"] == e["factored_cells"] > 0
+
+
+def test_tree_memory_script_runs_per_tree(five_pr):
+    tree_memory = _load("tree_memory", "benchmarks", "tree_memory.py")
+    held, peak, cells, objects, table_bytes = tree_memory.measure(five_pr)
+    assert 0 < held <= peak
+    assert cells == sum(n.automaton.n_states * n.automaton.n_symbols
+                        for n in iter_nodes(krohn_rhodes_decompose(five_pr)))
+    assert objects > 0 and table_bytes > 0

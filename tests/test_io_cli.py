@@ -24,7 +24,7 @@ from krcascade import (
     verify_hom_image,
     verify_tree,
 )
-from krcascade.cli import main
+from krcascade.cli import build_parser, main
 
 SA3_DOC = {
     "format_version": 1,
@@ -352,6 +352,41 @@ def test_cli_decompose_cap_exit(docs, capsys):
     out = capsys.readouterr().out
     assert code == 3
     assert "INCOMPLETE" in out
+
+
+DECOMPOSE_HELP = """\
+usage: krcascade decompose [-h] [--cap-group CAP_GROUP]
+                           [--cap-states CAP_STATES] [--verify-len VERIFY_LEN]
+                           [--out OUT]
+                           file
+
+positional arguments:
+  file                  automaton document (JSON)
+
+options:
+  -h, --help            show this help message and exit
+  --cap-group CAP_GROUP
+                        largest permutation group order to decompose (default
+                        24)
+  --cap-states CAP_STATES
+                        largest intermediate product state count (default
+                        500000)
+  --verify-len VERIFY_LEN
+                        simulate the root witness on all words up to this
+                        length (default 6)
+  --out OUT             write the machine-readable report to this file
+"""
+
+
+def test_cli_decompose_help(monkeypatch, capsys):
+    # the cap defaults are read from Caps, and the help text names them
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == DECOMPOSE_HELP
+    args = build_parser().parse_args(["decompose", "x.json"])
+    assert (args.cap_group, args.cap_states) == (Caps.group_order, Caps.product_states)
 
 
 def test_cli_decompose_parse_error(tmp_path, capsys):

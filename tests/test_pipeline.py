@@ -847,9 +847,9 @@ def test_verify_tree_runs_one_law_pass_per_node(monkeypatch, request, name):
     checked = []
     law = automata._law_violation
 
-    def counted(w):
+    def counted(w, descent=None):
         checked.append(w)
-        return law(w)
+        return law(w, descent)
 
     monkeypatch.setattr(automata, "_law_violation", counted)
     ok, _ = verify_tree(tree, sim_len=6)
@@ -875,9 +875,10 @@ def test_verify_tree_runs_one_law_pass_per_node(monkeypatch, request, name):
     assert verdicts[0] and False in verdicts[1:]
 
 
-def _law_violation_per_symbol(w):
+def _law_violation_per_symbol(w, descent=None):
     """The law check with one symbol pass per lower symbol, repeated columns
-    included: the check as it was before column classes."""
+    included: the check as it was before column classes. It reads phi
+    itself and ignores the descent."""
     phi = w.phi
     threshold = automata._SYMBOL_PASS_STATES
     if len(phi) < threshold or len(phi) - phi.count(None) < threshold:
@@ -976,11 +977,13 @@ def random6_root_witness():
 
 def _cells_compared(w, upper=None):
     """The cells the law check's passes compare on w, its upper automaton
-    replaced by upper if given."""
-    check = _lawcheck.LawCheck(w.lower)
+    replaced by upper if given: one per entry of a task's source block that
+    is not None."""
     U = w.upper if upper is None else upper
-    assert _lawcheck.passes(check, _lawcheck.descend(U, w.phi, automata._law_pairs(w)))
-    return check.cells
+    descent = _lawcheck.descend(U, w.phi, automata._law_pairs(w))
+    assert _lawcheck.passes(w.lower, descent)
+    _, tasks, blocks = descent
+    return sum(len(blocks[src]) - blocks[src].count(None) for _, src, _, _ in tasks)
 
 
 def _unrecorded(X):
@@ -1049,7 +1052,8 @@ def test_verify_covering_descends_once(monkeypatch, random6_root_witness):
 
     monkeypatch.setattr(_lawcheck, "descend", counted)
     assert verify_covering(w)
-    assert calls == [w.upper] and w._descent is None
+    assert calls == [w.upper]
+    assert not hasattr(w, "_descent")
 
 
 def test_factored_law_check_tells_apart_pieces_with_one_sampled_key(random6_root_witness):
