@@ -18,8 +18,10 @@ arrays, which depends on what else the process has made, so they can change
 when the tree's objects do not. Each entry therefore also counts the
 objects the tree holds, by a walk of gc.get_referents from the tree that
 does not enter classes, modules or functions, and the bytes of the
-transition tables among them. The results, one entry per automaton and the
-totals, are written as JSON.
+transition tables among them. A table counts only once it is built: a
+product that records its factors builds its table on the first read, and
+the walk reads none. The results, one entry per automaton and the totals,
+are written as JSON.
 """
 
 import argparse
@@ -52,8 +54,10 @@ _SHARED = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType
 
 def held_objects(tree):
     """(objects, table bytes) that the tree holds: the distinct objects
-    reachable from it, and the bytes of the tables of the automata among
-    them."""
+    reachable from it, and the bytes of the built tables among them. A
+    built table is the array under an automaton's read-only table view, so
+    the tables are the arrays that the memoryviews among the objects view;
+    no automaton's table is read, so none gets built."""
     seen = {id(tree): tree}
     stack = [tree]
     while stack:
@@ -61,7 +65,7 @@ def held_objects(tree):
             if id(ref) not in seen and not isinstance(ref, _SHARED):
                 seen[id(ref)] = ref
                 stack.append(ref)
-    tables = {id(x._table): x._table for x in seen.values() if isinstance(x, Semiautomaton)}
+    tables = {id(v.obj): v.obj for v in seen.values() if isinstance(v, memoryview)}
     return len(seen), sum(len(t) * t.itemsize for t in tables.values())
 
 

@@ -184,17 +184,24 @@ class Semiautomaton:
     is in range by construction and kept unscanned. Products also pass their
     state labels as a _PairLabels, which is unique by construction and
     rendered on the first read of state_labels. A product of
-    _FACTORED_STATES states or more records (A, B, connection) in _factors
-    for the law check (_lawcheck). Like in_range, the record is a fact of
-    how _product built the table, never confirmed against it; an automaton
-    made any other way, unpickled included, records None.
+    _FACTORED_STATES states or more is a _FactoredProduct: it records (A, B,
+    connection) in _factors, for the law check (_lawcheck), and builds its
+    table from the record only when something reads it. Like in_range, the
+    record is a fact of how _product makes the table, never confirmed
+    against it; an automaton made any other way, unpickled included,
+    records None.
 
     The column class of an input is the lowest input whose column has the
     same contents (_classes). Anything that depends only on a column's
     contents, such as the input's kind, a quotient's column or a law pass,
     is the same for every input of a class, so it is computed once per class
-    and shared. Classes are read off the table itself, never assumed from
-    how the table was built.
+    and shared. Classes are read off the table, except a _FactoredProduct's,
+    which come from its record with no table built. Input x of A∘B maps
+    state (u, v) to (u·x, v·k), k = connection[x][u], so two columns x and y
+    of the product are equal iff A's columns x and y are equal and, at every
+    state u of A, B's columns connection[x][u] and connection[y][u] are: the
+    key (A's class of x, B's classes along connection[x]) has the same
+    classes as the table's contents.
 
     Values computed on first read (delta, state_labels of a product, the
     label indexes, the kinds and the classes) are kept in plain attributes
@@ -202,7 +209,9 @@ class Semiautomaton:
     which on CPython 3.11 moves the instance's inline attribute values into
     a dict, so that every later attribute read on the automaton takes the
     slower dict path; and a try/except around a missing attribute costs a
-    raised AttributeError on every first read.
+    raised AttributeError on every first read. A _FactoredProduct's _table
+    and table are plain attributes too, missing until the first read of
+    either, which its __getattr__ answers by setting both.
     """
 
     def __init__(self, state_labels, symbol_labels, delta):
@@ -495,9 +504,76 @@ def _pair_state_labels(A: Semiautomaton, B: Semiautomaton):
     return _unique_labels(_pair_candidates(A.state_labels, B.state_labels, B.n_states))
 
 
+class _FactoredProduct(Semiautomaton):
+    """A product A∘B that records (A, B, connection) in _factors and builds
+    its table from them on the first read of _table or table, by the same
+    _product_table as any other product, then keeps it. Everything that
+    reads cells builds it: delta, column, step, ==, _kinds and pickling,
+    which gives an automaton that records no factors. The classes come from
+    the record (Semiautomaton), and the law check (_lawcheck) reads the
+    record, never this table, so a tree's recorded products hold no table
+    until something else reads one."""
+
+    def __init__(self, A: Semiautomaton, B: Semiautomaton, connection):
+        self._set_labels(_PairLabels(A, B), A.symbol_labels)
+        self._rows = self._column_classes = self._first_inputs = self._input_kinds = None
+        self._factors = (A, B, connection)
+
+    def __getattr__(self, name):
+        # called only for an attribute not set: _table and table until the
+        # table is built, and any name Semiautomaton does not have
+        if name != "_table" and name != "table":
+            raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
+        self._table = table = _product_table(*self._factors)
+        self.table = view = memoryview(table).toreadonly()
+        return table if name == "_table" else view
+
+    @property
+    def _classes(self) -> array:
+        """The column class of every input, from the record: the lowest
+        input with the same key (A's class of the input, B's classes along
+        its connection row), the key by which _product_table copies a
+        repeated column. Computed on the first read, with _firsts, then
+        kept."""
+        classes = self._column_classes
+        if classes is not None:
+            return classes
+        A, B, connection = self._factors
+        a_classes, b_classes = A._classes, B._classes
+        first = {}
+        classes = array(_CELL, [
+            first.setdefault((a_classes[x], tuple(map(b_classes.__getitem__, conn))), x)
+            for x, conn in enumerate(connection)
+        ])
+        self._first_inputs = tuple(first.values())
+        self._column_classes = classes
+        return classes
+
+
 def _product(A: Semiautomaton, B: Semiautomaton, connection) -> Semiautomaton:
     """A driving B, where A-state i under symbol a moves B by symbol
     connection[a][i].
+
+    A product too large for a table is refused first. One of
+    _FACTORED_STATES states or more is a _FactoredProduct, which builds its
+    table only when something reads it; any other is built here, by
+    _product_table.
+    """
+    na, nb = A.n_states, B.n_states
+    if na * nb > _STATE_LIMIT:
+        raise InvalidInputError(
+            "a product of %d and %d states does not fit a table of at most %d states"
+            % (na, nb, _STATE_LIMIT)
+        )
+    if na * nb >= _FACTORED_STATES:
+        return _FactoredProduct(A, B, connection)
+    table = _product_table(A, B, connection)
+    return Semiautomaton._from_table(_PairLabels(A, B), A.symbol_labels, table, in_range=True)
+
+
+def _product_table(A: Semiautomaton, B: Semiautomaton, connection) -> array:
+    """The table of the product of A driving B, for _product and
+    _FactoredProduct.
 
     Column a of the product is one block of |S^B| cells per A-state i: B's
     column connection[a][i] with t·|S^B| added to every cell, t the state A
@@ -513,11 +589,6 @@ def _product(A: Semiautomaton, B: Semiautomaton, connection) -> Semiautomaton:
     class and the product's built once per distinct column.
     """
     na, nb = A.n_states, B.n_states
-    if na * nb > _STATE_LIMIT:
-        raise InvalidInputError(
-            "a product of %d and %d states does not fit a table of at most %d states"
-            % (na, nb, _STATE_LIMIT)
-        )
     order = sys.byteorder
     b_table, a_table = B._table, A._table
     built, b_classes = None, B._classes
@@ -543,10 +614,7 @@ def _product(A: Semiautomaton, B: Semiautomaton, connection) -> Semiautomaton:
             cells[pos:pos + width] = (blocks[c] + t * shift).to_bytes(width, order)
             pos += width
     cells.release()
-    product = Semiautomaton._from_table(_PairLabels(A, B), A.symbol_labels, table, in_range=True)
-    if na * nb >= _FACTORED_STATES:
-        product._factors = (A, B, connection)
-    return product
+    return table
 
 
 def direct_product(A: Semiautomaton, B: Semiautomaton) -> Semiautomaton:

@@ -753,7 +753,9 @@ def test_product_too_large_for_a_table_is_refused():
 
 def test_tables_take_four_bytes_a_cell():
     """Every node automaton of random-5 seed 0 keeps its table in one buffer
-    allocated at exactly 4 bytes a cell; its columns are views into it."""
+    allocated at exactly 4 bytes a cell; its columns are views into it. The
+    two nodes that record their factors build their tables here, on the
+    first read of table."""
     rng = random.Random(5000)  # the "random 5" recipe, seed 0
     A = Semiautomaton(
         ["s%d" % i for i in range(5)], ["a", "b"],

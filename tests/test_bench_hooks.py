@@ -62,10 +62,22 @@ def test_law_check_script_runs_per_witness(monkeypatch, five_pr):
         assert not e["recorded"] and e["flat_cells"] == e["factored_cells"] > 0
 
 
-def test_tree_memory_script_runs_per_tree(five_pr):
+def test_tree_memory_script_runs_per_tree(monkeypatch, five_pr):
     tree_memory = _load("tree_memory", "benchmarks", "tree_memory.py")
     held, peak, cells, objects, table_bytes = tree_memory.measure(five_pr)
     assert 0 < held <= peak
     assert cells == sum(n.automaton.n_states * n.automaton.n_symbols
                         for n in iter_nodes(krohn_rhodes_decompose(five_pr)))
     assert objects > 0 and table_bytes > 0
+    # on the random-6 seed-0 tree, neither the decomposition nor the count
+    # of what the tree holds builds the table of a node that records its
+    # factors; the count takes in those tables once they are read
+    trees = []
+    monkeypatch.setattr(tree_memory, "krohn_rhodes_decompose",
+                        lambda A: trees.append(krohn_rhodes_decompose(A)) or trees[-1])
+    table_bytes = tree_memory.measure(tree_memory.random_n(6, 0))[-1]
+    recorded = [n.automaton for n in iter_nodes(trees[0]) if n.automaton._factors is not None]
+    assert [X.n_states for X in recorded] == [368_640, 46_080, 9_216]
+    assert not any("_table" in vars(X) for X in recorded)
+    built = sum(len(X._table) * X._table.itemsize for X in recorded)
+    assert tree_memory.held_objects(trees[0])[1] == table_bytes + built

@@ -1,6 +1,7 @@
 """The decomposition pipeline end to end, from input classes to the full tree."""
 
 import dataclasses
+import json
 import pickle
 import random
 import sys
@@ -55,6 +56,7 @@ from krcascade import (
     leaves,
     p_factor,
     pr_chain,
+    render_tree_text,
     reset_to_two_state,
     simulation_counterexample,
     split_permutation_reset,
@@ -1117,11 +1119,16 @@ def test_failing_root_state_renders_no_factor_label():
 
 
 def test_column_classes_copy_no_column():
-    # the classes of the random-6 seed-0 root come from views of its table,
-    # without a copy of a column
-    root = krohn_rhodes_decompose(random6(0)).automaton
+    # the classes of a table of the random-6 seed-0 root's size come from
+    # views of the table, without a copy of a column; the root itself
+    # records its factors and takes its classes from the record, so the
+    # classes are read off an unrecorded automaton on the root's table
+    X = krohn_rhodes_decompose(random6(0)).automaton
+    A, B, _ = X._factors
+    root = Semiautomaton._from_table(
+        automata._PairLabels(A, B), X.symbol_labels, X._table, in_range=True
+    )
     assert (root.n_states, root.n_symbols) == (368_640, 2)
-    root._column_classes = None
     tracemalloc.start()
     try:
         classes = root._classes
@@ -1130,3 +1137,91 @@ def test_column_classes_copy_no_column():
         tracemalloc.stop()
     assert list(classes) == [0, 1]
     assert peak < root.n_states * root.table.itemsize
+
+
+def _recorded_products(tree):
+    """The products that record their factors among the tree's node
+    automata and, down their records, among their factors."""
+    found, stack = {}, [node.automaton for node in iter_nodes(tree)]
+    while stack:
+        X = stack.pop()
+        if X._factors is not None and id(X) not in found:
+            found[id(X)] = X
+            stack.extend(X._factors[:2])
+    return list(found.values())
+
+
+def _table_built(X):
+    """Whether X holds its table: a product that records its factors holds
+    none until something reads it."""
+    return "_table" in vars(X)
+
+
+@pytest.mark.parametrize(
+    "name", ["random5-%d" % seed for seed in range(10)] + ["random6-0", "random6-4", "random6-6"]
+)
+def test_public_path_builds_no_recorded_table(request, name):
+    # decomposing, verifying, reporting and rendering read no table of a
+    # product that records its factors: the law check reads the record down
+    # to an automaton that records none, and the reports read counts
+    tree = krohn_rhodes_decompose(_named(request, name))
+    ok, _ = verify_tree(tree, sim_len=6)
+    report = tree_report(tree, sim_len=6)
+    render_tree_text(report)
+    json.dumps(report, indent=2)
+    assert ok and report["witnesses_verified"]
+    recorded = _recorded_products(tree)
+    # seeds 4 and 6 of random-6 end at the chain cap with no product that large
+    assert recorded or name in ("random6-4", "random6-6")
+    assert [X.n_states for X in recorded if _table_built(X)] == []
+
+
+@pytest.fixture(scope="module")
+def recorded_factors():
+    """The record of the 6,144-state root of random-5 seed 1."""
+    root = krohn_rhodes_decompose(random_n(5, 1)).automaton
+    assert root.n_states == 6144
+    return root._factors
+
+
+def _eager_product(factors):
+    """The product of the record, its table built by _product itself."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(automata, "_FACTORED_STATES", automata._STATE_LIMIT + 1)
+        X = automata._product(*factors)
+    assert X._factors is None and _table_built(X)
+    return X
+
+
+READERS = {
+    "delta": lambda X: tuple(X.delta),
+    "column": lambda X: [X.column(a).tolist() for a in range(X.n_symbols)],
+    "step": lambda X: [X.step(s, a) for s in (0, 1, -1) for a in range(X.n_symbols)],
+    "table": lambda X: X.table.tolist(),
+    "kinds": lambda X: X._kinds,
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_reading_a_recorded_product_builds_its_table(recorded_factors, reader):
+    eager = _eager_product(recorded_factors)
+    X = automata._product(*recorded_factors)
+    assert X._factors == recorded_factors and not _table_built(X)
+    assert READERS[reader](X) == READERS[reader](eager)
+    assert _table_built(X) and X._table == eager._table
+    # the built table is kept, and the table view is a view of it
+    assert X.table.obj is X._table
+
+
+def test_recorded_product_compares_and_pickles_as_built(recorded_factors):
+    eager = _eager_product(recorded_factors)
+    X = automata._product(*recorded_factors)
+    # the classes come from the record, with no table built
+    assert (X._classes, X._firsts) == (eager._classes, eager._firsts)
+    assert not _table_built(X)
+    assert X == eager and _table_built(X)
+    X = automata._product(*recorded_factors)
+    copy = pickle.loads(pickle.dumps(X))
+    assert _table_built(X)
+    assert type(copy) is Semiautomaton and copy._factors is None
+    assert copy == eager and copy.state_labels == eager.state_labels

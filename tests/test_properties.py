@@ -475,3 +475,44 @@ def test_cover_check_through_the_descent_matches_flat_reference(A, B, C, L, data
             for w in _cover_cases(X, L, widths, data):
                 r = verify_covering(w)
                 assert (r.ok, r.reason, r.site) == _reference_verdict(w)
+
+
+def _connect(A, B, data):
+    """A product of A driving B: A × B when they share an alphabet and the
+    draw says so, else a cascade whose connection rows repeat earlier rows
+    at times."""
+    if A.symbol_labels == B.symbol_labels and data.draw(st.booleans()):
+        return direct_product(A, B)
+    omega = []
+    for _ in range(A.n_states):
+        if omega and data.draw(st.booleans()):
+            omega.append(data.draw(st.sampled_from(omega)))
+        else:
+            omega.append([data.draw(st.integers(0, B.n_symbols - 1)) for _ in range(A.n_symbols)])
+    return cascade_product(A, B, omega)
+
+
+@settings(deadline=None)
+@given(
+    input_columns(max_states=4, max_symbols=3),
+    input_columns(max_states=4, max_symbols=3),
+    input_columns(max_states=4, max_symbols=3),
+    st.data(),
+)
+def test_recorded_classes_match_the_built_table(A, B, C, data):
+    # with every product recording its factors, the classes it derives from
+    # its record, with no table built, are those read off the table of a
+    # copy that records none, on nested cascade and direct products whose
+    # factors have equal columns and whose connections repeat rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kr_automata, "_FACTORED_STATES", 1)
+        BC = _connect(B, C, data)
+        right, left = _connect(A, BC, data), _connect(_connect(A, B, data), C, data)
+        products = [BC, right, left, direct_product(A, right), direct_product(left, A)]
+        for X in products:
+            assert X._factors is not None
+            classes, firsts = X._classes, X._firsts
+            assert "_table" not in vars(X)
+            flat = Semiautomaton._from_table(X.state_labels, X.symbol_labels, X._table)
+            assert flat._factors is None
+            assert (classes, firsts) == (flat._classes, flat._firsts)
