@@ -143,6 +143,8 @@ class TableRows:
         return self._n
 
     def __getitem__(self, s):
+        if isinstance(s, slice):
+            return tuple(map(self.__getitem__, range(self._n)[s]))
         n = self._n
         if s < 0:
             s += n
@@ -195,13 +197,9 @@ class Semiautomaton:
     same contents (_classes). Anything that depends only on a column's
     contents, such as the input's kind, a quotient's column or a law pass,
     is the same for every input of a class, so it is computed once per class
-    and shared. Classes are read off the table, except a _FactoredProduct's,
-    which come from its record with no table built. Input x of A∘B maps
-    state (u, v) to (u·x, v·k), k = connection[x][u], so two columns x and y
-    of the product are equal iff A's columns x and y are equal and, at every
-    state u of A, B's columns connection[x][u] and connection[y][u] are: the
-    key (A's class of x, B's classes along connection[x]) has the same
-    classes as the table's contents.
+    and shared. A product gets its classes from how it is built (_product),
+    with no table read; any other automaton gets them from a CRC of each
+    column of its table.
 
     Values computed on first read (delta, state_labels of a product, the
     label indexes, the kinds and the classes) are kept in plain attributes
@@ -322,8 +320,8 @@ class Semiautomaton:
     @property
     def _classes(self) -> array:
         """The column class of every input: the lowest input whose column has
-        the same contents. Computed on the first read, with _firsts, then
-        kept.
+        the same contents. A product's are set by _product; any other
+        automaton's are computed on the first read, with _firsts, then kept.
 
         Columns are matched by a CRC of their cells, read through views of
         the table, and a match is confirmed by comparing the two views cell
@@ -465,29 +463,22 @@ def word_transformation(A: Semiautomaton, w) -> Transformation:
 
 
 def transition_monoid(A: Semiautomaton, cap: int = CLOSURE_CAP):
-    """T(A): the monoid generated by the per-symbol transformations."""
-    return _input_closure(A, range(A.n_symbols), A.symbol_transformation, cap)
+    """T(A): the monoid generated by the per-symbol transformations.
 
-
-def _input_closure(A: Semiautomaton, inputs, transformation, cap: int):
-    """closure_generate on transformation(a) for the inputs a of A in order,
-    labelled by their symbols, with words over positions in inputs. inputs
-    holds the first input of the column class of each of its inputs.
-
-    Only those first inputs are handed over as generators. A later input of
-    a class acts as its first one does, and the breadth-first closure tries
-    it right after, so it never adds an element: the elements, their order,
-    their words and their labels are those of the closure over every input.
+    Only the first input of each column class is handed over as a generator.
+    A later input of a class acts as its first one does, and the
+    breadth-first closure tries it right after, so it never adds an element:
+    the elements, their order, their words (read back as inputs of A) and
+    their labels are those of the closure over every input.
     """
-    classes = A._classes
-    firsts = [k for k, a in enumerate(inputs) if classes[a] == a]
+    firsts = A._firsts
     M = closure_generate(
-        [transformation(inputs[k]) for k in firsts],
+        [A.symbol_transformation(a) for a in firsts],
         domain_size=A.n_states,
         cap=cap,
-        symbol_labels=[A.symbol_labels[inputs[k]] for k in firsts],
+        symbol_labels=[A.symbol_labels[a] for a in firsts],
     )
-    if len(firsts) < len(inputs):
+    if len(firsts) < A.n_symbols:
         M.witnesses = tuple(tuple(map(firsts.__getitem__, w)) for w in M.witnesses)
     return M
 
@@ -509,14 +500,13 @@ class _FactoredProduct(Semiautomaton):
     its table from them on the first read of _table or table, by the same
     _product_table as any other product, then keeps it. Everything that
     reads cells builds it: delta, column, step, ==, _kinds and pickling,
-    which gives an automaton that records no factors. The classes come from
-    the record (Semiautomaton), and the law check (_lawcheck) reads the
-    record, never this table, so a tree's recorded products hold no table
-    until something else reads one."""
+    which gives an automaton that records no factors. The law check
+    (_lawcheck) reads the record, never this table, so a tree's recorded
+    products hold no table until something else reads one."""
 
     def __init__(self, A: Semiautomaton, B: Semiautomaton, connection):
         self._set_labels(_PairLabels(A, B), A.symbol_labels)
-        self._rows = self._column_classes = self._first_inputs = self._input_kinds = None
+        self._rows = self._input_kinds = None
         self._factors = (A, B, connection)
 
     def __getattr__(self, name):
@@ -524,30 +514,9 @@ class _FactoredProduct(Semiautomaton):
         # table is built, and any name Semiautomaton does not have
         if name != "_table" and name != "table":
             raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
-        self._table = table = _product_table(*self._factors)
+        self._table = table = _product_table(*self._factors, self._column_classes)
         self.table = view = memoryview(table).toreadonly()
         return table if name == "_table" else view
-
-    @property
-    def _classes(self) -> array:
-        """The column class of every input, from the record: the lowest
-        input with the same key (A's class of the input, B's classes along
-        its connection row), the key by which _product_table copies a
-        repeated column. Computed on the first read, with _firsts, then
-        kept."""
-        classes = self._column_classes
-        if classes is not None:
-            return classes
-        A, B, connection = self._factors
-        a_classes, b_classes = A._classes, B._classes
-        first = {}
-        classes = array(_CELL, [
-            first.setdefault((a_classes[x], tuple(map(b_classes.__getitem__, conn))), x)
-            for x, conn in enumerate(connection)
-        ])
-        self._first_inputs = tuple(first.values())
-        self._column_classes = classes
-        return classes
 
 
 def _product(A: Semiautomaton, B: Semiautomaton, connection) -> Semiautomaton:
@@ -558,6 +527,14 @@ def _product(A: Semiautomaton, B: Semiautomaton, connection) -> Semiautomaton:
     _FACTORED_STATES states or more is a _FactoredProduct, which builds its
     table only when something reads it; any other is built here, by
     _product_table.
+
+    Either way the product's column classes are set here, from how it is
+    built, with no table read. Input x maps state (u, v) to (u·x, v·k),
+    k = connection[x][u], so two columns x and y of the product are equal
+    iff A's columns x and y are equal and, at every state u of A, B's
+    columns connection[x][u] and connection[y][u] are: the key (A's class of
+    x, B's classes along connection[x]) has the same classes as the table's
+    contents.
     """
     na, nb = A.n_states, B.n_states
     if na * nb > _STATE_LIMIT:
@@ -565,15 +542,24 @@ def _product(A: Semiautomaton, B: Semiautomaton, connection) -> Semiautomaton:
             "a product of %d and %d states does not fit a table of at most %d states"
             % (na, nb, _STATE_LIMIT)
         )
+    a_classes, b_classes = A._classes, B._classes
+    first = {}
+    classes = array(_CELL, [
+        first.setdefault((a_classes[x], tuple(map(b_classes.__getitem__, conn))), x)
+        for x, conn in enumerate(connection)
+    ])
     if na * nb >= _FACTORED_STATES:
-        return _FactoredProduct(A, B, connection)
-    table = _product_table(A, B, connection)
-    return Semiautomaton._from_table(_PairLabels(A, B), A.symbol_labels, table, in_range=True)
+        X = _FactoredProduct(A, B, connection)
+    else:
+        table = _product_table(A, B, connection, classes)
+        X = Semiautomaton._from_table(_PairLabels(A, B), A.symbol_labels, table, in_range=True)
+    X._column_classes, X._first_inputs = classes, tuple(first.values())
+    return X
 
 
-def _product_table(A: Semiautomaton, B: Semiautomaton, connection) -> array:
-    """The table of the product of A driving B, for _product and
-    _FactoredProduct.
+def _product_table(A: Semiautomaton, B: Semiautomaton, connection, classes) -> array:
+    """The table of the product of A driving B, whose column classes are
+    classes, for _product and _FactoredProduct.
 
     Column a of the product is one block of |S^B| cells per A-state i: B's
     column connection[a][i] with t·|S^B| added to every cell, t the state A
@@ -582,20 +568,14 @@ def _product_table(A: Semiautomaton, B: Semiautomaton, connection) -> array:
     since every cell stays below |S^A|·|S^B|, which must fit a cell. So every
     cell is a state of the product, and the table is kept without a range scan.
 
-    Column a depends only on A's column a and on the column classes of B
-    along connection[a]. Where A's column a repeats an earlier one, column a
-    of the product repeats an earlier column whenever those classes do too,
-    and then its cells are copied from it. So B's columns are read once per
-    class and the product's built once per distinct column.
+    Column a is built only when it is the first of its class, and otherwise
+    copied from column classes[a]; B's columns are read once per class.
     """
     na, nb = A.n_states, B.n_states
     order = sys.byteorder
     b_table, a_table = B._table, A._table
-    built, b_classes = None, B._classes
     first = {c: int.from_bytes(b_table[c * nb:(c + 1) * nb], order) for c in B._firsts}
-    blocks = list(map(first.__getitem__, b_classes))
-    if len(A._firsts) < A.n_symbols:
-        built, a_classes = {}, A._classes
+    blocks = list(map(first.__getitem__, B._classes))
     shift = int.from_bytes(array(_CELL, [nb]) * nb, order)
     width = nb * _CELL_BYTES
     span = na * width
@@ -604,14 +584,13 @@ def _product_table(A: Semiautomaton, B: Semiautomaton, connection) -> array:
     cells = memoryview(table).cast("B")
     pos = 0
     for a, conn in enumerate(connection):
-        if built is not None:
-            start = built.setdefault((a_classes[a], tuple(map(b_classes.__getitem__, conn))), pos)
-            if start != pos:
-                cells[pos:pos + span] = cells[start:start + span]
-                pos += span
-                continue
-        for t, c in zip(a_table[a * na:(a + 1) * na], conn):
-            cells[pos:pos + width] = (blocks[c] + t * shift).to_bytes(width, order)
+        c = classes[a]
+        if c != a:
+            cells[pos:pos + span] = cells[c * span:(c + 1) * span]
+            pos += span
+            continue
+        for t, k in zip(a_table[a * na:(a + 1) * na], conn):
+            cells[pos:pos + width] = (blocks[k] + t * shift).to_bytes(width, order)
             pos += width
     cells.release()
     return table

@@ -244,7 +244,7 @@ def _permutation_group(A: Semiautomaton, caps: Caps):
     n, table, classes = A.n_states, A._table, A._classes
     const = [table[a * n] if k == _CONSTANT else None for a, k in enumerate(kinds)]
     # one Transformation per column class, shared by the inputs of the class;
-    # the classes' first inputs generate K, as all of them do (_input_closure)
+    # the classes' first inputs generate K, as all of them do (transition_monoid)
     by_class = {c: A.symbol_transformation(c) for c in A._firsts if const[c] is None}
     perms = [None if k is not None else by_class[c] for k, c in zip(const, classes)]
     elements, words, _ = _closure(list(by_class.values()), n, CLOSURE_CAP)

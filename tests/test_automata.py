@@ -656,6 +656,8 @@ def _assert_rows(A, rows):
         with pytest.raises(IndexError):
             A.delta[s]
     assert all(type(A.delta[s]) is tuple for s in range(len(rows)))
+    for cut in (slice(1, None), slice(None, -1), slice(None, None, -2), slice(5, 9)):
+        assert A.delta[cut] == rows[cut] and type(A.delta[cut]) is tuple
     again = Semiautomaton(A.state_labels, A.symbol_labels, A.delta)
     assert again == A and again.delta == A.delta
     assert pickle.loads(pickle.dumps(A)) == A

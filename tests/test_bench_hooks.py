@@ -6,14 +6,28 @@ calls verify_tree and tree_report with sim_len, so a rename or a dropped
 parameter would break the benchmark without failing any other test.
 benchmarks/law_check.py and benchmarks/tree_memory.py call internals of the
 law check and of the automata, so their per-witness and per-tree functions
-run here on a small tree.
+run here on a small tree. krbench/refcheck.py judges trees with no library
+verifier, so it also checks the trees of random automata here.
 """
 
 import importlib
 import importlib.util
 import os
+import random
+import re
 
-from krcascade import iter_nodes, krohn_rhodes_decompose, tree_report, verify_tree
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from krcascade import (
+    LEAF_RAW,
+    iter_nodes,
+    krohn_rhodes_decompose,
+    leaves,
+    parse_automaton,
+    tree_report,
+    verify_tree,
+)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -81,3 +95,46 @@ def test_tree_memory_script_runs_per_tree(monkeypatch, five_pr):
     assert not any("_table" in vars(X) for X in recorded)
     built = sum(len(X._table) * X._table.itemsize for X in recorded)
     assert tree_memory.held_objects(trees[0])[1] == table_bytes + built
+
+
+@st.composite
+def _columns(draw):
+    """The columns of an automaton of 1 to 5 states and 0 to 3 symbols,
+    each a permutation, a constant, a copy of an earlier column or an
+    arbitrary map."""
+    n = draw(st.integers(1, 5))
+    columns = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["permutation", "constant", "duplicate", "any"]))
+        if kind == "duplicate" and columns:
+            columns.append(draw(st.sampled_from(columns)))
+        elif kind == "permutation":
+            columns.append(draw(st.permutations(range(n))))
+        elif kind == "constant":
+            columns.append([draw(st.integers(0, n - 1))] * n)
+        else:
+            columns.append([draw(st.integers(0, n - 1)) for _ in range(n)])
+    return n, columns
+
+
+@settings(deadline=None, max_examples=25)
+@given(_columns())
+def test_reference_checker_accepts_every_drawn_tree(drawn):
+    # every tree of a drawn automaton passes krbench's independent checker,
+    # which replays random words through the root, or, with no symbol to
+    # draw a word from, the library's own verify_tree; every raw leaf names
+    # the cap it breached
+    corpus = _load("krbench_corpus", "krbench", "corpus.py")
+    refcheck = _load("krbench_refcheck", "krbench", "refcheck.py")
+    n, columns = drawn
+    delta = [[col[s] for col in columns] for s in range(n)]
+    source = corpus.Automaton("drawn", ["s%d" % i for i in range(n)],
+                              corpus.SYMBOLS[:len(columns)], delta)
+    tree = krohn_rhodes_decompose(parse_automaton(source.to_json()))
+    if columns:
+        refcheck.check_tree(tree, source, random.Random(0))
+    else:
+        assert verify_tree(tree)[0]
+    for leaf in leaves(tree):
+        if leaf.kind == LEAF_RAW:
+            assert re.search(r"the cap of \d+", leaf.reason), leaf.reason

@@ -35,7 +35,7 @@ from krcascade import (
     verify_covering,
     word_transformation,
 )
-from krcascade.automata import _CONSTANT, _IDENTITY, _OTHER, _PERMUTATION, _input_closure
+from krcascade.automata import _CONSTANT, _IDENTITY, _OTHER, _PERMUTATION
 
 
 @st.composite
@@ -279,7 +279,10 @@ def test_closure_over_classes_matches_closure_over_inputs(A, data):
     # inputs of an automaton are
     chosen = data.draw(st.sets(st.sampled_from(A._firsts)))
     inputs = [a for a, c in enumerate(A._classes) if c in chosen]
-    M = _input_closure(A, inputs, A.symbol_transformation, 10_000)
+    X = Semiautomaton.from_columns(
+        A.state_labels, [A.symbol_labels[a] for a in inputs], [A.column(a) for a in inputs]
+    )
+    M = transition_monoid(X, 10_000)
     N = closure_generate(
         [A.symbol_transformation(a) for a in inputs],
         domain_size=A.n_states,
@@ -477,19 +480,24 @@ def test_cover_check_through_the_descent_matches_flat_reference(A, B, C, L, data
                 assert (r.ok, r.reason, r.site) == _reference_verdict(w)
 
 
-def _connect(A, B, data):
+def _connect(A, B, data, built):
     """A product of A driving B: A × B when they share an alphabet and the
     draw says so, else a cascade whose connection rows repeat earlier rows
-    at times."""
+    at times. Appends (product, A, B, connection) to built, the connection
+    as one row of B's inputs per state of A."""
     if A.symbol_labels == B.symbol_labels and data.draw(st.booleans()):
-        return direct_product(A, B)
-    omega = []
-    for _ in range(A.n_states):
-        if omega and data.draw(st.booleans()):
-            omega.append(data.draw(st.sampled_from(omega)))
-        else:
-            omega.append([data.draw(st.integers(0, B.n_symbols - 1)) for _ in range(A.n_symbols)])
-    return cascade_product(A, B, omega)
+        omega = [range(A.n_symbols)] * A.n_states
+        X = direct_product(A, B)
+    else:
+        omega = []
+        for _ in range(A.n_states):
+            if omega and data.draw(st.booleans()):
+                omega.append(data.draw(st.sampled_from(omega)))
+            else:
+                omega.append([data.draw(st.integers(0, B.n_symbols - 1)) for _ in range(A.n_symbols)])
+        X = cascade_product(A, B, omega)
+    built.append((X, A, B, omega))
+    return X
 
 
 @settings(deadline=None)
@@ -500,19 +508,33 @@ def _connect(A, B, data):
     st.data(),
 )
 def test_recorded_classes_match_the_built_table(A, B, C, data):
-    # with every product recording its factors, the classes it derives from
-    # its record, with no table built, are those read off the table of a
-    # copy that records none, on nested cascade and direct products whose
-    # factors have equal columns and whose connections repeat rows
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kr_automata, "_FACTORED_STATES", 1)
-        BC = _connect(B, C, data)
-        right, left = _connect(A, BC, data), _connect(_connect(A, B, data), C, data)
-        products = [BC, right, left, direct_product(A, right), direct_product(left, A)]
-        for X in products:
-            assert X._factors is not None
-            classes, firsts = X._classes, X._firsts
-            assert "_table" not in vars(X)
-            flat = Semiautomaton._from_table(X.state_labels, X.symbol_labels, X._table)
-            assert flat._factors is None
-            assert (classes, firsts) == (flat._classes, flat._firsts)
+    # the classes a product takes from how it is built, and the table built
+    # from them, are those of the table the definition gives, cell by cell,
+    # on nested cascade and direct products whose factors have equal
+    # columns and whose connections repeat rows; each draw runs with every
+    # product recording its factors, which then hold no table after all are
+    # built, and at the default threshold, below which all of them are eager
+    for recorded in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            if recorded:
+                mp.setattr(kr_automata, "_FACTORED_STATES", 1)
+            built = []
+            BC = _connect(B, C, data, built)
+            right = _connect(A, BC, data, built)
+            left = _connect(_connect(A, B, data, built), C, data, built)
+            for U, V in ((A, right), (left, A)):
+                omega = [range(U.n_symbols)] * U.n_states
+                built.append((direct_product(U, V), U, V, omega))
+            for X, _, _, _ in built:
+                assert (X._factors is not None) == recorded
+                assert ("_table" in vars(X)) != recorded
+            for X, U, V, omega in built:
+                nv = V.n_states
+                rows = [
+                    [U.step(u, x) * nv + V.step(v, omega[u][x]) for x in range(U.n_symbols)]
+                    for u in range(U.n_states)
+                    for v in range(nv)
+                ]
+                reference = Semiautomaton(X.state_labels, X.symbol_labels, rows)
+                assert (X._classes, X._firsts) == (reference._classes, reference._firsts)
+                assert X.delta == reference.delta
