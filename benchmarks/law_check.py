@@ -10,12 +10,14 @@ For every node witness of each decomposition tree, the law check's passes
 (krcascade._lawcheck.passes on the descent of _lawcheck.descend, over the
 law pairs of automata._law_pairs) run twice: on the witness as built,
 where an upper automaton of _FACTORED_STATES states or more records its
-factors and the passes go through them, and on a copy of the upper made by
-Semiautomaton._from_table, which records none, so that the passes are the
-flat ones over whole columns. Each run is timed with its descent, and the
-cells it compares are counted off the descent: one per entry of a task's
-source block that is not None. The passes run on every node witness, also
-on those with too few upper states for the library to use them.
+factors and the passes go through them, on the composition of phi that the
+witness keeps, as verify_covering runs them, and on a copy of the upper
+made by Semiautomaton._from_table, which records none, with phi expanded,
+so that the passes are the flat ones over whole columns. Each run is timed
+with its descent, and the cells it compares are counted off the descent:
+one per entry of a task's source block that is not None. The passes run on
+every node witness, also on those with too few upper states for the
+library to use them.
 verify_covering, which also checks that phi is onto, runs on the witness as
 built and on a witness over the unrecorded copy. Each entry records the
 upper's states, the domain size, the number of law pairs, and per side the
@@ -75,13 +77,13 @@ def cells_compared(descent):
     return sum(len(blocks[src]) - blocks[src].count(None) for _, src, _, _ in tasks)
 
 
-def passes(w, upper, pairs):
+def passes(w, upper, phi, pairs):
     """(cells compared, least CPU seconds) of the law check's passes on w,
-    with its upper automaton replaced by upper."""
+    with its upper automaton replaced by upper and its phi by phi."""
     best = None
     for _ in range(REPEATS):
         start = time.process_time()
-        descent = _lawcheck.descend(upper, w.phi, pairs)
+        descent = _lawcheck.descend(upper, phi, pairs)
         ok = _lawcheck.passes(w.lower, descent)
         took = time.process_time() - start
         if not ok:
@@ -107,8 +109,8 @@ def witness_entry(w):
     """The entry of the node witness w, without its automaton and node."""
     pairs = list(automata._law_pairs(w))
     flat = unrecorded(w.upper)
-    flat_cells, flat_s = passes(w, flat, pairs)
-    cells, took = passes(w, w.upper, pairs)
+    flat_cells, flat_s = passes(w, flat, w.phi, pairs)
+    cells, took = passes(w, w.upper, w._composed or w.phi, pairs)
     flat_verify_s = verify(CoveringWitness._from_parts(flat, w.lower, w.phi, w.xi))
     return {
         "states": w.upper.n_states,

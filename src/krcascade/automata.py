@@ -680,7 +680,14 @@ class CoveringWitness:
     dom, the upper states in the domain of phi in order, is computed on its
     first read and then kept; verify_covering does not read it, so a witness
     that only gets verified never holds it.
+
+    The witness of a tree node over a product that records its factors is a
+    _ComposedWitness, which keeps phi as its composition (_composed, a
+    _lawcheck.Composed) and builds the tuple only on the first read of phi.
+    Any other witness has a flat phi and _composed None.
     """
+
+    _composed = None
 
     def __init__(self, upper: Semiautomaton, lower: Semiautomaton, phi, xi, check=True):
         self.upper = upper
@@ -740,6 +747,37 @@ class CoveringWitness:
         )
 
 
+class _ComposedWitness(CoveringWitness):
+    """A witness over a product U∘V that records its factors, with phi kept
+    as its composition in _composed: phi(u·|V| + v) = rows[keys[u]][p], p
+    the inner witness's phi at v (_lawcheck.Composed). verify_covering and
+    the law check descend through it and read no entry of phi; phi is the
+    tuple it expands to, built on its first read, a block at a time, then
+    kept. A witness made from this one's phi is flat."""
+
+    def __init__(self, upper: Semiautomaton, lower: Semiautomaton, composed, xi: tuple):
+        self.upper, self.lower, self._composed, self.xi = upper, lower, composed, xi
+        self._dom = None
+        if len(xi) != lower.n_symbols:
+            raise WitnessError("xi needs one entry per lower symbol")
+        self._check_xi_range()
+
+    @property
+    def phi(self) -> tuple:
+        return self._composed.expand()
+
+
+def _composed_witness(product, lower, keys, rows, w_v: CoveringWitness, xi) -> CoveringWitness:
+    """The witness product >= lower, product = U∘V with V = w_v.upper, whose
+    phi(u·|V| + v) is rows[keys[u]][phi_V(v)], None where keys[u], phi_V(v)
+    or that entry is: composed where the product records its factors, and
+    expanded here where it does not."""
+    phi = _lawcheck.Composed(keys, rows, w_v._composed or w_v.phi)
+    if product._factors is None:
+        return CoveringWitness._from_parts(product, lower, phi.expand(), xi)
+    return _ComposedWitness(product, lower, phi, xi)
+
+
 class HomImageWitness:
     """Proof object for a homomorphic image: total phi and xi, both surjective.
 
@@ -779,13 +817,14 @@ def _law_violation(w: CoveringWitness, descent=None):
     pair (column class of xi(a) in the upper, column class of a in the
     lower) compare cells of the same contents, so skipping the second is
     exact. Where the upper records its factors, a pass compares each
-    distinct block of phi once, which is exact too.
+    distinct block of phi once, which is exact too. The path is chosen by
+    the upper's state count, so that a composed phi is expanded only to
+    name a failing site.
     """
-    phi = w.phi
-    if len(phi) < _SYMBOL_PASS_STATES:
+    if w.upper.n_states < _SYMBOL_PASS_STATES:
         return _lawcheck.first_failure(w)
     if descent is None:
-        descent = _lawcheck.descend(w.upper, phi, _law_pairs(w))
+        descent = _lawcheck.descend(w.upper, w._composed or w.phi, _law_pairs(w))
     if _lawcheck.passes(w.lower, descent):
         return None
     return _lawcheck.first_failure(w)
@@ -817,19 +856,21 @@ def verify_covering(w: CoveringWitness) -> VerificationResult:
     A failure names, in this order: an empty domain, a missed lower state,
     an entry of phi out of range, a law site. Each check makes at most one
     descent of the law check (_lawcheck.descend). Where the upper automaton
-    records its factors, the descent is made here and phi is read once, by
-    it: the states phi covers are read off it, and _law_violation's passes
-    run on it. Otherwise the states covered are set(phi), and
+    records its factors, the descent is made here, on phi's composition if
+    the witness keeps one: the states phi covers are read off it, and
+    _law_violation's passes run on it, so a composed phi is expanded only
+    to name a failure. Otherwise the states covered are set(phi), and
     _law_violation makes the descent if its passes need one.
     """
-    upper, lower, phi = w.upper, w.lower, w.phi
+    upper, lower = w.upper, w.lower
     descent = None
     if upper._factors is None:
-        covered = set(phi)
+        covered = set(w.phi)
     else:
+        phi = w._composed or w.phi
         descent = _lawcheck.descend(upper, phi, _law_pairs(w))
         # with no law pair, the descent has no tasks to read them off
-        covered = _lawcheck.covered(descent) if descent[1] else set(phi)
+        covered = _lawcheck.covered(descent) if descent[1] else _lawcheck.values(phi)
     covered.discard(None)
     if not covered:
         return VerificationResult(False, "phi has an empty domain")
@@ -840,14 +881,14 @@ def verify_covering(w: CoveringWitness) -> VerificationResult:
                 False, "phi misses lower state %s" % _state_label(lower, min(missing))
             )
         # an entry out of range, which only _from_parts leaves unchecked
-        for v in phi:
+        for v in w.phi:
             if v is not None and not 0 <= v < lower.n_states:
                 return VerificationResult(False, "phi image %d out of range" % v)
     site = _law_violation(w, descent)
     if site is None:
         return VerificationResult(True)
     s, a = site
-    if phi[upper.step(s, w.xi[a])] is None:
+    if w.phi[upper.step(s, w.xi[a])] is None:
         return VerificationResult(
             False, "domain not closed under symbol %s" % lower.symbol_labels[a], site
         )
@@ -955,16 +996,15 @@ def _substitute(
 ) -> Substitution:
     """substitute, composed with a cover A∘C >= X given by its parts, which
     never needs A∘C built: phi has one entry per state a·|C| + c of A∘C, and
-    xi one entry per symbol of X. The Substitution's witness is U'∘V >= X,
-    built in one pass.
+    xi one entry per symbol of X. The Substitution's witness is U'∘V >= X.
 
     phi'(u, v) = phi(phi_U(u)·|C| + phi_V(v)), outside the domain when
-    phi_U(u), phi_V(v) or that entry of phi is. It is one block of |V|
-    entries per distinct phi_U(u), read off phi's row phi_U(u), so the
-    entries are phi's own. xi' is xi, since the product keeps A's alphabet.
-    The witness is built unchecked (CoveringWitness._from_parts): verify it
-    once, or verify the tree node witness it becomes, as
-    krohn_rhodes_decompose does.
+    phi_U(u), phi_V(v) or that entry of phi is: phi's row phi_U(u), a row map
+    of |C| entries, after phi_V. So phi' is kept as that composition of
+    phi_U, the rows and phi_V (_composed_witness), and expanded at once only
+    where the product records no factors. xi' is xi, since the product keeps
+    A's alphabet. The witness is built unchecked: verify it once, or verify
+    the tree node witness it becomes, as krohn_rhodes_decompose does.
     """
     omega = _check_omega(A, C, omega)
     if w_u.lower != A:
@@ -978,17 +1018,15 @@ def _substitute(
     u_prime = Semiautomaton.from_columns(
         U.state_labels, A.symbol_labels, [U.column(x) for x in w_u.xi]
     )
-    rows, blocks = {}, {None: (None,) * V.n_states}
-    for pu in set(w_u.phi):
+    keys = w_u.phi
+    rows, maps = {}, {None: (None,) * nc}
+    for pu in set(keys):
         rows[pu] = tuple(map(w_v.xi.__getitem__, omega[0 if pu is None else pu]))
         if pu is not None:
-            image = dict(enumerate(phi[pu * nc:(pu + 1) * nc]))
-            image[None] = None
-            blocks[pu] = tuple(map(image.__getitem__, w_v.phi))
-    omega2 = tuple(map(rows.__getitem__, w_u.phi))
+            maps[pu] = phi[pu * nc:(pu + 1) * nc]
+    omega2 = tuple(map(rows.__getitem__, keys))
     product = cascade_product(u_prime, V, omega2)
-    phi2 = tuple(chain.from_iterable(map(blocks.__getitem__, w_u.phi)))
-    witness = CoveringWitness._from_parts(product, X, phi2, tuple(xi))
+    witness = _composed_witness(product, X, keys, maps, w_v, tuple(xi))
     return Substitution(u_prime, product, omega2, witness)
 
 

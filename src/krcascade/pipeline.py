@@ -11,9 +11,10 @@ built through their unchecked bodies, _split, _grouplike_cover and
 _coset_split, which build no product: a cascade step's outer cover reaches
 _substitute as its parts, phi and xi, so the tree builds only its nodes.
 
-A cascade node's witness is built in one pass by _substitute, which reads
-phi off the inner witnesses and the outer cover, and input kinds are read off
-the flat table (Semiautomaton._kinds). Work that depends only on an input's
+A cascade node's witness is made by _substitute from the inner witnesses and
+the outer cover, and keeps phi as that composition where the node's product
+records its factors; input kinds are read off the flat table
+(Semiautomaton._kinds). Work that depends only on an input's
 column runs once per column class (Semiautomaton._classes): the kinds, the
 proof's choice table, the columns of a split's Pi and R, and the generators
 of every group closure.
@@ -34,6 +35,7 @@ from .automata import (
     _PERMUTATION,
     CoveringWitness,
     Semiautomaton,
+    _composed_witness,
     _rows,
     _substitute,
     _unique_labels,
@@ -348,7 +350,9 @@ def reset_to_two_state(R: Semiautomaton) -> ResetFactorization:
     a reset automaton is admissible, so both quotients always exist. Each
     level is the one product B × V, where V covers X/Q with phi_V, and
     phi(i, v) is the point where P_i meets Q_phi_V(v): the phi_V(v)-th state
-    of P_i, or None when P_i is too short or phi_V(v) is None.
+    of P_i, or None when P_i is too short or phi_V(v) is None. That is P_i,
+    as a row map over X/Q's states, after phi_V, and the level's witness
+    keeps it so, as _substitute's do (automata._composed_witness).
     """
     if not is_reset(R):
         raise InvalidInputError("not a reset semiautomaton")
@@ -365,13 +369,10 @@ def reset_to_two_state(R: Semiautomaton) -> ResetFactorization:
         rest, _ = p_factor(X, complementary_partition(nx, P))
         sub = build(rest)
         product = direct_product(B, sub.automaton)
-        # Q's block j holds the j-th state of each P-block long enough to have one
-        phi = tuple(
-            pb[v] if v is not None and v < len(pb) else None
-            for pb in P.blocks
-            for v in sub.witness.phi
-        )
-        witness = CoveringWitness._from_parts(product, X, phi, tuple(range(X.n_symbols)))
+        # Q's block j < half holds the j-th state of each P-block long enough to have one
+        rows = [tuple(pb[v] if v < len(pb) else None for v in range(half)) for pb in P.blocks]
+        xi = tuple(range(X.n_symbols))
+        witness = _composed_witness(product, X, range(2), rows, sub.witness, xi)
         left = _node("two-state reset leaf", Leaf, LEAF_RESET, B, identity_witness(B))
         return _node("two-state reset factorization", DirectNode, left, sub, product, witness)
 

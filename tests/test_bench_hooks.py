@@ -16,6 +16,7 @@ import os
 import random
 import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +29,7 @@ from krcascade import (
     tree_report,
     verify_tree,
 )
+from krcascade import automata
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -123,18 +125,23 @@ def test_reference_checker_accepts_every_drawn_tree(drawn):
     # every tree of a drawn automaton passes krbench's independent checker,
     # which replays random words through the root, or, with no symbol to
     # draw a word from, the library's own verify_tree; every raw leaf names
-    # the cap it breached
+    # the cap it breached. Each draw runs at the default threshold and with
+    # every product recording its factors, so that the checker also reads
+    # the phi of every cascade node expanded from its composition.
     corpus = _load("krbench_corpus", "krbench", "corpus.py")
     refcheck = _load("krbench_refcheck", "krbench", "refcheck.py")
     n, columns = drawn
     delta = [[col[s] for col in columns] for s in range(n)]
     source = corpus.Automaton("drawn", ["s%d" % i for i in range(n)],
                               corpus.SYMBOLS[:len(columns)], delta)
-    tree = krohn_rhodes_decompose(parse_automaton(source.to_json()))
-    if columns:
-        refcheck.check_tree(tree, source, random.Random(0))
-    else:
-        assert verify_tree(tree)[0]
-    for leaf in leaves(tree):
-        if leaf.kind == LEAF_RAW:
-            assert re.search(r"the cap of \d+", leaf.reason), leaf.reason
+    for factored in (automata._FACTORED_STATES, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(automata, "_FACTORED_STATES", factored)
+            tree = krohn_rhodes_decompose(parse_automaton(source.to_json()))
+        if columns:
+            refcheck.check_tree(tree, source, random.Random(0))
+        else:
+            assert verify_tree(tree)[0]
+        for leaf in leaves(tree):
+            if leaf.kind == LEAF_RAW:
+                assert re.search(r"the cap of \d+", leaf.reason), leaf.reason

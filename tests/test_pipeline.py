@@ -67,6 +67,7 @@ from krcascade import (
     verify_covering,
     verify_tree,
 )
+from test_tree_digest import _expected, _load_script
 
 
 def cyclic(n):
@@ -1174,6 +1175,40 @@ def test_public_path_builds_no_recorded_table(request, name):
     # seeds 4 and 6 of random-6 end at the chain cap with no product that large
     assert recorded or name in ("random6-4", "random6-6")
     assert [X.n_states for X in recorded if _table_built(X)] == []
+
+
+def _composed_phis(tree):
+    """The compositions of phi that the tree's node witnesses keep and,
+    down their inner phis, the ones those keep."""
+    found, stack = {}, [node.witness._composed for node in iter_nodes(tree)]
+    while stack:
+        c = stack.pop()
+        if isinstance(c, _lawcheck.Composed) and id(c) not in found:
+            found[id(c)] = c
+            stack.append(c.inner)
+    return list(found.values())
+
+
+@pytest.mark.parametrize(
+    "name", ["random5-%d" % seed for seed in range(10)] + ["random6-0", "random6-4", "random6-6"]
+)
+def test_public_path_expands_no_composed_phi(request, name):
+    # decomposing, verifying, reporting and rendering expand no phi that a
+    # node witness keeps composed: the law check descends through the
+    # composition and expands only its deepest distinct blocks, and the
+    # reports read no phi; a later read of phi gives the tuples that the
+    # tree's digest was pinned with
+    tree = krohn_rhodes_decompose(_named(request, name))
+    ok, _ = verify_tree(tree, sim_len=6)
+    report = tree_report(tree, sim_len=6)
+    render_tree_text(report)
+    json.dumps(report, indent=2)
+    assert ok and report["witnesses_verified"]
+    composed = _composed_phis(tree)
+    # seeds 4 and 6 of random-6 end at the chain cap with no product that large
+    assert composed or name in ("random6-4", "random6-6")
+    assert [len(c.keys) for c in composed if c._flat is not None] == []
+    assert _load_script().tree_digest(tree) == _expected()[name]
 
 
 @pytest.fixture(scope="module")

@@ -31,6 +31,7 @@ from krcascade import (
     right_regular_representation,
     run,
     simulation_counterexample,
+    substitute,
     transition_monoid,
     verify_covering,
     word_transformation,
@@ -538,3 +539,94 @@ def test_recorded_classes_match_the_built_table(A, B, C, data):
                 reference = Semiautomaton(X.state_labels, X.symbol_labels, rows)
                 assert (X._classes, X._firsts) == (reference._classes, reference._firsts)
                 assert X.delta == reference.delta
+
+
+def _renumbered(descent):
+    """The descent with every block number replaced by the block's contents,
+    and the number of tasks and blocks."""
+    Y, tasks, blocks = descent
+    renumbered = {(x, tuple(blocks[src]), tuple(blocks[dst]), a) for x, src, dst, a in tasks}
+    return Y, len(tasks), len(blocks), set(map(tuple, blocks)), renumbered
+
+
+def _with_row_entry(c, values, data):
+    """c with one entry of one of its row maps drawn from values."""
+    rows = {k: list(c.rows[k]) for k in set(c.keys)}
+    row = rows[data.draw(st.sampled_from(sorted(k for k in rows if k is not None)))]
+    row[data.draw(st.integers(0, len(row) - 1))] = data.draw(st.sampled_from(values))
+    return _lawcheck.Composed(c.keys, {k: tuple(r) for k, r in rows.items()}, c.inner)
+
+
+def _composed_mutants(c, nl, data):
+    """Copies of the composition c of a phi onto nl lower states: one row-map
+    entry changed, one entry of the inner phi changed, a row-map entry out
+    of range, and one key None, which makes its block all None."""
+    nc = len(c.rows[next(k for k in c.keys if k is not None)])
+    inner = c.inner
+    if isinstance(inner, _lawcheck.Composed):
+        inner = _with_row_entry(inner, [None] + list(range(nc)), data)
+    else:
+        inner = list(inner)
+        inner[data.draw(st.integers(0, len(inner) - 1))] = data.draw(
+            st.sampled_from([None] + list(range(nc)))
+        )
+        inner = tuple(inner)
+    keys = list(c.keys)
+    keys[data.draw(st.integers(0, len(keys) - 1))] = None
+    rows = dict(enumerate(c.rows)) if isinstance(c.rows, list) else dict(c.rows)
+    rows[None] = (None,) * nc
+    return [
+        _with_row_entry(c, [None] + list(range(nl)), data),
+        _lawcheck.Composed(c.keys, c.rows, inner),
+        _with_row_entry(c, [-1, nl], data),
+        _lawcheck.Composed(keys, rows, c.inner),
+    ]
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    automata(max_states=3, max_symbols=2),
+    automata(max_states=3, max_symbols=2),
+    st.data(),
+)
+def test_composed_phi_checks_as_its_flat_copy(A, C, data):
+    # with every product recording its factors, the node witnesses of
+    # decompositions and a substitution over them keep phi composed, nested
+    # where the inner witness is composed too; each, and each copy with its
+    # composition changed, gets the verdict, reason and site, the covered
+    # states and, renumbered, the descent of the witness with phi expanded;
+    # with every witness checked through the descent, checking a witness
+    # that verifies, or simulating it, expands nothing
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kr_automata, "_FACTORED_STATES", 1)
+        mp.setattr(kr_automata, "_SYMBOL_PASS_STATES", 1)
+        omega = [
+            [data.draw(st.integers(0, C.n_symbols - 1)) for _ in range(A.n_symbols)]
+            for _ in range(A.n_states)
+        ]
+        covers = [krohn_rhodes_decompose(X).witness for X in (A, C)]
+        sub = substitute(cascade_product(A, C, omega), A, C, omega, *covers)
+        witnesses = [sub.witness] + [
+            node.witness for X in (A, C) for node in iter_nodes(krohn_rhodes_decompose(X))
+        ]
+        composed = [w for w in witnesses if w._composed is not None]
+        assert composed[0] is sub.witness and verify_covering(sub.witness)
+        for w in composed:
+            c = w._composed
+            # a fresh copy: _substitute reads the phi of a composed left cover
+            cases = [_lawcheck.Composed(c.keys, c.rows, c.inner)]
+            cases += _composed_mutants(c, w.lower.n_states, data)
+            for c in cases:
+                got = kr_automata._ComposedWitness(w.upper, w.lower, c, w.xi)
+                r = verify_covering(got)
+                if r.ok:
+                    assert simulation_counterexample(got, 1) is None and c._flat is None
+                flat = CoveringWitness._from_parts(w.upper, w.lower, c.expand(), w.xi)
+                want = verify_covering(flat)
+                assert (r.ok, r.reason, r.site) == (want.ok, want.reason, want.site)
+                pairs = list(kr_automata._law_pairs(w))
+                descent = _lawcheck.descend(w.upper, c, pairs)
+                flat_descent = _lawcheck.descend(w.upper, flat.phi, pairs)
+                assert _renumbered(descent) == _renumbered(flat_descent)
+                assert _lawcheck.covered(descent) == _lawcheck.covered(flat_descent)
+                assert _lawcheck.values(c) == set(flat.phi) - {None}
