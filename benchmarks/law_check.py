@@ -10,10 +10,12 @@ For every node witness of each decomposition tree, the law check's passes
 (krcascade._lawcheck.passes on the descent of _lawcheck.descend, over the
 law pairs of automata._law_pairs) run twice: on the witness as built,
 where an upper automaton of _FACTORED_STATES states or more records its
-factors and the passes go through them, on the composition of phi that the
+factors and the passes go through them on the composition of phi that the
 witness keeps, as verify_covering runs them, and on a copy of the upper
 made by Semiautomaton._from_table, which records none, with phi expanded,
-so that the passes are the flat ones over whole columns. Each run is timed
+so that the passes are the flat ones over whole columns. A node witness
+over a recorded upper that keeps no composition of phi ends the run with
+a message, since its passes would be the flat ones too. Each run is timed
 with its descent, and the cells it compares are counted off the descent:
 one per entry of a task's source block that is not None. The passes run on
 every node witness, also on those with too few upper states for the
@@ -110,7 +112,10 @@ def witness_entry(w):
     pairs = list(automata._law_pairs(w))
     flat = unrecorded(w.upper)
     flat_cells, flat_s = passes(w, flat, w.phi, pairs)
-    cells, took = passes(w, w.upper, w._composed or w.phi, pairs)
+    phi = w.phi if w.upper._factors is None else w._composed
+    if phi is None:
+        raise SystemExit("a node witness over a recorded product keeps no composition of phi")
+    cells, took = passes(w, w.upper, phi, pairs)
     flat_verify_s = verify(CoveringWitness._from_parts(flat, w.lower, w.phi, w.xi))
     return {
         "states": w.upper.n_states,

@@ -500,9 +500,10 @@ class _FactoredProduct(Semiautomaton):
     its table from them on the first read of _table or table, by the same
     _product_table as any other product, then keeps it. Everything that
     reads cells builds it: delta, column, step, ==, _kinds and pickling,
-    which gives an automaton that records no factors. The law check
-    (_lawcheck) reads the record, never this table, so a tree's recorded
-    products hold no table until something else reads one."""
+    which gives an automaton that records no factors, and the law check of
+    a witness with a flat phi. The law check of a composed phi (_lawcheck)
+    reads the record, never this table, so a tree's recorded products hold
+    no table until something else reads one."""
 
     def __init__(self, A: Semiautomaton, B: Semiautomaton, connection):
         self._set_labels(_PairLabels(A, B), A.symbol_labels)
@@ -683,8 +684,11 @@ class CoveringWitness:
 
     The witness of a tree node over a product that records its factors is a
     _ComposedWitness, which keeps phi as its composition (_composed, a
-    _lawcheck.Composed) and builds the tuple only on the first read of phi.
-    Any other witness has a flat phi and _composed None.
+    _lawcheck.Composed) and builds the tuple only on the first read of phi;
+    the law check follows the product's record through that composition.
+    Any other witness has a flat phi and _composed None, and its law is
+    checked on the upper's own table, which a product that records its
+    factors builds on that first read.
     """
 
     _composed = None
@@ -750,10 +754,11 @@ class CoveringWitness:
 class _ComposedWitness(CoveringWitness):
     """A witness over a product U∘V that records its factors, with phi kept
     as its composition in _composed: phi(u·|V| + v) = rows[keys[u]][p], p
-    the inner witness's phi at v (_lawcheck.Composed). verify_covering and
-    the law check descend through it and read no entry of phi; phi is the
-    tuple it expands to, built on its first read, a block at a time, then
-    kept. A witness made from this one's phi is flat."""
+    the inner witness's phi at v (_lawcheck.Composed). verify_covering
+    reads the states it covers off it and the law check descends through
+    it, and neither reads an entry of phi; phi is the tuple it expands to,
+    built on its first read, a block at a time, then kept. A witness made
+    from this one's phi is flat."""
 
     def __init__(self, upper: Semiautomaton, lower: Semiautomaton, composed, xi: tuple):
         self.upper, self.lower, self._composed, self.xi = upper, lower, composed, xi
@@ -806,25 +811,25 @@ class HomImageWitness:
                 raise WitnessError(result.reason)
 
 
-def _law_violation(w: CoveringWitness, descent=None):
+def _law_violation(w: CoveringWitness):
     """The first (s, a), domain states in order and then lower symbols, where
     phi(s·xi(a)) != phi(s)·a; leaving the domain of phi counts. None if none.
 
     A witness of _SYMBOL_PASS_STATES upper states or more is checked by the
-    passes of _lawcheck, on the given descent or on one made here, and
-    scanned state by state only after a failure, to name the first site.
-    There is one pass per pair of _law_pairs, and two symbols with the same
-    pair (column class of xi(a) in the upper, column class of a in the
-    lower) compare cells of the same contents, so skipping the second is
-    exact. Where the upper records its factors, a pass compares each
-    distinct block of phi once, which is exact too. The path is chosen by
-    the upper's state count, so that a composed phi is expanded only to
-    name a failing site.
+    passes of _lawcheck on the one descent made here, and scanned state by
+    state only after a failure, to name the first site. There is one pass
+    per pair of _law_pairs, and two symbols with the same pair (column class
+    of xi(a) in the upper, column class of a in the lower) compare cells of
+    the same contents, so skipping the second is exact. Where the witness
+    keeps phi composed, the descent follows the upper's record and a pass
+    compares each distinct block of phi once, which is exact too; a flat
+    phi takes one pass per pair over the upper's own table. The path is
+    chosen by the upper's state count, so that a composed phi is expanded
+    only to name a failing site.
     """
     if w.upper.n_states < _SYMBOL_PASS_STATES:
         return _lawcheck.first_failure(w)
-    if descent is None:
-        descent = _lawcheck.descend(w.upper, w._composed or w.phi, _law_pairs(w))
+    descent = _lawcheck.descend(w.upper, w._composed or w.phi, _law_pairs(w))
     if _lawcheck.passes(w.lower, descent):
         return None
     return _lawcheck.first_failure(w)
@@ -854,24 +859,15 @@ def verify_covering(w: CoveringWitness) -> VerificationResult:
     check=True) runs too.
 
     A failure names, in this order: an empty domain, a missed lower state,
-    an entry of phi out of range, a law site. Each check makes at most one
-    descent of the law check (_lawcheck.descend). Where the upper automaton
-    records its factors, the descent is made here, on phi's composition if
-    the witness keeps one: the states phi covers are read off it, and
-    _law_violation's passes run on it, so a composed phi is expanded only
-    to name a failure. Otherwise the states covered are set(phi), and
-    _law_violation makes the descent if its passes need one.
+    an entry of phi out of range, a law site. The states phi covers are
+    read by _lawcheck.values, off the composition of phi where the witness
+    keeps one, which reads no entry of phi, and off set(phi) otherwise; the
+    law is _law_violation's, which makes at most one descent of the law
+    check (_lawcheck.descend). A composed phi is expanded only to name a
+    failure.
     """
     upper, lower = w.upper, w.lower
-    descent = None
-    if upper._factors is None:
-        covered = set(w.phi)
-    else:
-        phi = w._composed or w.phi
-        descent = _lawcheck.descend(upper, phi, _law_pairs(w))
-        # with no law pair, the descent has no tasks to read them off
-        covered = _lawcheck.covered(descent) if descent[1] else _lawcheck.values(phi)
-    covered.discard(None)
+    covered = _lawcheck.values(w._composed or w.phi)
     if not covered:
         return VerificationResult(False, "phi has an empty domain")
     if covered != set(range(lower.n_states)):
@@ -884,7 +880,7 @@ def verify_covering(w: CoveringWitness) -> VerificationResult:
         for v in w.phi:
             if v is not None and not 0 <= v < lower.n_states:
                 return VerificationResult(False, "phi image %d out of range" % v)
-    site = _law_violation(w, descent)
+    site = _law_violation(w)
     if site is None:
         return VerificationResult(True)
     s, a = site

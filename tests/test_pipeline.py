@@ -850,9 +850,9 @@ def test_verify_tree_runs_one_law_pass_per_node(monkeypatch, request, name):
     checked = []
     law = automata._law_violation
 
-    def counted(w, descent=None):
+    def counted(w):
         checked.append(w)
-        return law(w, descent)
+        return law(w)
 
     monkeypatch.setattr(automata, "_law_violation", counted)
     ok, _ = verify_tree(tree, sim_len=6)
@@ -878,10 +878,10 @@ def test_verify_tree_runs_one_law_pass_per_node(monkeypatch, request, name):
     assert verdicts[0] and False in verdicts[1:]
 
 
-def _law_violation_per_symbol(w, descent=None):
+def _law_violation_per_symbol(w):
     """The law check with one symbol pass per lower symbol, repeated columns
     included: the check as it was before column classes. It reads phi
-    itself and ignores the descent."""
+    itself."""
     phi = w.phi
     threshold = automata._SYMBOL_PASS_STATES
     if len(phi) < threshold or len(phi) - phi.count(None) < threshold:
@@ -979,11 +979,14 @@ def random6_root_witness():
 
 
 def _cells_compared(w, upper=None):
-    """The cells the law check's passes compare on w, its upper automaton
-    replaced by upper if given: one per entry of a task's source block that
-    is not None."""
-    U = w.upper if upper is None else upper
-    descent = _lawcheck.descend(U, w.phi, automata._law_pairs(w))
+    """The cells the law check's passes compare on w's composition of phi,
+    or, if upper is given, on w's phi over upper in place of w's upper
+    automaton: one per entry of a task's source block that is not None."""
+    pairs = automata._law_pairs(w)
+    if upper is None:
+        descent = _lawcheck.descend(w.upper, w._composed, pairs)
+    else:
+        descent = _lawcheck.descend(upper, w.phi, pairs)
     assert _lawcheck.passes(w.lower, descent)
     _, tasks, blocks = descent
     return sum(len(blocks[src]) - blocks[src].count(None) for _, src, _, _ in tasks)
@@ -1016,35 +1019,34 @@ def test_factored_law_check_compares_one_block_per_distinct_triple(random6_root_
 
 
 def test_factored_law_check_finds_a_change_in_a_repeated_block(random6_root_witness):
-    # a phi entry changed inside a block of the root's phi, at a level of its
-    # factors, whose contents repeat an earlier block's: the factored check
-    # fails with the flat pass's reason and site
+    # the root's phi is composed three levels deep, and at the deepest level
+    # 96 blocks share 4 row maps: one of those blocks given a row map of its
+    # own with one entry changed, the check through the composition fails
+    # with the per-symbol pass's reason and site
     w = random6_root_witness
-    X, repeats = w.upper, []
-    while X._factors is not None:
-        X = X._factors[1]
-        nb = X.n_states
-        blocks = [w.phi[k:k + nb] for k in range(0, len(w.phi), nb)]
-        empty, seen = (None,) * nb, set()
-        for u, b in enumerate(blocks):
-            if b in seen and b != empty:
-                repeats.append(u * nb + next(v for v, p in enumerate(b) if p is not None))
-            seen.add(b)
-    # the first repeat sits in a block of 9,216 states, one level down
-    assert len(repeats) > 1000
-    s = repeats[0]
-    phi = list(w.phi)
-    phi[s] = (phi[s] + 1) % w.lower.n_states
-    bad = CoveringWitness(w.upper, w.lower, phi, w.xi, check=False)
+    c0 = w._composed
+    c1 = c0.inner
+    c2 = c1.inner
+    keys = list(c2.keys)
+    assert (len(keys), len(set(keys))) == (96, 4) and not isinstance(c2.inner, _lawcheck.Composed)
+    u = next(u for u, k in enumerate(keys) if k is not None and keys.index(k) < u)
+    rows = dict(enumerate(c2.rows)) if isinstance(c2.rows, list) else dict(c2.rows)
+    row = list(rows[keys[u]])
+    p = next(p for p in c2.inner_values() if row[p] is not None)
+    row[p] = (row[p] + 1) % len(c1.rows[c1.keys[0]])
+    keys[u] = new = len(rows)
+    rows[new] = tuple(row)
+    inner = _lawcheck.Composed(c1.keys, c1.rows, _lawcheck.Composed(keys, rows, c2.inner))
+    composed = _lawcheck.Composed(c0.keys, c0.rows, inner)
+    bad = automata._ComposedWitness(w.upper, w.lower, composed, w.xi)
     got, want = _verdicts(bad)
     assert got == want and not got[0]
     assert got[1].startswith("covering law fails at state ")
 
 
 def test_verify_covering_descends_once(monkeypatch, random6_root_witness):
-    # one check of a recorded product's witness runs the descent once: the
-    # states phi covers and the law's passes are both read off it, and the
-    # witness keeps none of it
+    # one check of a recorded product's witness runs the descent once, for
+    # the law's passes, and the witness keeps none of it
     w = random6_root_witness
     calls = []
     descend = _lawcheck.descend
@@ -1059,44 +1061,62 @@ def test_verify_covering_descends_once(monkeypatch, random6_root_witness):
     assert not hasattr(w, "_descent")
 
 
-def test_factored_law_check_tells_apart_pieces_with_one_sampled_key(random6_root_witness):
-    # blocks 0 and 5 of 9,216 states of the root's phi are equal, and are
-    # numbered by a sample of their entries: a change in block 5 off the
-    # sample leaves the two samples equal, and the check, which confirms a
-    # sample by the whole contents, fails with the flat pass's reason and site
-    w = random6_root_witness
-    nb = w.upper._factors[1]._factors[1].n_states
-    step = nb // _lawcheck._SAMPLE | 1
-    assert nb >= _lawcheck._WIDE and w.phi[:nb] == w.phi[5 * nb:6 * nb]
-    j = next(j for j in range(nb) if j % step and w.phi[5 * nb + j] is not None)
-    phi = list(w.phi)
-    phi[5 * nb + j] = (phi[5 * nb + j] + 1) % w.lower.n_states
-    assert phi[:nb:step] == phi[5 * nb:6 * nb:step] and phi[:nb] != phi[5 * nb:6 * nb]
-    bad = CoveringWitness(w.upper, w.lower, phi, w.xi, check=False)
-    got, want = _verdicts(bad)
-    assert got == want and not got[0]
-
-
 def test_unrecorded_copies_take_the_flat_pass():
     # a product rebuilt from its columns, or through pickle, records no
-    # factors: the law check takes the flat pass on it, with the verdict,
-    # reason and site of the check through the original's factors
+    # factors, and a flat phi is not followed down a record: the law check
+    # takes the flat pass on an unrecorded copy and on a flat copy of phi
+    # over the original, with the verdict, reason and site of the check
+    # through the original's factors
     w = krohn_rhodes_decompose(random_n(5, 1)).witness
     U = w.upper
     assert U.n_states == 6144 and U._factors is not None
-    flat = len(w.phi) - w.phi.count(None)
-    flat *= len(automata._law_pairs(w))
+    pairs = automata._law_pairs(w)
+    flat = (len(w.phi) - w.phi.count(None)) * len(pairs)
     assert _cells_compared(w) < flat
     rng = random.Random(6144)
     witnesses = [w] + _one_entry_corruptions(w, rng) + _twin_column_corruptions(w, rng)
     verdicts = [verify_covering(c) for c in witnesses]
     assert verdicts[0] and not all(verdicts)
-    for V in (_unrecorded(U), pickle.loads(pickle.dumps(U))):
-        assert V == U and V._factors is None
+    X, tasks, blocks = _lawcheck.descend(U, w.phi, pairs)
+    assert X is U and tasks == {(x, 0, 0, a) for x, a in pairs} and blocks == [w.phi]
+    for V in (U, _unrecorded(U), pickle.loads(pickle.dumps(U))):
+        assert V == U and (V is U or V._factors is None)
         assert _cells_compared(w, V) == flat
         for c, got in zip(witnesses, verdicts):
             copy = verify_covering(CoveringWitness(V, c.lower, c.phi, c.xi, check=False))
             assert (got.ok, got.reason, got.site) == (copy.ok, copy.reason, copy.site)
+
+
+def test_composed_descent_stops_where_the_inner_phi_is_flat(monkeypatch):
+    # a composed phi one level deep over U∘(V∘W), its inner phi flat over
+    # V∘W, which records its factors too: the descent splits once and ends
+    # on V∘W, and the check, on the phi of the identity cover and on copies
+    # with one row entry changed, gives the verdict, reason and site of a
+    # flat copy of phi
+    monkeypatch.setattr(automata, "_FACTORED_STATES", 1)
+    monkeypatch.setattr(automata, "_SYMBOL_PASS_STATES", 1)
+    U, V, W = (random_n(3, seed) for seed in range(3))
+    VW = direct_product(V, W)
+    X = direct_product(U, VW)
+    assert VW._factors is not None and X._factors[1] is VW
+    n = VW.n_states
+    rows = [tuple(range(u * n, (u + 1) * n)) for u in range(U.n_states)]
+    xi = tuple(range(X.n_symbols))
+    cases = [rows]
+    for s in (0, n - 1, 2 * n):
+        bad = [list(r) for r in rows]
+        bad[s // n][s % n] = (s + n + 1) % X.n_states
+        cases.append([tuple(r) for r in bad])
+    verdicts = []
+    for case in cases:
+        c = _lawcheck.Composed(tuple(range(U.n_states)), case, tuple(range(n)))
+        Y, _, blocks = _lawcheck.descend(X, c, automata._law_pairs(identity_witness(X)))
+        assert Y is VW and c._flat is None
+        got = verify_covering(automata._ComposedWitness(X, X, c, xi))
+        want = verify_covering(CoveringWitness._from_parts(X, X, c.expand(), xi))
+        assert (got.ok, got.reason, got.site) == (want.ok, want.reason, want.site)
+        verdicts.append(got.ok)
+    assert verdicts[0] and not any(verdicts[1:])
 
 
 def test_failing_root_state_renders_no_factor_label():
