@@ -1,5 +1,6 @@
 """Cells compared and CPU time of the covering-law check, flat and factored,
-and CPU time of the whole verify_covering on each side.
+the CPU time of the scan it replaces, and CPU time of the whole
+verify_covering on each side.
 
     python benchmarks/law_check.py [--out BENCH_law_check.json]
 
@@ -18,14 +19,20 @@ over a recorded upper that keeps no composition of phi ends the run with
 a message, since its passes would be the flat ones too. Each run is timed
 with its descent, and the cells it compares are counted off the descent:
 one per entry of a task's source block that is not None. The passes run on
-every node witness, also on those with too few upper states for the
-library to use them.
+every node witness, also on those with too few cells (lower symbols times
+upper states, automata._SYMBOL_PASS_CELLS) for the library to use them;
+each entry records the path verify_covering takes, "scan" below that
+switch and "passes" from it on, and the least CPU time of the scan
+(_lawcheck.first_failure, one cell per domain state and lower symbol) and
+of computing the law pairs, so that the two costs the switch weighs sit
+side by side.
 verify_covering, which also checks that phi is onto, runs on the witness as
-built and on a witness over the unrecorded copy. Each entry records the
-upper's states, the domain size, the number of law pairs, and per side the
-cells compared and the least CPU time of REPEATS runs of the passes and of
-verify_covering (witness_entry). The entries and their totals per n are
-written as JSON.
+built and on a witness over the unrecorded copy; a witness keeps its law
+pairs after its first check, so those times are of the checks that follow.
+Each entry records the upper's states, the domain size, the number of law
+pairs, and per side the cells compared and the least CPU time of REPEATS
+runs of the passes and of verify_covering (witness_entry). The entries and
+their totals per n are written as JSON.
 """
 
 import argparse
@@ -50,8 +57,8 @@ from krcascade import _lawcheck, automata  # noqa: E402
 
 CORPUS = [(5, seed) for seed in range(10)] + [(6, seed) for seed in (0, 4, 6)]
 REPEATS = 5
-KEYS = ("flat_cells", "factored_cells", "flat_s", "factored_s", "flat_verify_s",
-        "factored_verify_s")
+KEYS = ("flat_cells", "factored_cells", "flat_s", "factored_s", "scan_s", "pairs_s",
+        "flat_verify_s", "factored_verify_s")
 
 
 def random_n(n, seed):
@@ -79,37 +86,38 @@ def cells_compared(descent):
     return sum(len(blocks[src]) - blocks[src].count(None) for _, src, _, _ in tasks)
 
 
-def passes(w, upper, phi, pairs):
-    """(cells compared, least CPU seconds) of the law check's passes on w,
-    with its upper automaton replaced by upper and its phi by phi."""
+def least_time(run, failure):
+    """The least CPU seconds of REPEATS calls of run, each of which must
+    return a true value; failure is the message to exit with if not."""
     best = None
     for _ in range(REPEATS):
         start = time.process_time()
-        descent = _lawcheck.descend(upper, phi, pairs)
-        ok = _lawcheck.passes(w.lower, descent)
+        ok = run()
         took = time.process_time() - start
         if not ok:
-            raise SystemExit("a node witness fails the law check")
-        best = took if best is None else min(best, took)
-    return cells_compared(descent), best
-
-
-def verify(w):
-    """The least CPU seconds of verify_covering on w."""
-    best = None
-    for _ in range(REPEATS):
-        start = time.process_time()
-        ok = verify_covering(w)
-        took = time.process_time() - start
-        if not ok:
-            raise SystemExit("a node witness fails verify_covering")
+            raise SystemExit(failure)
         best = took if best is None else min(best, took)
     return best
 
 
+def passes(w, upper, phi, pairs):
+    """(cells compared, least CPU seconds) of the law check's passes on w,
+    with its upper automaton replaced by upper and its phi by phi; each run
+    is timed with its descent."""
+    took = least_time(lambda: _lawcheck.passes(w.lower, _lawcheck.descend(upper, phi, pairs)),
+                      "a node witness fails the law check")
+    return cells_compared(_lawcheck.descend(upper, phi, pairs)), took
+
+
+def verify(w):
+    """The least CPU seconds of verify_covering on w."""
+    return least_time(lambda: verify_covering(w), "a node witness fails verify_covering")
+
+
 def witness_entry(w):
     """The entry of the node witness w, without its automaton and node."""
-    pairs = list(automata._law_pairs(w))
+    pairs = automata._law_pairs(w)
+    passes_path = len(w.xi) * w.upper.n_states >= automata._SYMBOL_PASS_CELLS
     flat = unrecorded(w.upper)
     flat_cells, flat_s = passes(w, flat, w.phi, pairs)
     phi = w.phi if w.upper._factors is None else w._composed
@@ -122,10 +130,14 @@ def witness_entry(w):
         "domain": len(w.phi) - w.phi.count(None),
         "law_pairs": len(pairs),
         "recorded": w.upper._factors is not None,
+        "path": "passes" if passes_path else "scan",
         "flat_cells": flat_cells,
         "factored_cells": cells,
         "flat_s": flat_s,
         "factored_s": took,
+        "scan_s": least_time(lambda: _lawcheck.first_failure(w) is None,
+                             "a node witness fails the scan"),
+        "pairs_s": least_time(lambda: automata._law_pairs(w), "a node witness has no law pairs"),
         "flat_verify_s": flat_verify_s,
         "factored_verify_s": verify(w),
     }
@@ -146,15 +158,18 @@ def main():
     for n in sorted({n for n, _ in CORPUS}):
         group = [e for e in entries if e["automaton"].startswith("random%d-" % n)]
         t = totals["random%d" % n] = {"witnesses": len(group)}
+        t["passes_path"] = sum(e["path"] == "passes" for e in group)
         t.update((key, sum(e[key] for e in group)) for key in KEYS)
-        print("random%d  %3d witnesses  cells %9d flat %7d factored  "
-              "passes %.4f s flat %.4f s factored  verify_covering %.4f s flat "
-              "%.4f s factored"
-              % (n, t["witnesses"], t["flat_cells"], t["factored_cells"], t["flat_s"],
-                 t["factored_s"], t["flat_verify_s"], t["factored_verify_s"]))
+        print("random%d  %3d witnesses (%d on the passes)  cells %9d flat %7d factored  "
+              "passes %.4f s flat %.4f s factored  scan %.4f s  pairs %.4f s  "
+              "verify_covering %.4f s flat %.4f s factored"
+              % (n, t["witnesses"], t["passes_path"], t["flat_cells"], t["factored_cells"],
+                 t["flat_s"], t["factored_s"], t["scan_s"], t["pairs_s"],
+                 t["flat_verify_s"], t["factored_verify_s"]))
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump({"python": sys.version.split()[0], "machine": platform.machine(),
-                   "factored_states": automata._FACTORED_STATES, "repeats": REPEATS,
+                   "factored_states": automata._FACTORED_STATES,
+                   "symbol_pass_cells": automata._SYMBOL_PASS_CELLS, "repeats": REPEATS,
                    "witnesses": entries, "totals": totals}, fh, indent=2)
         fh.write("\n")
     print("written to %s" % args.out)

@@ -27,12 +27,18 @@ from .errors import InvalidInputError, WitnessError
 _CELL = "i"
 _CELL_BYTES = array(_CELL).itemsize
 _STATE_LIMIT = 2 ** (8 * _CELL_BYTES - 1)
-# The fewest upper states of a witness whose law is checked a symbol at a
-# time: below it, the fixed cost of a pass per symbol outweighs its lower
-# cost per cell. Timed per node witness of the krbench workloads, the law
-# check's total is flat for thresholds from 16 to 64 states on each of
-# them, and 32 is mid-range.
-_SYMBOL_PASS_STATES = 32
+# The fewest cells (lower symbols times upper states) of a witness whose
+# law is checked by the passes, one per law pair: below it, the scan of
+# every cell costs less than the pairs, the descent and a pass per pair.
+# Wide witnesses of few states, such as two-state reset leaves over 1,440
+# symbols, are far above it. BENCH_law_check.json times both per node
+# witness of random-5 seeds 0-9 and random-6 seeds 0, 4 and 6: the check's
+# total over them is lowest from 256 to 384 cells, and over the random-5
+# ones 12% higher at 1 cell and 9% higher at 512; with the passes at every
+# size, krbench's sweep3-replay verify_s nearly doubles (0.0034 to 0.0065
+# s). It stays at most _FACTORED_STATES, so that a composed phi takes the
+# passes and is never expanded by the scan.
+_SYMBOL_PASS_CELLS = 256
 # The smallest product that records its factors for the law check. Timed
 # over the node witnesses of random-5 seeds 0-9 and random-6 seeds 0, 4 and
 # 6, the check's total is lowest from 128 to 512 states, and 20% higher at 32.
@@ -680,7 +686,9 @@ class CoveringWitness:
 
     dom, the upper states in the domain of phi in order, is computed on its
     first read and then kept; verify_covering does not read it, so a witness
-    that only gets verified never holds it.
+    that only gets verified never holds it. _pairs keeps the law pairs of a
+    witness checked by the passes, with the xi, upper and lower they were
+    computed from (_law_violation).
 
     The witness of a tree node over a product that records its factors is a
     _ComposedWitness, which keeps phi as its composition (_composed, a
@@ -696,7 +704,7 @@ class CoveringWitness:
     def __init__(self, upper: Semiautomaton, lower: Semiautomaton, phi, xi, check=True):
         self.upper = upper
         self.lower = lower
-        self._dom = None
+        self._dom = self._pairs = None
         phi = tuple(phi)
         image = {v: None if v is None else int(v) for v in set(phi)}
         self.phi = tuple(map(image.__getitem__, phi))
@@ -721,7 +729,7 @@ class CoveringWitness:
         """The witness with these phi and xi tuples, kept as they are."""
         self = cls.__new__(cls)
         self.upper, self.lower, self.phi, self.xi = upper, lower, phi, xi
-        self._dom = None
+        self._dom = self._pairs = None
         if len(phi) != upper.n_states:
             raise WitnessError("phi needs one entry per upper state")
         if len(xi) != lower.n_symbols:
@@ -758,11 +766,11 @@ class _ComposedWitness(CoveringWitness):
     reads the states it covers off it and the law check descends through
     it, and neither reads an entry of phi; phi is the tuple it expands to,
     built on its first read, a block at a time, then kept. A witness made
-    from this one's phi is flat."""
+    from this one's phi is flat, and so is one unpickled from it."""
 
     def __init__(self, upper: Semiautomaton, lower: Semiautomaton, composed, xi: tuple):
         self.upper, self.lower, self._composed, self.xi = upper, lower, composed, xi
-        self._dom = None
+        self._dom = self._pairs = None
         if len(xi) != lower.n_symbols:
             raise WitnessError("xi needs one entry per lower symbol")
         self._check_xi_range()
@@ -770,6 +778,11 @@ class _ComposedWitness(CoveringWitness):
     @property
     def phi(self) -> tuple:
         return self._composed.expand()
+
+    def __reduce__(self):
+        # the upper pickles as a plain automaton, with no record for the
+        # composition to descend, so the copy is flat
+        return CoveringWitness._from_parts, (self.upper, self.lower, self.phi, self.xi)
 
 
 def _composed_witness(product, lower, keys, rows, w_v: CoveringWitness, xi) -> CoveringWitness:
@@ -815,34 +828,46 @@ def _law_violation(w: CoveringWitness):
     """The first (s, a), domain states in order and then lower symbols, where
     phi(s·xi(a)) != phi(s)·a; leaving the domain of phi counts. None if none.
 
-    A witness of _SYMBOL_PASS_STATES upper states or more is checked by the
-    passes of _lawcheck on the one descent made here, and scanned state by
-    state only after a failure, to name the first site. There is one pass
-    per pair of _law_pairs, and two symbols with the same pair (column class
-    of xi(a) in the upper, column class of a in the lower) compare cells of
-    the same contents, so skipping the second is exact. Where the witness
-    keeps phi composed, the descent follows the upper's record and a pass
-    compares each distinct block of phi once, which is exact too; a flat
-    phi takes one pass per pair over the upper's own table. The path is
-    chosen by the upper's state count, so that a composed phi is expanded
-    only to name a failing site.
+    A witness of _SYMBOL_PASS_CELLS cells (lower symbols times upper states)
+    or more is checked by the passes of _lawcheck on the one descent made
+    here, and scanned state by state only after a failure, to name the
+    first site. There is one pass per pair of _law_pairs, and two symbols
+    with the same pair compare cells of the same contents, so skipping the
+    second is exact. The pairs are computed on the witness's first check
+    and kept on it with the xi, upper and lower they were computed from,
+    and computed again when any of those is no longer the same object; they
+    depend on column contents only, and every check runs its passes in
+    full. Where the witness keeps phi composed, the descent follows the
+    upper's record and a pass compares each distinct block of phi once,
+    which is exact too; a flat phi takes one pass per pair over the upper's
+    own table. A composed phi has _FACTORED_STATES upper states or more, so
+    it takes the passes wherever there is a lower symbol to check, and is
+    expanded only to name a failing site.
     """
-    if w.upper.n_states < _SYMBOL_PASS_STATES:
+    xi, upper, lower = w.xi, w.upper, w.lower
+    if len(xi) * upper.n_states < _SYMBOL_PASS_CELLS:
         return _lawcheck.first_failure(w)
-    descent = _lawcheck.descend(w.upper, w._composed or w.phi, _law_pairs(w))
-    if _lawcheck.passes(w.lower, descent):
+    kept = w._pairs
+    if kept is None or kept[0] is not xi or kept[1] is not upper or kept[2] is not lower:
+        w._pairs = kept = xi, upper, lower, _law_pairs(w)
+    descent = _lawcheck.descend(upper, w._composed or w.phi, kept[3])
+    if _lawcheck.passes(lower, descent):
         return None
     return _lawcheck.first_failure(w)
 
 
-def _law_pairs(w: CoveringWitness):
-    """(xi(a), a) for the first lower symbol a of each distinct pair (column
-    class of xi(a) in the upper automaton, column class of a in the lower)."""
-    upper, lower = w.upper._classes, w.lower._classes
-    pairs = {}
-    for a, x in enumerate(w.xi):
-        pairs.setdefault((upper[x], lower[a]), (x, a))
-    return pairs.values()
+def _law_pairs(w: CoveringWitness) -> set:
+    """The distinct pairs (column class of xi(a) in the upper automaton,
+    column class of a in the lower), over the lower symbols a. A class is
+    named by its lowest input, so each pair is itself an (x, a) whose
+    columns are those of xi(a) and a.
+
+    They are built with no loop in Python, and _law_violation keeps them on
+    the witness: on a tree node of 4 states over 1,440 symbols they take
+    about 0.18 ms (a loop over the symbols 0.29 ms), against 0.01 ms for
+    the passes and 0.6 ms for the scan they replace, and a tree node is
+    checked three times."""
+    return set(zip(map(w.upper._classes.__getitem__, w.xi), w.lower._classes))
 
 
 def _state_label(X: Semiautomaton, s: int) -> str:

@@ -235,7 +235,7 @@ def test_verify_covering_names_a_phi_entry_out_of_range(sa3, sa2, monkeypatch):
     res = verify_covering(w)
     assert (res.ok, res.reason, res.site) == (False, "phi image 5 out of range", None)
     monkeypatch.setattr(kr_automata, "_FACTORED_STATES", 1)
-    monkeypatch.setattr(kr_automata, "_SYMBOL_PASS_STATES", 1)
+    monkeypatch.setattr(kr_automata, "_SYMBOL_PASS_CELLS", 1)
     upper = direct_product(sa3, direct_product(sa3, sa2))
     assert upper._factors is not None
     phi = [s % 2 for s in range(upper.n_states)]

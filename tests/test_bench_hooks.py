@@ -72,10 +72,12 @@ def test_law_check_script_runs_per_witness(monkeypatch, five_pr):
     tree = krohn_rhodes_decompose(five_pr)
     entries = [law_check.witness_entry(node.witness) for node in iter_nodes(tree)]
     assert len(entries) == 7 and set(entries[0]) == set(law_check.KEYS) | {
-        "states", "domain", "law_pairs", "recorded"}
-    for e in entries:
+        "states", "domain", "law_pairs", "recorded", "path"}
+    for e, node in zip(entries, iter_nodes(tree)):
         # no upper this small records its factors: both sides are flat
         assert not e["recorded"] and e["flat_cells"] == e["factored_cells"] > 0
+        cells = node.witness.upper.n_states * len(node.witness.xi)
+        assert e["path"] == ("scan" if cells < automata._SYMBOL_PASS_CELLS else "passes")
 
 
 def test_tree_memory_script_runs_per_tree(monkeypatch, five_pr):

@@ -1,5 +1,6 @@
 """The decomposition pipeline end to end, from input classes to the full tree."""
 
+import copy
 import dataclasses
 import json
 import pickle
@@ -11,6 +12,8 @@ from collections import Counter
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krcascade import _lawcheck, automata, pipeline
 from krcascade import (
@@ -880,12 +883,9 @@ def test_verify_tree_runs_one_law_pass_per_node(monkeypatch, request, name):
 
 def _law_violation_per_symbol(w):
     """The law check with one symbol pass per lower symbol, repeated columns
-    included: the check as it was before column classes. It reads phi
-    itself."""
+    included, at every witness size: the check as it was before column
+    classes, sharing no size switch with the library. It reads phi itself."""
     phi = w.phi
-    threshold = automata._SYMBOL_PASS_STATES
-    if len(phi) < threshold or len(phi) - phi.count(None) < threshold:
-        return _lawcheck.first_failure(w)
     inside = [v is not None for v in phi]
     low = [v for v in phi if v is not None]
     upper, nu = w.upper.table, w.upper.n_states
@@ -958,8 +958,10 @@ def test_law_check_by_column_class_matches_per_symbol_check(n, seeds):
 
 
 def test_law_check_passes_once_per_distinct_column_pair(monkeypatch):
-    # decomposing random-6 seed 0 makes 56 symbol passes where one per
-    # lower symbol would make 374
+    # decomposing random-6 seed 0 makes 107 symbol passes where one per
+    # lower symbol would make 12,434: the passes also check the 12 wide
+    # witnesses of 2 to 24 states over 60 to 1,440 symbols, which have
+    # 256 cells or more
     passes = []
     pairs = automata._law_pairs
 
@@ -970,7 +972,77 @@ def test_law_check_passes_once_per_distinct_column_pair(monkeypatch):
 
     monkeypatch.setattr(automata, "_law_pairs", counted)
     krohn_rhodes_decompose(random6(0))
-    assert (sum(p for p, _ in passes), sum(m for _, m in passes)) == (56, 374)
+    assert (sum(p for p, _ in passes), sum(m for _, m in passes)) == (107, 12_434)
+
+
+def _witness_with_repeated_columns(rng, n, m):
+    """A covering witness of n upper states over m lower symbols that
+    verifies, with few distinct columns on either side: phi sends the first
+    d upper states onto the lower states and leaves the rest outside its
+    domain, each upper column is one of one or two lifts of one of up to
+    three lower columns, and xi draws from up to twelve upper symbols."""
+    d = rng.randint(1, n)
+    nl = rng.randint(1, d)
+    q = list(range(nl)) + [rng.randrange(nl) for _ in range(d - nl)]
+    rng.shuffle(q)
+    fibres = [[s for s in range(d) if q[s] == v] for v in range(nl)]
+    pool = [[rng.randrange(nl) for _ in range(nl)] for _ in range(rng.randint(1, 3))]
+    lifts = []
+    for col in pool:
+        for _ in range(rng.randint(1, 2)):
+            up = [rng.choice(fibres[col[q[s]]]) for s in range(d)]
+            lifts.append((col, up + [rng.randrange(n) for _ in range(d, n)]))
+    ups = [rng.choice(lifts) for _ in range(rng.randint(1, 2 * len(lifts)))]
+    xi = [rng.randrange(len(ups)) for _ in range(m)]
+    U = Semiautomaton.from_columns(
+        ["u%d" % s for s in range(n)], ["x%d" % x for x in range(len(ups))], [u for _, u in ups]
+    )
+    L = Semiautomaton.from_columns(
+        ["l%d" % v for v in range(nl)], ["a%d" % a for a in range(m)], [ups[x][0] for x in xi]
+    )
+    return CoveringWitness(U, L, q + [None] * (n - d), xi, check=False)
+
+
+def _with_one_change(w, rng, kind):
+    """A copy of w with one cell of the upper or lower table, or one entry
+    of phi, changed; w itself for kind None or a lower of one state."""
+    phi = list(w.phi)
+    if kind == "phi":
+        s = rng.randrange(len(phi))
+        phi[s] = rng.choice([v for v in [None, *range(w.lower.n_states)] if v != phi[s]])
+        return CoveringWitness(w.upper, w.lower, phi, w.xi, check=False)
+    if kind is None or getattr(w, kind).n_states < 2:
+        return w
+    X = getattr(w, kind)
+    columns = [list(X.column(a)) for a in range(X.n_symbols)]
+    col = rng.choice(columns)
+    s = rng.randrange(X.n_states)
+    col[s] = rng.choice([t for t in range(X.n_states) if t != col[s]])
+    Y = Semiautomaton.from_columns(X.state_labels, X.symbol_labels, columns)
+    upper, lower = (Y, w.lower) if kind == "upper" else (w.upper, Y)
+    return CoveringWitness(upper, lower, phi, w.xi, check=False)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 8),
+    st.data(),
+    st.sampled_from([None, "upper", "lower", "phi"]),
+    st.randoms(use_true_random=False),
+)
+@pytest.mark.parametrize("path", ["scan", "passes"])
+def test_law_check_matches_per_symbol_check_on_repeated_columns(path, n, data, kind, rng):
+    # witnesses of 1-8 upper states over 1-300 lower symbols whose columns
+    # repeat, on either side of the cells switch, with one cell or phi entry
+    # changed: the verdict, reason and site of one pass per lower symbol
+    if path == "scan":
+        m = data.draw(st.integers(1, (automata._SYMBOL_PASS_CELLS - 1) // n))
+    else:
+        m = data.draw(st.integers(-(-automata._SYMBOL_PASS_CELLS // n), 300))
+    w = _witness_with_repeated_columns(rng, n, m)
+    assert verify_covering(w)
+    got, want = _verdicts(_with_one_change(w, rng, kind))
+    assert got == want
 
 
 @pytest.fixture(scope="module")
@@ -1087,6 +1159,64 @@ def test_unrecorded_copies_take_the_flat_pass():
             assert (got.ok, got.reason, got.site) == (copy.ok, copy.reason, copy.site)
 
 
+def test_pickled_composed_witness_is_flat_and_verifies():
+    # a tree node's witness keeps phi composed over a product that records
+    # its factors, and the product pickles with no record, so the witness
+    # pickles flat, with phi expanded: the copy verifies, and with one phi
+    # entry changed it gets the reason and site of the same change to a
+    # flat copy over the original product
+    w = krohn_rhodes_decompose(random_n(5, 1)).witness
+    assert type(w) is automata._ComposedWitness
+    back = pickle.loads(pickle.dumps(w))
+    assert type(back) is CoveringWitness and back._composed is None
+    assert back.upper == w.upper and back.upper._factors is None
+    assert (back.phi, back.xi) == (w.phi, w.xi)
+    assert verify_covering(back)
+    phi = list(w.phi)
+    s = random.Random(1).choice([s for s, v in enumerate(phi) if v is not None])
+    phi[s] = (phi[s] + 1) % w.lower.n_states
+    got = verify_covering(CoveringWitness(back.upper, back.lower, phi, back.xi, check=False))
+    want = verify_covering(CoveringWitness._from_parts(w.upper, w.lower, tuple(phi), w.xi))
+    assert not got.ok and (got.reason, got.site) == (want.reason, want.site)
+
+
+def test_kept_law_pairs_follow_a_replaced_xi_or_lower():
+    # a check keeps the law pairs on the witness; a copy given another xi,
+    # or another lower automaton, after that check gets them computed again
+    # and the verdict of a fresh witness with the same parts, where the
+    # pairs kept would miss the change
+    def wide(w):
+        twins = any(c != a for a, c in enumerate(w.lower._classes))
+        cells = len(w.xi) * w.upper.n_states
+        return twins and w.lower.n_states > 1 and cells >= automata._SYMBOL_PASS_CELLS
+
+    tree = krohn_rhodes_decompose(random_n(5, 0))
+    w = next(node.witness for node in iter_nodes(tree) if wide(node.witness))
+    assert verify_covering(w)
+    kept = w._pairs
+    assert kept[0] is w.xi and kept[1] is w.upper and kept[2] is w.lower
+    # xi sends a symbol to another upper column class
+    classes = w.upper._classes
+    x = next(x for x in range(w.upper.n_symbols) if classes[x] != classes[w.xi[0]])
+    xi = (x,) + w.xi[1:]
+    # a column of the lower that repeats another gets one cell changed
+    L = w.lower
+    a = next(a for a, c in enumerate(L._classes) if c != a)
+    columns = [list(L.column(b)) for b in range(L.n_symbols)]
+    v = next(v for v in w.phi if v is not None)
+    columns[a][v] = (columns[a][v] + 1) % L.n_states
+    lower = Semiautomaton.from_columns(L.state_labels, L.symbol_labels, columns)
+    for name, value in (("xi", xi), ("lower", lower)):
+        c = copy.copy(w)
+        setattr(c, name, value)
+        got = verify_covering(c)
+        fresh = CoveringWitness(c.upper, c.lower, c.phi, c.xi, check=False)
+        want = verify_covering(fresh)
+        assert not got.ok and (got.reason, got.site) == (want.reason, want.site)
+        assert c._pairs[3] == automata._law_pairs(fresh) != kept[3]
+        assert w._pairs is kept
+
+
 def test_composed_descent_stops_where_the_inner_phi_is_flat(monkeypatch):
     # a composed phi one level deep over U∘(V∘W), its inner phi flat over
     # V∘W, which records its factors too: the descent splits once and ends
@@ -1094,7 +1224,7 @@ def test_composed_descent_stops_where_the_inner_phi_is_flat(monkeypatch):
     # with one row entry changed, gives the verdict, reason and site of a
     # flat copy of phi
     monkeypatch.setattr(automata, "_FACTORED_STATES", 1)
-    monkeypatch.setattr(automata, "_SYMBOL_PASS_STATES", 1)
+    monkeypatch.setattr(automata, "_SYMBOL_PASS_CELLS", 1)
     U, V, W = (random_n(3, seed) for seed in range(3))
     VW = direct_product(V, W)
     X = direct_product(U, VW)

@@ -363,7 +363,7 @@ def test_factored_law_check_matches_flat_pass(A, B, C, data):
     # verdict, reason and site on valid covers and on corrupted copies
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kr_automata, "_FACTORED_STATES", 1)
-        mp.setattr(kr_automata, "_SYMBOL_PASS_STATES", 1)
+        mp.setattr(kr_automata, "_SYMBOL_PASS_CELLS", 1)
         AB = _drive(A, B, data)
         right = _drive(A, _drive(B, C, data), data)
         left = _drive(AB, C, data)
@@ -462,7 +462,7 @@ def test_flat_phi_over_recorded_products_matches_flat_reference(A, B, C, L, data
     # of every symbol
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kr_automata, "_FACTORED_STATES", 1)
-        mp.setattr(kr_automata, "_SYMBOL_PASS_STATES", 1)
+        mp.setattr(kr_automata, "_SYMBOL_PASS_CELLS", 1)
         BC = _drive(B, C, data)
         uppers = [_drive(A, BC, data), _drive(_drive(A, B, data), C, data)]
         if L.n_symbols:
@@ -588,7 +588,7 @@ def test_composed_phi_checks_as_its_flat_copy(A, C, data):
     # nothing
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kr_automata, "_FACTORED_STATES", 1)
-        mp.setattr(kr_automata, "_SYMBOL_PASS_STATES", 1)
+        mp.setattr(kr_automata, "_SYMBOL_PASS_CELLS", 1)
         omega = [
             [data.draw(st.integers(0, C.n_symbols - 1)) for _ in range(A.n_symbols)]
             for _ in range(A.n_states)
