@@ -10,7 +10,7 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from operator import index, is_not
 from typing import Optional
 from zlib import crc32
@@ -203,9 +203,13 @@ class Semiautomaton:
     same contents (_classes). Anything that depends only on a column's
     contents, such as the input's kind, a quotient's column or a law pass,
     is the same for every input of a class, so it is computed once per class
-    and shared. A product gets its classes from how it is built (_product),
-    with no table read; any other automaton gets them from a CRC of each
-    column of its table.
+    and shared. Every automaton the library derives gets its classes from
+    how it is built, with no scan of its table: a product from its factors
+    (_product), any other (a quotient, Yoeli's A*, a cover's C, a split's Pi
+    and R, a substitution's U', a grouplike automaton) from the distinct
+    columns its construction computes (_from_keys). One from outside, made by
+    the constructor, from_columns or _from_table, parsed or unpickled, gets
+    them from a CRC of each column of its table.
 
     Values computed on first read (delta, state_labels of a product, the
     label indexes, the kinds and the classes) are kept in plain attributes
@@ -244,6 +248,43 @@ class Semiautomaton:
             # the row constructor names the first bad target in row order
             return cls(state_labels, symbol_labels, _rows(columns, n))
         return cls._from_table(state_labels, symbol_labels, table)
+
+    @classmethod
+    def _from_keys(cls, state_labels, symbol_labels, columns, keys):
+        """Build from the distinct columns of a construction: keys has one
+        hashable key per input, and columns maps each key to its inputs'
+        column.
+
+        The table is joined from one copy of its key's column per input, and
+        the classes are set by comparing the distinct columns only, each
+        checked once for length and range, so they are exact even where two
+        keys give one column. Per input there is no loop in Python and no
+        CRC: map(first.setdefault, ...) gives each input its key's first."""
+        self = cls.__new__(cls)
+        self._set_labels(state_labels, symbol_labels)
+        n = self._n
+        first = {}
+        inputs = list(map(first.setdefault, keys, count()))
+        cells, classes, merged = {}, {}, {}
+        in_range = True
+        for key, a in first.items():
+            col = array(_CELL, columns[key])
+            if len(col) != n:
+                raise InvalidInputError("column length differs from state count")
+            in_range = in_range and 0 <= min(col) and max(col) < n
+            cells[a] = data = col.tobytes()
+            c = classes.setdefault(data, a)
+            if c != a:
+                merged[a] = c
+        # zero-filled at its final size, with no spare capacity
+        table = array(_CELL, [0]) * (n * len(inputs))
+        memoryview(table).cast("B")[:] = b"".join(map(cells.__getitem__, inputs))
+        self._set_table(table, in_range)
+        if merged:
+            inputs = list(map(merged.get, inputs, inputs))
+        self._column_classes = array(_CELL, inputs)
+        self._first_inputs = tuple(classes.values())
+        return self
 
     @classmethod
     def _from_table(cls, state_labels, symbol_labels, table, in_range=False):
@@ -326,12 +367,13 @@ class Semiautomaton:
     @property
     def _classes(self) -> array:
         """The column class of every input: the lowest input whose column has
-        the same contents. A product's are set by _product; any other
-        automaton's are computed on the first read, with _firsts, then kept.
+        the same contents. A derived automaton's are set where it is built,
+        by _product or _from_keys; an automaton from outside has them
+        computed on the first read, with _firsts, then kept.
 
-        Columns are matched by a CRC of their cells, read through views of
-        the table, and a match is confirmed by comparing the two views cell
-        by cell; no column is copied."""
+        There, columns are matched by a CRC of their cells, read through
+        views of the table, and a match is confirmed by comparing the two
+        views cell by cell; no column is copied."""
         classes = self._column_classes
         if classes is not None:
             return classes
@@ -369,20 +411,13 @@ class Semiautomaton:
             return kinds
         n, table = self._n, self._table
         identity = array(_CELL, range(n))
-        kinds = []
-        for a, c in enumerate(self._classes):
-            if c != a:
-                kinds.append(kinds[c])
-                continue
-            col = table[a * n:(a + 1) * n]
-            if col == identity:
-                kinds.append(_IDENTITY)
-            else:
-                images = len(set(col))
-                kinds.append(
-                    _CONSTANT if images == 1 else _PERMUTATION if images == n else _OTHER
-                )
-        self._input_kinds = kinds = bytes(kinds)
+        kind = {}
+        for c in self._firsts:
+            col = table[c * n:(c + 1) * n]
+            images = len(set(col))
+            kind[c] = (_IDENTITY if col == identity else _CONSTANT if images == 1
+                       else _PERMUTATION if images == n else _OTHER)
+        self._input_kinds = kinds = bytes(map(kind.__getitem__, self._classes))
         return kinds
 
     def column(self, a: int) -> memoryview:
@@ -526,7 +561,7 @@ class _FactoredProduct(Semiautomaton):
         return table if name == "_table" else view
 
 
-def _product(A: Semiautomaton, B: Semiautomaton, connection) -> Semiautomaton:
+def _product(A: Semiautomaton, B: Semiautomaton, connection, keys=None) -> Semiautomaton:
     """A driving B, where A-state i under symbol a moves B by symbol
     connection[a][i].
 
@@ -541,7 +576,8 @@ def _product(A: Semiautomaton, B: Semiautomaton, connection) -> Semiautomaton:
     iff A's columns x and y are equal and, at every state u of A, B's
     columns connection[x][u] and connection[y][u] are: the key (A's class of
     x, B's classes along connection[x]) has the same classes as the table's
-    contents.
+    contents. The keys are built with no loop in Python; a direct product
+    passes its own, (A's class of x, B's class of x).
     """
     na, nb = A.n_states, B.n_states
     if na * nb > _STATE_LIMIT:
@@ -549,12 +585,11 @@ def _product(A: Semiautomaton, B: Semiautomaton, connection) -> Semiautomaton:
             "a product of %d and %d states does not fit a table of at most %d states"
             % (na, nb, _STATE_LIMIT)
         )
-    a_classes, b_classes = A._classes, B._classes
+    if keys is None:
+        along = map(tuple, map(map, repeat(B._classes.__getitem__), connection))
+        keys = zip(A._classes, along)
     first = {}
-    classes = array(_CELL, [
-        first.setdefault((a_classes[x], tuple(map(b_classes.__getitem__, conn))), x)
-        for x, conn in enumerate(connection)
-    ])
+    classes = array(_CELL, map(first.setdefault, keys, count()))
     if na * nb >= _FACTORED_STATES:
         X = _FactoredProduct(A, B, connection)
     else:
@@ -608,7 +643,8 @@ def direct_product(A: Semiautomaton, B: Semiautomaton) -> Semiautomaton:
     if A.symbol_labels != B.symbol_labels:
         raise InvalidInputError("direct product needs identical alphabets")
     na = A.n_states
-    return _product(A, B, [(a,) * na for a in range(A.n_symbols)])
+    connection = [(a,) * na for a in range(A.n_symbols)]
+    return _product(A, B, connection, zip(A._classes, B._classes))
 
 
 def _check_omega(A: Semiautomaton, B: Semiautomaton, omega):
@@ -1036,9 +1072,11 @@ def _substitute(
     if len(phi) != A.n_states * nc:
         raise InvalidInputError("product automaton does not match the given factors")
     U, V = w_u.upper, w_v.upper
-    u_prime = Semiautomaton.from_columns(
-        U.state_labels, A.symbol_labels, [U.column(x) for x in w_u.xi]
-    )
+    # U's columns at xi_U, keyed by U's classes
+    through = list(map(U._classes.__getitem__, w_u.xi))
+    nu, table = U.n_states, U._table
+    columns = {c: table[c * nu:(c + 1) * nu] for c in set(through)}
+    u_prime = Semiautomaton._from_keys(U.state_labels, A.symbol_labels, columns, through)
     keys = w_u.phi
     rows, maps = {}, {None: (None,) * nc}
     for pu in set(keys):

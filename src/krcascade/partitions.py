@@ -4,7 +4,8 @@ cascade theorem, and Yoeli's auxiliary construction."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, product, repeat
+from operator import add, index
 from typing import Optional
 
 from .algebra import clamp_label
@@ -93,7 +94,7 @@ class FactorChoice:
 
 def _image_of_block(column, block):
     """The images of the block's states, read off one symbol's column."""
-    return {column[s] for s in block}
+    return set(map(column.__getitem__, block))
 
 
 def is_admissible_partition(A: Semiautomaton, P: Partition) -> bool:
@@ -128,60 +129,105 @@ def p_factor(A: Semiautomaton, P: Partition):
     map), built unchecked; verify it before relying on it."""
     if not is_admissible_partition(A, P):
         raise InvalidInputError("partition is not admissible")
+    B = _quotient(A, P)
+    witness = CoveringWitness._from_parts(A, B, P.block_of, tuple(range(A.n_symbols)))
+    return B, witness
+
+
+def _quotient(A: Semiautomaton, P: Partition) -> Semiautomaton:
+    """A/P, for a partition P known to be admissible."""
     heads = [block[0] for block in P.blocks]
     columns = {}
     for c in A._firsts:
         col = A.column(c)
         columns[c] = [P.block_of[col[s]] for s in heads]
-    B = Semiautomaton.from_columns(
+    return Semiautomaton._from_keys(
         _unique_labels(_block_label(A, b, i) for i, b in enumerate(P.blocks)),
         A.symbol_labels,
-        map(columns.__getitem__, A._classes),
+        columns,
+        A._classes,
     )
-    witness = CoveringWitness._from_parts(A, B, P.block_of, tuple(range(A.n_symbols)))
-    return B, witness
 
 
 def d_factor(A: Semiautomaton, D: Decomposition, choice=None):
     """The quotient B = A/D; arbitrary cells go to the lowest admissible block.
 
-    A caller may pass its own choice table [block][symbol] -> block; every entry
-    is still validated against the containment condition.
+    A caller may pass its own choice table [block][symbol] -> block, |D|
+    rows of |alphabet| block indices; every entry is still validated
+    against the containment condition. B's column a depends only on A's
+    column class of a and the choice table's column a, so B is built, and
+    the choice validated, once per distinct pair of them.
     """
-    if not is_admissible_decomposition(A, D):
-        raise InvalidInputError("decomposition is not admissible")
+    if D.n_states != A.n_states:
+        raise InvalidInputError("decomposition is over a different state count")
     sets = [set(b) for b in D.blocks]
-    classes = A._classes
-    columns = [(c, A.column(c)) for c in A._firsts]
-    delta = []
-    dont_care = set()
-    for i, block in enumerate(D.blocks):
-        # the blocks that contain the block's image, once per column class
-        contain = {}
-        for c, col in columns:
-            img = _image_of_block(col, block)
-            contain[c] = [j for j, b in enumerate(sets) if img <= b]
-        row = []
-        for a, candidates in enumerate(map(contain.__getitem__, classes)):
-            if choice is not None:
-                j = int(choice[i][a])
-                if j not in candidates:
-                    raise InvalidInputError(
-                        "choice table sends block %d under symbol %s outside containment"
-                        % (i, A.symbol_labels[a])
-                    )
-            else:
-                j = candidates[0]
-            if len(candidates) > 1:
-                dont_care.add((i, a))
-            row.append(j)
-        delta.append(row)
-    B = Semiautomaton(
+    # per column class, the blocks that contain each block's image, and the
+    # blocks whose image lies in more than one; D is admissible when none
+    # is empty
+    contain, several = {}, {}
+    for c in A._firsts:
+        images = map(_image_of_block, repeat(A.column(c)), D.blocks)
+        contain[c] = blocks = [[j for j, b in enumerate(sets) if img <= b] for img in images]
+        if not all(blocks):
+            raise InvalidInputError("decomposition is not admissible")
+        several[c] = [i for i, js in enumerate(blocks) if len(js) > 1]
+    if choice is None:
+        keys = A._classes
+        columns = {c: [js[0] for js in blocks] for c, blocks in contain.items()}
+    else:
+        keys, columns = _chosen_columns(A, D.count, choice, contain)
+    B = Semiautomaton._from_keys(
         _unique_labels(_block_label(A, b, i) for i, b in enumerate(D.blocks)),
         A.symbol_labels,
-        delta,
+        columns,
+        keys,
     )
-    return B, FactorChoice(tuple(tuple(r) for r in delta), frozenset(dont_care))
+    # (block, input) for every block of several under the input's class
+    dont_care = frozenset(chain.from_iterable(
+        map(product, map(several.__getitem__, A._classes), zip(range(A.n_symbols)))
+    ))
+    n, table = B.n_states, B._table
+    return B, FactorChoice(tuple(tuple(table[i::n]) for i in range(n)), dont_care)
+
+
+def _chosen_columns(A: Semiautomaton, count: int, choice, contain):
+    """d_factor's keys, (A's class of a, the choice table's column a) for
+    every input a, and the column of B for each key, once choice is count
+    rows of |alphabet| block indices, each within containment."""
+    m = A.n_symbols
+    shape = InvalidInputError(
+        "choice table must be %d x %d: one block index per block and symbol" % (count, m)
+    )
+    try:
+        rows = tuple(map(tuple, choice))
+    except TypeError:
+        raise shape from None
+    if len(rows) != count or set(map(len, rows)) - {m}:
+        raise shape
+    keys = list(zip(A._classes, zip(*rows)))
+    columns = {}
+    for key in dict.fromkeys(keys):
+        try:
+            columns[key] = list(map(index, key[1]))
+        except TypeError:
+            raise shape from None
+    outside = [
+        key for key, targets in columns.items()
+        if not all(map(list.__contains__, contain[key[0]], targets))
+    ]
+    if outside:
+        # the first fault in block order, then input order
+        i, a = min(
+            (i, keys.index(key))
+            for key in outside
+            for i, (j, js) in enumerate(zip(columns[key], contain[key[0]]))
+            if j not in js
+        )
+        raise InvalidInputError(
+            "choice table sends block %d under symbol %s outside containment"
+            % (i, A.symbol_labels[a])
+        )
+    return keys, columns
 
 
 def complementary_partition(n_states: int, P: Partition) -> Partition:
@@ -260,21 +306,22 @@ def _partition_cover(A: Semiautomaton, P: Partition, Q: Partition, B: Semiautoma
         pset = set(pb)
         meets.append([next(iter(pset.intersection(qb)), None) for qb in Q.blocks])
     # cell (j, (i,a)): the state meets[i][j] moved by a, read off in Q, once
-    # per column class of A
+    # per column class of A: C's input (i, a) is i·|alphabet| + a, keyed by
+    # i·|alphabet| + the class of a
     classes = A._classes
     a_columns = [(c, A.column(c)) for c in A._firsts]
-    columns_c = []
+    columns_c, keys = {}, []
     for i, states in enumerate(meets):
-        column = {}
         for c, col in a_columns:
-            column[c] = [0 if s is None else Q.block_of[col[s]] for s in states]
-        columns_c.extend(map(column.__getitem__, classes))
-    C = Semiautomaton.from_columns(
+            columns_c[i * nsym + c] = [0 if s is None else Q.block_of[col[s]] for s in states]
+        keys += map(add, classes, repeat(i * nsym))
+    C = Semiautomaton._from_keys(
         _unique_labels(_block_label(A, b, j) for j, b in enumerate(Q.blocks)),
         c_symbols,
         columns_c,
+        keys,
     )
-    omega = tuple(tuple(i * nsym + a for a in range(nsym)) for i in range(B.n_states))
+    omega = tuple(tuple(range(i * nsym, (i + 1) * nsym)) for i in range(B.n_states))
     return C, omega, meets
 
 
@@ -302,19 +349,15 @@ def yoeli_auxiliary(A: Semiautomaton, D: Decomposition, factor=None) -> YoeliAux
         raise InvalidInputError("factor automaton does not match the decomposition")
     sets = [set(b) for b in D.blocks]
     # everything below depends on a symbol's columns in A and B only, so it
-    # runs for the first symbol of each pair of column classes
+    # runs once per pair of column classes
     pairs = list(zip(A._classes, B._classes))
-    first = {}
-    for a, pair in enumerate(pairs):
-        first.setdefault(pair, a)
-    columns = {pair: (A.column(a), B.column(a)) for pair, a in first.items()}
+    columns = {pair: (A.column(pair[0]), B.column(pair[1])) for pair in dict.fromkeys(pairs)}
     for i, block in enumerate(D.blocks):
-        for pair, a in first.items():
-            col, b_col = columns[pair]
+        for pair, (col, b_col) in columns.items():
             if not _image_of_block(col, block) <= sets[b_col[i]]:
                 raise InvalidInputError(
                     "factor automaton violates containment at block %d, symbol %s"
-                    % (i, A.symbol_labels[a])
+                    % (i, A.symbol_labels[pairs.index(pair)])
                 )
 
     states = tuple((s, i) for i, b in enumerate(D.blocks) for s in b)
@@ -328,7 +371,7 @@ def yoeli_auxiliary(A: Semiautomaton, D: Decomposition, factor=None) -> YoeliAux
         pair: [index[(col[s], b_col[i])] for s, i in states]
         for pair, (col, b_col) in columns.items()
     }
-    a_star = Semiautomaton.from_columns(labels, A.symbol_labels, map(star.__getitem__, pairs))
+    a_star = Semiautomaton._from_keys(labels, A.symbol_labels, star, pairs)
 
     d_star = Partition(
         len(states),
@@ -337,7 +380,9 @@ def yoeli_auxiliary(A: Semiautomaton, D: Decomposition, factor=None) -> YoeliAux
     witness = CoveringWitness._from_parts(
         a_star, A, tuple(s for s, i in states), tuple(range(A.n_symbols))
     )
-    b_star, _ = p_factor(a_star, d_star)
+    # D* is admissible by construction, and the table check below confirms
+    # the quotient
+    b_star = _quotient(a_star, d_star)
     if b_star.table != B.table:
         raise InvalidInputError("auxiliary quotient disagrees with the factor table")
     return YoeliAuxiliary(a_star, d_star, witness, b_star, states)

@@ -63,6 +63,7 @@ from .partitions import (
     Decomposition,
     Partition,
     _decomposition_cover,
+    _quotient,
     complementary_partition,
     p_factor,
 )
@@ -186,7 +187,8 @@ def _raw_leaf(A: Semiautomaton, reason: str) -> Leaf:
 def grouplike_of(G: FiniteGroup) -> Semiautomaton:
     """States and inputs are the group; transitions are right multiplications."""
     labels = _unique_labels(G.labels)
-    return Semiautomaton(labels, labels, [list(row) for row in G.table])
+    # input g's column is right multiplication by g
+    return Semiautomaton._from_keys(labels, labels, dict(enumerate(zip(*G.table))), range(G.order))
 
 
 def cover_permutation_by_grouplike(pi: Semiautomaton):
@@ -230,9 +232,10 @@ class PRSplit:
 
 def _permutation_group(A: Semiautomaton, caps: Caps):
     """(const, perms, elements, labels) of a permutation-reset automaton: the
-    reset target of every input (None for a permutation), the Transformation
-    of every permutation input (None for a reset), and the elements of the
-    group K that they generate, in closure order, with their labels.
+    reset target of every column class (None for a permutation), the
+    Transformation of every permutation class, each keyed by the class's
+    first input, and the elements of the group K that they generate, in
+    closure order, with their labels.
 
     Raises ResourceCapError when K outgrows the closure or group-order cap,
     before anything but its elements is built: no Cayley table is.
@@ -243,19 +246,17 @@ def _permutation_group(A: Semiautomaton, caps: Caps):
             "input %s is neither a permutation nor a reset"
             % A.symbol_labels[kinds.index(_OTHER)]
         )
-    n, table, classes = A.n_states, A._table, A._classes
-    const = [table[a * n] if k == _CONSTANT else None for a, k in enumerate(kinds)]
-    # one Transformation per column class, shared by the inputs of the class;
+    n, table, firsts = A.n_states, A._table, A._firsts
+    const = {c: table[c * n] if kinds[c] == _CONSTANT else None for c in firsts}
     # the classes' first inputs generate K, as all of them do (transition_monoid)
-    by_class = {c: A.symbol_transformation(c) for c in A._firsts if const[c] is None}
-    perms = [None if k is not None else by_class[c] for k, c in zip(const, classes)]
-    elements, words, _ = _closure(list(by_class.values()), n, CLOSURE_CAP)
+    perms = {c: A.symbol_transformation(c) for c in firsts if const[c] is None}
+    elements, words, _ = _closure(list(perms.values()), n, CLOSURE_CAP)
     if len(elements) > caps.group_order:
         raise ResourceCapError(
             "permutation group of order %d exceeds the cap of %d"
             % (len(elements), caps.group_order)
         )
-    labels = _word_labels(words, [A.symbol_labels[c] for c in by_class])
+    labels = _word_labels(words, [A.symbol_labels[c] for c in perms])
     return const, perms, elements, labels
 
 
@@ -286,14 +287,11 @@ def _split(A: Semiautomaton, const, perms, elements, labels):
 
     # every column of Pi and every block of R's columns is computed once per
     # column class of A and shared by the inputs of the class
-    classes, firsts = A._classes, A._firsts
-    columns_pi = {}
-    for c in firsts:
-        p = perms[c]
-        columns_pi[c] = list(range(nk)) if p is None else [
-            elt[t.compose(p).image] for t in elements
-        ]
-    pi = Semiautomaton.from_columns(k_labels, A.symbol_labels, map(columns_pi.__getitem__, classes))
+    classes = A._classes
+    columns_pi = dict.fromkeys(const, range(nk))
+    for c, p in perms.items():
+        columns_pi[c] = [elt[t.compose(p).image] for t in elements]
+    pi = Semiautomaton._from_keys(k_labels, A.symbol_labels, columns_pi, classes)
 
     r_symbols = _unique_labels(
         clamp_label("(%s,%s)" % (k_labels[x], A.symbol_labels[a]), "x%d" % (x * m + a))
@@ -301,18 +299,17 @@ def _split(A: Semiautomaton, const, perms, elements, labels):
         for a in range(m)
     )
     # R's symbol (x, a) keeps a permutation input's state and sends a reset
-    # to c to c shifted back by the inverse of x
-    identity = list(range(n))
-    columns_r = []
-    for x in range(nk):
-        inverse = elements[x].inverse().image
-        block = {
-            c: identity if const[c] is None else [inverse[const[c]]] * n for c in firsts
-        }
-        columns_r.extend(map(block.__getitem__, classes))
-    r = Semiautomaton.from_columns(list(A.state_labels), r_symbols, columns_r)
+    # to c to c shifted back by the inverse of x: its key is None or that
+    # state
+    keys = []
+    for t in elements:
+        inverse = t.inverse().image
+        target = {c: None if to is None else inverse[to] for c, to in const.items()}
+        keys += map(target.__getitem__, classes)
+    columns_r = {to: range(n) if to is None else [to] * n for to in set(keys)}
+    r = Semiautomaton._from_keys(list(A.state_labels), r_symbols, columns_r, keys)
 
-    omega = tuple(tuple(x * m + a for a in range(m)) for x in range(nk))
+    omega = tuple(tuple(range(x * m, (x + 1) * m)) for x in range(nk))
     phi = tuple(chain.from_iterable(t.image for t in elements))
     return pi, r, omega, phi
 
@@ -332,11 +329,7 @@ class ResetFactorization:
 
 
 def _two_state_identity_cover(A: Semiautomaton) -> Leaf:
-    two = Semiautomaton(
-        ["r0", "r1"],
-        A.symbol_labels,
-        [[0] * A.n_symbols, [1] * A.n_symbols],
-    )
+    two = Semiautomaton._from_keys(["r0", "r1"], A.symbol_labels, {0: (0, 1)}, [0] * A.n_symbols)
     witness = CoveringWitness._from_parts(two, A, (0, 0), tuple(range(A.n_symbols)))
     return _node("two-state cover of a one-state automaton", Leaf, LEAF_RESET, two, witness)
 
@@ -347,7 +340,8 @@ def reset_to_two_state(R: Semiautomaton) -> ResetFactorization:
     Splits the states X into two balanced blocks P_0, P_1; the block quotient
     B = X/P is one factor and the quotient by the complementary partition Q
     carries the rest, halving the state count each round. Every partition of
-    a reset automaton is admissible, so both quotients always exist. Each
+    a reset automaton is admissible, so both quotients always exist, and are
+    taken with no admissibility check (partitions._quotient). Each
     level is the one product B × V, where V covers X/Q with phi_V, and
     phi(i, v) is the point where P_i meets Q_phi_V(v): the phi_V(v)-th state
     of P_i, or None when P_i is too short or phi_V(v) is None. That is P_i,
@@ -365,8 +359,8 @@ def reset_to_two_state(R: Semiautomaton) -> ResetFactorization:
             return _node("two-state reset leaf", Leaf, LEAF_RESET, X, identity_witness(X))
         half = (nx + 1) // 2
         P = Partition(nx, [range(half), range(half, nx)])
-        B, _ = p_factor(X, P)
-        rest, _ = p_factor(X, complementary_partition(nx, P))
+        B = _quotient(X, P)
+        rest = _quotient(X, complementary_partition(nx, P))
         sub = build(rest)
         product = direct_product(B, sub.automaton)
         # Q's block j < half holds the j-th state of each P-block long enough to have one

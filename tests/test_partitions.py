@@ -106,6 +106,27 @@ def test_d_factor_choice_override(six_state, six_d):
         d_factor(six_state, six_d, choice=[[0, 1], [0, 2], [1, 0]])
 
 
+@pytest.mark.parametrize(
+    "choice",
+    [
+        [[0, 1]],
+        [[0], [0, 1], [1, 1]],
+        [[0, 1, 9], [0, 1, 9], [1, 1, 9]],
+        [[0, 1], [0, 1], [1, 1], [0, 0]],
+        [[0, 1], ["x", 1], [1, 1]],
+    ],
+    ids=["one-row", "short-row", "long-rows", "fourth-row", "not-an-index"],
+)
+def test_choice_table_of_the_wrong_shape_is_named(six_state, six_d, choice):
+    # a choice table is |D| x |alphabet| block indices, here 3 x 2, and the
+    # valid [[0, 1], [0, 1], [1, 1]] of test_d_factor_choice_override cut
+    # short, widened, lengthened or given a string is refused as such, also
+    # through the cascade cover that passes it on
+    for build in (d_factor, cascade_cover_from_decomposition):
+        with pytest.raises(InvalidInputError, match="choice table must be 3 x 2"):
+            build(six_state, six_d, choice)
+
+
 def test_complementary_partition(seven_p):
     Q = complementary_partition(7, seven_p)
     assert Q.blocks == ((0, 3, 6), (1, 4), (2, 5))

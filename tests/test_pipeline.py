@@ -42,6 +42,7 @@ from krcascade import (
     coset_partition,
     cover_permutation_by_grouplike,
     direct_product,
+    emit_automaton,
     enumerate_subgroups,
     grouplike_cascade_split,
     grouplike_of,
@@ -58,6 +59,7 @@ from krcascade import (
     leaf_description,
     leaves,
     p_factor,
+    parse_automaton,
     pr_chain,
     render_tree_text,
     reset_to_two_state,
@@ -540,8 +542,8 @@ def _record_products(monkeypatch):
     built = []
     build = automata._product
 
-    def recording(A, B, connection):
-        built.append(build(A, B, connection))
+    def recording(*args):
+        built.append(build(*args))
         return built[-1]
 
     monkeypatch.setattr(automata, "_product", recording)
@@ -576,6 +578,20 @@ def test_cascade_nodes_build_one_product_each(monkeypatch):
     assert tree.automaton.n_states == 73728
     cells = [X.n_states * X.n_symbols for X in built]
     assert (len(cells), sum(cells)) == (14, 248_572)
+
+
+def test_only_the_parsed_input_is_scanned_for_classes(monkeypatch):
+    # every automaton that decomposing, verifying and reporting random-6
+    # seed 0 derives takes its column classes from how it is built
+    # (Semiautomaton._from_keys, automata._product): the only columns a CRC
+    # is taken of are the parsed input's two
+    A = parse_automaton(emit_automaton(random6(0)))
+    scanned = []
+    monkeypatch.setattr(automata, "crc32", lambda column: scanned.append(column.tolist()) or 0)
+    tree = krohn_rhodes_decompose(A)
+    assert verify_tree(tree)[0] and tree_report(tree)["witnesses_verified"]
+    assert scanned == [list(A.column(a)) for a in range(A.n_symbols)]
+    assert tree.automaton.n_states == 368_640
 
 
 # five_pr is the README example

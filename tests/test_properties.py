@@ -1,5 +1,7 @@
 """Property-based checks of the algebraic laws on randomly generated inputs."""
 
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,15 +10,20 @@ import krcascade.automata as kr_automata
 from krcascade import _lawcheck
 
 from krcascade import (
+    Caps,
     CoveringWitness,
+    Decomposition,
     InputClass,
     Partition,
     Semiautomaton,
     Transformation,
+    cascade_cover_from_decomposition,
+    cascade_cover_from_partition,
     cascade_product,
     classify_inputs,
     closure_generate,
     complementary_partition,
+    d_factor,
     direct_product,
     direct_product_monoid,
     emit_automaton,
@@ -31,12 +38,15 @@ from krcascade import (
     right_regular_representation,
     run,
     simulation_counterexample,
+    split_permutation_reset,
     substitute,
     transition_monoid,
     verify_covering,
     word_transformation,
+    yoeli_auxiliary,
 )
 from krcascade.automata import _CONSTANT, _IDENTITY, _OTHER, _PERMUTATION
+from krcascade.pipeline import _chain_steps
 
 
 @st.composite
@@ -536,6 +546,97 @@ def test_recorded_classes_match_the_built_table(A, B, C, data):
                 reference = Semiautomaton(X.state_labels, X.symbol_labels, rows)
                 assert (X._classes, X._firsts) == (reference._classes, reference._firsts)
                 assert X.delta == reference.delta
+
+
+def _scanned(X):
+    """The classes and first inputs of X's table, found by the CRC scan of
+    an automaton built on a copy of it. Its states are numbered, not
+    labelled as X's: classes do not read labels, and rendering those of a
+    product of 442,368 states takes half a second."""
+    Y = Semiautomaton._from_table(range(X.n_states), X.symbol_labels, array("i", X._table))
+    return Y._classes, Y._firsts
+
+
+@st.composite
+def _repeating_columns(draw):
+    """An automaton of 1 to 5 states and 1 to 3 symbols whose last column,
+    where there are two or more, repeats a drawn earlier one."""
+    A = draw(input_columns(max_states=5, max_symbols=3))
+    columns = [list(A.column(a)) for a in range(A.n_symbols)]
+    if len(columns) > 1:
+        columns[-1] = columns[draw(st.integers(0, len(columns) - 2))]
+    return Semiautomaton.from_columns(A.state_labels, A.symbol_labels, columns)
+
+
+def _admissible_partition(A, s, t):
+    """The finest admissible partition of A with s and t in one block."""
+    n = A.n_states
+    block = list(range(n))
+
+    def join(u, v):
+        bu, bv = block[u], block[v]
+        block[:] = [bu if b == bv else b for b in block]
+        return bu != bv
+
+    join(s, t)
+    while any(
+        join(A.step(x, a), A.step(y, a))
+        for a in range(A.n_symbols) for x in range(n) for y in range(n) if block[x] == block[y]
+    ):
+        pass
+    return Partition(n, [[x for x in range(n) if block[x] == b] for b in sorted(set(block))])
+
+
+@settings(deadline=None, max_examples=60)
+@given(_repeating_columns(), st.data())
+def test_construction_classes_match_the_built_table(A, data):
+    # every automaton a construction makes takes its column classes from how
+    # it is built (Semiautomaton._from_keys, automata._product); they must be
+    # the classes a CRC scan finds in the table, on inputs with a repeated
+    # column, a choice table that may split a class, and the trees of
+    # krohn_rhodes_decompose at the default threshold and with every
+    # product recording its factors. _law_pairs trusts these classes.
+    n, m = A.n_states, A.n_symbols
+    built = []
+    u, v = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+    P = _admissible_partition(A, u, v)
+    built += [p_factor(A, P)[0]]
+    cover = cascade_cover_from_partition(A, P)
+    built += [cover.b, cover.c, cover.product]
+    D = Decomposition(n, [[s for s in range(n) if s != i] for i in range(n)] if n > 1 else [[0]])
+    sets = [set(b) for b in D.blocks]
+    choice = [
+        [
+            data.draw(st.sampled_from(
+                [j for j, b in enumerate(sets) if {A.step(s, a) for s in block} <= b]
+            ))
+            for a in range(m)
+        ]
+        for block in D.blocks
+    ]
+    B, fc = d_factor(A, D, choice)
+    aux = yoeli_auxiliary(A, D, (B, fc))
+    built += [B, aux.a_star, aux.b_star]
+    dc = cascade_cover_from_decomposition(A, D, choice)
+    built += [dc.b_star, dc.c, dc.product, dc.yoeli.a_star]
+    if n > 1:
+        # the permutation-reset factors of the chain, without its cascade
+        steps, last = _chain_steps(A)
+        for X in [step.b for step in steps] + [last]:
+            split = split_permutation_reset(X, Caps(group_order=120))
+            built += [split.pi, split.r, split.product]
+    C = data.draw(input_columns(max_states=3, max_symbols=2))
+    omega = [[data.draw(st.integers(0, C.n_symbols - 1)) for _ in range(m)] for _ in range(n)]
+    for factored in (kr_automata._FACTORED_STATES, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kr_automata, "_FACTORED_STATES", factored)
+            trees = [krohn_rhodes_decompose(X) for X in (A, C)]
+            sub = substitute(cascade_product(A, C, omega), A, C, omega, *(t.witness for t in trees))
+            built += [sub.u_prime, sub.product]
+            built += [node.automaton for tree in trees for node in iter_nodes(tree)]
+            built += [node.witness.lower for tree in trees for node in iter_nodes(tree)]
+    for X in built:
+        assert (X._classes, X._firsts) == _scanned(X)
 
 
 def _with_row_entry(c, values, data):
