@@ -13,12 +13,13 @@ law pairs of automata._law_pairs) run twice: on the witness as built,
 where an upper automaton of _FACTORED_STATES states or more records its
 factors and the passes go through them on the composition of phi that the
 witness keeps, as verify_covering runs them, and on a copy of the upper
-made by Semiautomaton._from_table, which records none, with phi expanded,
-so that the passes are the flat ones over whole columns. A node witness
-over a recorded upper that keeps no composition of phi ends the run with
-a message, since its passes would be the flat ones too. Each run is timed
-with its descent, and the cells it compares are counted off the descent:
-one per entry of a task's source block that is not None. The passes run on
+made by Semiautomaton._from_keys from its distinct columns, which records
+none, with phi expanded, so that the passes are the flat ones over whole
+columns. A node witness over a recorded upper that keeps no composition of
+phi ends the run with a message, since its passes would be the flat ones
+too. Each run is timed with its descent, and the cells it compares are
+counted off the descent: one per entry of a task's source block that is
+not None. The passes run on
 every node witness, also on those with too few cells (lower symbols times
 upper states, automata._SYMBOL_PASS_CELLS) for the library to use them;
 each entry records the path verify_covering takes, "scan" below that
@@ -69,14 +70,14 @@ def random_n(n, seed):
 
 
 def unrecorded(X):
-    """X's table in an automaton that records no factors. A product's labels
-    stay unrendered, as in X."""
+    """X's table in an automaton that records no factors, built from X's
+    distinct columns. A product's labels stay unrendered, as in X."""
     if X._factors is None:
         return X
     A, B, _ = X._factors
-    return Semiautomaton._from_table(
-        automata._PairLabels(A, B), X.symbol_labels, X._table, in_range=True
-    )
+    n, table = X.n_states, X._table
+    columns = {c: table[c * n:(c + 1) * n] for c in X._firsts}
+    return Semiautomaton._from_keys(automata._PairLabels(A, B), X.symbol_labels, columns, X._classes)
 
 
 def cells_compared(descent):

@@ -29,7 +29,6 @@ from .automata import (
     VerificationResult,
     cascade_product,
     compose_coverings,
-    covering_implies_simulation,
     direct_product,
     identity_witness,
     run,

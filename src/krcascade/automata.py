@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from itertools import chain, compress, count, islice, repeat
 from operator import index, is_not
 from typing import Optional
-from zlib import crc32
 
 from . import _lawcheck
 from .algebra import CLOSURE_CAP, Transformation, clamp_label, closure_generate
@@ -75,15 +74,6 @@ def _unique_labels(candidates):
 def _rows(columns, n_states):
     """The rows of the table with per-symbol images columns[a][s]."""
     return zip(*columns) if columns else repeat((), n_states)
-
-
-def _table_of(columns):
-    """The columns, concatenated into one table with no spare capacity, or
-    None when a target is not an integer that fits a cell."""
-    try:
-        return array(_CELL, list(chain.from_iterable(columns)))
-    except (TypeError, OverflowError):
-        return None
 
 
 def _row_fault(rows, n_symbols, n_states):
@@ -187,32 +177,35 @@ class Semiautomaton:
     image of s under a, and delta indexes, iterates, compares and prints like
     a tuple of row tuples. No other copy of the table is kept.
 
-    Every table passed in is scanned once for targets out of range, except a
+    Every column passed in is checked once for length and range, except a
     product's: each of its cells is b + t·|B| with b < |B| and t < |A|, so it
-    is in range by construction and kept unscanned. Products also pass their
+    is in range by construction and kept unchecked. Products also pass their
     state labels as a _PairLabels, which is unique by construction and
     rendered on the first read of state_labels. A product of
     _FACTORED_STATES states or more is a _FactoredProduct: it records (A, B,
     connection) in _factors, for the law check (_lawcheck), and builds its
-    table from the record only when something reads it. Like in_range, the
-    record is a fact of how _product makes the table, never confirmed
-    against it; an automaton made any other way, unpickled included,
-    records None.
+    table from the record only when something reads it. Like the range of
+    its cells, the record is a fact of how _product makes the table, never
+    confirmed against it; an automaton made any other way, unpickled
+    included, records None.
 
     The column class of an input is the lowest input whose column has the
-    same contents (_classes). Anything that depends only on a column's
-    contents, such as the input's kind, a quotient's column or a law pass,
-    is the same for every input of a class, so it is computed once per class
-    and shared. Every automaton the library derives gets its classes from
-    how it is built, with no scan of its table: a product from its factors
-    (_product), any other (a quotient, Yoeli's A*, a cover's C, a split's Pi
-    and R, a substitution's U', a grouplike automaton) from the distinct
-    columns its construction computes (_from_keys). One from outside, made by
-    the constructor, from_columns or _from_table, parsed or unpickled, gets
-    them from a CRC of each column of its table.
+    same contents (_classes), and _firsts holds the first input of each
+    class, in order. Anything that depends only on a column's contents, such
+    as the input's kind, a quotient's column or a law pass, is the same for
+    every input of a class, so it is computed once per class and shared.
+    Every automaton gets its classes where it is built, and they are plain
+    attributes from then on: a product from its factors (_product), any
+    other by comparing the bytes of the distinct columns it is built from
+    (_join). A derived one (a quotient, Yoeli's A*, a cover's C, a split's
+    Pi and R, a substitution's U', a grouplike automaton) passes the columns
+    its construction computes, one per key (_from_keys); one from outside,
+    made by the constructor or from_columns, or parsed, passes each input's
+    column as its own key; an unpickled one passes the columns of its
+    classes.
 
     Values computed on first read (delta, state_labels of a product, the
-    label indexes, the kinds and the classes) are kept in plain attributes
+    label indexes and the kinds) are kept in plain attributes
     that start as None. A cached_property would write through __dict__,
     which on CPython 3.11 moves the instance's inline attribute values into
     a dict, so that every later attribute read on the automaton takes the
@@ -228,73 +221,30 @@ class Semiautomaton:
         n, m = self._n, len(self.symbol_labels)
         if len(rows) != n:
             raise InvalidInputError("need one transition row per state")
-        table = None
-        if set(map(len, rows)) == {m}:
-            table = _table_of(zip(*rows))
-        if table is None:
+        if set(map(len, rows)) != {m}:
             _row_fault(rows, m, n)
-        self._set_table(table)
+        self._join(list(zip(*rows)), range(m))
 
     @classmethod
     def from_columns(cls, state_labels, symbol_labels, columns):
         """Build from per-symbol images: columns[j][s] = s under symbol j."""
         n = len(state_labels)
         columns = list(columns)
+        # a short column is named before the labels are checked
         for col in columns:
             if len(col) != n:
                 raise InvalidInputError("column length differs from state count")
-        table = _table_of(columns)
-        if table is None:
-            # the row constructor names the first bad target in row order
-            return cls(state_labels, symbol_labels, _rows(columns, n))
-        return cls._from_table(state_labels, symbol_labels, table)
+        return cls._from_keys(state_labels, symbol_labels, columns, range(len(columns)))
 
     @classmethod
     def _from_keys(cls, state_labels, symbol_labels, columns, keys):
         """Build from the distinct columns of a construction: keys has one
         hashable key per input, and columns maps each key to its inputs'
-        column.
-
-        The table is joined from one copy of its key's column per input, and
-        the classes are set by comparing the distinct columns only, each
-        checked once for length and range, so they are exact even where two
-        keys give one column. Per input there is no loop in Python and no
-        CRC: map(first.setdefault, ...) gives each input its key's first."""
+        column (_join). from_columns keys every input by itself, and
+        unpickling by its class."""
         self = cls.__new__(cls)
         self._set_labels(state_labels, symbol_labels)
-        n = self._n
-        first = {}
-        inputs = list(map(first.setdefault, keys, count()))
-        cells, classes, merged = {}, {}, {}
-        in_range = True
-        for key, a in first.items():
-            col = array(_CELL, columns[key])
-            if len(col) != n:
-                raise InvalidInputError("column length differs from state count")
-            in_range = in_range and 0 <= min(col) and max(col) < n
-            cells[a] = data = col.tobytes()
-            c = classes.setdefault(data, a)
-            if c != a:
-                merged[a] = c
-        # zero-filled at its final size, with no spare capacity
-        table = array(_CELL, [0]) * (n * len(inputs))
-        memoryview(table).cast("B")[:] = b"".join(map(cells.__getitem__, inputs))
-        self._set_table(table, in_range)
-        if merged:
-            inputs = list(map(merged.get, inputs, inputs))
-        self._column_classes = array(_CELL, inputs)
-        self._first_inputs = tuple(classes.values())
-        return self
-
-    @classmethod
-    def _from_table(cls, state_labels, symbol_labels, table, in_range=False):
-        """Build on a column-major table of len(state_labels) *
-        len(symbol_labels) cells, which the automaton keeps. in_range=True
-        skips the range scan, for a table whose every cell is known to be a
-        state index."""
-        self = cls.__new__(cls)
-        self._set_labels(state_labels, symbol_labels)
-        self._set_table(table, in_range)
+        self._join(columns, keys)
         return self
 
     def _set_labels(self, state_labels, symbol_labels):
@@ -316,15 +266,53 @@ class Semiautomaton:
         if len(set(self.symbol_labels)) != len(self.symbol_labels):
             raise InvalidInputError("duplicate symbol label")
 
-    def _set_table(self, table, in_range=False):
-        n = self._n
-        if len(table) != n * len(self.symbol_labels):
+    def _join(self, columns, keys):
+        """Set the table and the column classes of an automaton whose labels
+        are set, from one key per input and the column of each key.
+
+        The table is joined from one copy of its key's column per input, and
+        the classes are set by comparing the bytes of the distinct columns
+        only, each checked once for length and range, so they are exact even
+        where two keys give one column. A wrong symbol count is named first,
+        and a bad target as the row constructor names it, the first in row
+        order. Per input there is no loop in Python: map(first.setdefault,
+        ...) gives each input its key's first."""
+        n, m = self._n, len(self.symbol_labels)
+        first = {}
+        inputs = list(map(first.setdefault, keys, count()))
+        if len(inputs) != m:
             raise InvalidInputError("transition row length differs from alphabet size")
+        cells, classes, merged = {}, {}, {}
+        in_range = True
+        for key, a in first.items():
+            col = columns[key]
+            if len(col) != n:
+                raise InvalidInputError("column length differs from state count")
+            try:
+                col = array(_CELL, col)
+            except (TypeError, OverflowError):
+                in_range = False
+                continue
+            in_range = in_range and 0 <= min(col) and max(col) < n
+            cells[a] = data = col.tobytes()
+            c = classes.setdefault(data, a)
+            if c != a:
+                merged[a] = c
+        if not in_range:
+            key_of = dict(zip(first.values(), first))
+            _row_fault(_rows([columns[key_of[a]] for a in inputs], n), m, n)
+        # zero-filled at its final size, with no spare capacity
+        table = array(_CELL, [0]) * (n * m)
+        memoryview(table).cast("B")[:] = b"".join(map(cells.__getitem__, inputs))
+        self._set_table(table)
+        if merged:
+            inputs = list(map(merged.get, inputs, inputs))
+        self._classes = array(_CELL, inputs)
+        self._firsts = tuple(classes.values())
+
+    def _set_table(self, table):
         self._table = table
-        self._rows = self._column_classes = self._first_inputs = self._input_kinds = None
-        self._factors = None
-        if not in_range and table and not (0 <= min(table) and max(table) < n):
-            _row_fault(self.delta, len(self.symbol_labels), n)
+        self._rows = self._input_kinds = self._factors = None
         self.table = memoryview(table).toreadonly()
 
     @property
@@ -363,44 +351,6 @@ class Semiautomaton:
         if rows is None:
             self._rows = rows = TableRows(self._table, self._n)
         return rows
-
-    @property
-    def _classes(self) -> array:
-        """The column class of every input: the lowest input whose column has
-        the same contents. A derived automaton's are set where it is built,
-        by _product or _from_keys; an automaton from outside has them
-        computed on the first read, with _firsts, then kept.
-
-        There, columns are matched by a CRC of their cells, read through
-        views of the table, and a match is confirmed by comparing the two
-        views cell by cell; no column is copied."""
-        classes = self._column_classes
-        if classes is not None:
-            return classes
-        n, view = self._n, self.table
-        first = {}
-        classes, firsts = [], []
-        for a in range(len(self.symbol_labels)):
-            col = view[a * n:(a + 1) * n]
-            c = first.setdefault(crc32(col), a)
-            if c != a and view[c * n:(c + 1) * n] != col:
-                # two contents with one CRC: the lowest equal column
-                c = next(b for b in range(a + 1) if view[b * n:(b + 1) * n] == col)
-            if c == a:
-                firsts.append(a)
-            classes.append(c)
-        self._first_inputs = tuple(firsts)
-        self._column_classes = classes = array(_CELL, classes)
-        return classes
-
-    @property
-    def _firsts(self) -> tuple:
-        """The first input of each column class, in order."""
-        firsts = self._first_inputs
-        if firsts is None:
-            self._classes
-            firsts = self._first_inputs
-        return firsts
 
     @property
     def _kinds(self) -> bytes:
@@ -481,8 +431,11 @@ class Semiautomaton:
         return "Semiautomaton(%d states, %d symbols)" % (self.n_states, self.n_symbols)
 
     def __reduce__(self):
-        # the table view cannot be pickled; the labels and table rebuild it
-        return Semiautomaton._from_table, (self.state_labels, self.symbol_labels, self._table)
+        # the table view cannot be pickled: the distinct columns and the
+        # class of every input rebuild the table, checked as any other is
+        n, table = self._n, self._table
+        columns = {c: table[c * n:(c + 1) * n] for c in self._firsts}
+        return Semiautomaton._from_keys, (self.state_labels, self.symbol_labels, columns, self._classes)
 
 
 def run(A: Semiautomaton, s: int, w) -> int:
@@ -556,7 +509,7 @@ class _FactoredProduct(Semiautomaton):
         # table is built, and any name Semiautomaton does not have
         if name != "_table" and name != "table":
             raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
-        self._table = table = _product_table(*self._factors, self._column_classes)
+        self._table = table = _product_table(*self._factors, self._classes)
         self.table = view = memoryview(table).toreadonly()
         return table if name == "_table" else view
 
@@ -593,9 +546,10 @@ def _product(A: Semiautomaton, B: Semiautomaton, connection, keys=None) -> Semia
     if na * nb >= _FACTORED_STATES:
         X = _FactoredProduct(A, B, connection)
     else:
-        table = _product_table(A, B, connection, classes)
-        X = Semiautomaton._from_table(_PairLabels(A, B), A.symbol_labels, table, in_range=True)
-    X._column_classes, X._first_inputs = classes, tuple(first.values())
+        X = Semiautomaton.__new__(Semiautomaton)
+        X._set_labels(_PairLabels(A, B), A.symbol_labels)
+        X._set_table(_product_table(A, B, connection, classes))
+    X._classes, X._firsts = classes, tuple(first.values())
     return X
 
 
@@ -1027,17 +981,6 @@ def simulation_counterexample(w: CoveringWitness, max_len: int):
         return None
     s, a = site
     return s, (a,)
-
-
-def covering_implies_simulation(w: CoveringWitness, max_len: int) -> bool:
-    """Whether phi(s·xi(x)) = phi(s)·x holds for every domain state and word.
-
-    That is verify_covering's verdict: once the witness verifies, its law
-    check has made the one call to _law_violation that
-    simulation_counterexample would repeat, so the simulation finds nothing
-    for any max_len.
-    """
-    return bool(verify_covering(w))
 
 
 @dataclass

@@ -21,7 +21,6 @@ from krcascade import (
     closure_generate,
     complementary_partition,
     cover_permutation_by_grouplike,
-    covering_implies_simulation,
     d_factor,
     grouplike_cascade_split,
     grouplike_of,
@@ -171,7 +170,7 @@ def test_criterion_7_seeded_property_sweep():
         tree = krohn_rhodes_decompose(A)
         for node in iter_nodes(tree):
             assert verify_covering(node.witness), seed
-            assert covering_implies_simulation(node.witness, 6), seed
+            assert simulation_counterexample(node.witness, 6) is None, seed
         assert is_complete(tree), seed
         for leaf in leaves(tree):
             if leaf.kind == LEAF_GROUPLIKE:

@@ -17,7 +17,6 @@ from krcascade import (
     WitnessError,
     cascade_product,
     compose_coverings,
-    covering_implies_simulation,
     direct_product,
     emit_automaton,
     identity_witness,
@@ -349,7 +348,6 @@ def test_compose_rejects_unverified_pieces(sa3):
 def test_simulation_counterexample(sa3, sa2):
     good = CoveringWitness(sa3, sa2, [0, 1, None], [0, 1])
     assert simulation_counterexample(good, 6) is None
-    assert covering_implies_simulation(good, 6)
 
     # swapped xi sends b to the reset input; a length-1 word already diverges
     bad = CoveringWitness(sa3, sa2, [0, 1, None], [1, 0], check=False)
@@ -357,7 +355,7 @@ def test_simulation_counterexample(sa3, sa2):
     assert found is not None
     s, word = found
     assert len(word) == 1
-    assert not covering_implies_simulation(bad, 2)
+    assert not verify_covering(bad)
     # replay the counterexample: transported run and direct run disagree
     upper_end = run(sa3, s, [bad.xi[a] for a in word])
     lower_end = run(sa2, bad.phi[s], list(word))
@@ -373,7 +371,7 @@ def test_substitute_right_with_real_cover(seven_state, seven_p):
     assert sub.product.n_states == cov.product.n_states
     composed = compose_coverings(sub.witness, cov.witness)
     assert verify_covering(composed)
-    assert covering_implies_simulation(composed, 4)
+    assert simulation_counterexample(composed, 4) is None
 
 
 def test_substitute_left_with_real_cover(seven_state, seven_p):
@@ -384,7 +382,7 @@ def test_substitute_left_with_real_cover(seven_state, seven_p):
     assert verify_covering(sub.witness)
     composed = compose_coverings(sub.witness, cov.witness)
     assert verify_covering(composed)
-    assert covering_implies_simulation(composed, 4)
+    assert simulation_counterexample(composed, 4) is None
 
 
 def test_substitute_right_rejects_mismatched_cover(seven_state, seven_p, sa2):
@@ -727,6 +725,40 @@ def test_malformed_tables_keep_their_messages():
     # the label checks still come first
     with pytest.raises(InvalidInputError, match="^duplicate state label$"):
         Semiautomaton.from_columns(["x", "x"], ["a"], [[0, "y"]])
+
+
+# name: (state labels, symbol labels, rows, the same table as columns, the
+# message of Semiautomaton(...), that of from_columns where it differs)
+MALFORMED = {
+    "str target": (["x", "y"], ["a", "b"], [[0, 1], ["y", 0]], [[0, "y"], [1, 0]],
+                   "transition target 'y' is not an integer", None),
+    "negative target": (["x", "y"], ["a", "b"], [[0, 1], [1, -1]], [[0, 1], [1, -1]],
+                        "transition target -1 out of range", None),
+    "2**40 target": (["x", "y"], ["a", "b"], [[0, 2**40], [1, 0]], [[0, 1], [2**40, 0]],
+                     "transition target 1099511627776 out of range", None),
+    "range before float in row order": (["x", "y"], ["a", "b"], [[0, 9], [1.5, 0]],
+                                        [[0, 1.5], [9, 0]], "transition target 9 out of range",
+                                        None),
+    "duplicate state label": (["x", "x"], ["a"], [[0], [1]], [[0, 1]],
+                              "duplicate state label", None),
+    "duplicate symbol label": (["x", "y"], ["a", "a"], [[0, 1], [1, 0]], [[0, 1], [1, 0]],
+                               "duplicate symbol label", None),
+    "short column and duplicate label": (["x", "x"], ["a"], [[0]], [[0]],
+                                         "duplicate state label",
+                                         "column length differs from state count"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_input_is_named_alike_by_rows_and_columns(name):
+    # the first fault is named, with one message, whichever constructor reads it
+    states, symbols, rows, columns, message, by_columns = MALFORMED[name]
+    with pytest.raises(InvalidInputError) as err:
+        Semiautomaton(states, symbols, rows)
+    assert type(err.value) is InvalidInputError and str(err.value) == message
+    with pytest.raises(InvalidInputError) as err:
+        Semiautomaton.from_columns(states, symbols, columns)
+    assert type(err.value) is InvalidInputError and str(err.value) == (by_columns or message)
 
 
 def test_tables_are_read_only(sa3):

@@ -83,6 +83,15 @@ def test_law_check_script_runs_per_witness(monkeypatch, five_pr):
         assert not e["recorded"] and e["flat_cells"] == e["factored_cells"] > 0
         cells = node.witness.upper.n_states * len(node.witness.xi)
         assert e["path"] == ("scan" if cells < automata._SYMBOL_PASS_CELLS else "passes")
+    # random-5 seed 3's root of 512 states records its factors, so the flat
+    # side of its entry runs on the copy that unrecorded builds, which
+    # records none and keeps the root's labels unrendered
+    w = krohn_rhodes_decompose(law_check.random_n(5, 3)).witness
+    flat = law_check.unrecorded(w.upper)
+    assert flat._factors is None and flat._state_labels is None and flat == w.upper
+    e = law_check.witness_entry(w)
+    assert (e["states"], e["recorded"], e["path"]) == (512, True, "passes")
+    assert e["flat_cells"] == e["factored_cells"] == 480
 
 
 def test_tree_memory_script_runs_per_tree(monkeypatch, five_pr):
@@ -178,7 +187,8 @@ def _mutants(w, rng):
     xi = tuple(xi)
     table = array("i", w.lower._table)
     table[rng.randrange(len(table))] = rng.randrange(n)
-    lower = Semiautomaton._from_table(w.lower.state_labels, w.lower.symbol_labels, table)
+    columns = [table[k:k + n] for k in range(0, len(table), n)]
+    lower = Semiautomaton.from_columns(w.lower.state_labels, w.lower.symbol_labels, columns)
     out = [
         CoveringWitness._from_parts(w.upper, w.lower, tuple(phi), w.xi),
         CoveringWitness._from_parts(w.upper, w.lower, w.phi, xi),

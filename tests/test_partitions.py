@@ -16,7 +16,6 @@ from krcascade import (
     cascade_product,
     complementary_partition,
     compose_coverings,
-    covering_implies_simulation,
     d_factor,
     is_admissible_decomposition,
     is_admissible_partition,
@@ -79,7 +78,7 @@ def test_p_factor(seven_state, seven_p):
     assert w.phi == (0, 0, 0, 1, 1, 1, 2)
     assert w.xi == (0, 1)
     assert verify_covering(w)
-    assert covering_implies_simulation(w, 6)
+    assert simulation_counterexample(w, 6) is None
 
 
 def test_p_factor_rejects_non_admissible(seven_state):
@@ -182,7 +181,7 @@ def test_yoeli_auxiliary(six_state, six_d):
     assert aux.b_star.delta == B.delta
     assert aux.witness.phi == (0, 1, 2, 2, 3, 4, 4, 5)
     assert verify_covering(aux.witness)
-    assert covering_implies_simulation(aux.witness, 6)
+    assert simulation_counterexample(aux.witness, 6) is None
 
 
 def test_repeated_column_keeps_its_own_choices(six_state, six_d):

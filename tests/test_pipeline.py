@@ -6,7 +6,6 @@ import json
 import pickle
 import random
 import sys
-import tracemalloc
 from array import array
 from collections import Counter
 from itertools import islice
@@ -42,7 +41,6 @@ from krcascade import (
     coset_partition,
     cover_permutation_by_grouplike,
     direct_product,
-    emit_automaton,
     enumerate_subgroups,
     grouplike_cascade_split,
     grouplike_of,
@@ -59,7 +57,6 @@ from krcascade import (
     leaf_description,
     leaves,
     p_factor,
-    parse_automaton,
     pr_chain,
     render_tree_text,
     reset_to_two_state,
@@ -580,20 +577,6 @@ def test_cascade_nodes_build_one_product_each(monkeypatch):
     assert (len(cells), sum(cells)) == (14, 248_572)
 
 
-def test_only_the_parsed_input_is_scanned_for_classes(monkeypatch):
-    # every automaton that decomposing, verifying and reporting random-6
-    # seed 0 derives takes its column classes from how it is built
-    # (Semiautomaton._from_keys, automata._product): the only columns a CRC
-    # is taken of are the parsed input's two
-    A = parse_automaton(emit_automaton(random6(0)))
-    scanned = []
-    monkeypatch.setattr(automata, "crc32", lambda column: scanned.append(column.tolist()) or 0)
-    tree = krohn_rhodes_decompose(A)
-    assert verify_tree(tree)[0] and tree_report(tree)["witnesses_verified"]
-    assert scanned == [list(A.column(a)) for a in range(A.n_symbols)]
-    assert tree.automaton.n_states == 368_640
-
-
 # five_pr is the README example
 NAMED = ["five_pr", "five_state"] + ["random5-%d" % seed for seed in range(10)]
 
@@ -1096,9 +1079,9 @@ def test_factored_law_check_compares_one_block_per_distinct_triple(random6_root_
     # an unrecorded copy whose labels stay unrendered, as the root's do:
     # _unrecorded would render all 368,640 of them
     A, B, _ = U._factors
-    flat = Semiautomaton._from_table(
-        automata._PairLabels(A, B), U.symbol_labels, U._table, in_range=True
-    )
+    n = U.n_states
+    columns = {c: U._table[c * n:(c + 1) * n] for c in U._firsts}
+    flat = Semiautomaton._from_keys(automata._PairLabels(A, B), U.symbol_labels, columns, U._classes)
     assert flat._factors is None
     dom = len(w.phi) - w.phi.count(None)
     assert (U.n_states, dom, len(automata._law_pairs(w))) == (368_640, 207_360, 2)
@@ -1196,6 +1179,17 @@ def test_pickled_composed_witness_is_flat_and_verifies():
     assert not got.ok and (got.reason, got.site) == (want.reason, want.site)
 
 
+def test_pickled_tree_verifies_and_reports_the_same():
+    # a whole tree round-trips through pickle: its automata come back from
+    # their distinct columns with no record of factors, its witnesses flat,
+    # and the copy verifies and renders the same report
+    tree = krohn_rhodes_decompose(random_n(5, 0))
+    copy = pickle.loads(pickle.dumps(tree))
+    assert copy.automaton.n_states == 73728 and copy.automaton._factors is None
+    assert verify_tree(copy)[0]
+    assert render_tree_text(tree_report(copy)) == render_tree_text(tree_report(tree))
+
+
 def test_kept_law_pairs_follow_a_replaced_xi_or_lower():
     # a check keeps the law pairs on the witness; a copy given another xi,
     # or another lower automaton, after that check gets them computed again
@@ -1283,27 +1277,6 @@ def test_failing_root_state_renders_no_factor_label():
     label = automata._unique_labels(islice(candidates, t + 1))[t]
     symbol = w.lower.symbol_labels[result.site[1]]
     assert result.reason == "covering law fails at state %s under symbol %s" % (label, symbol)
-
-
-def test_column_classes_copy_no_column():
-    # the classes of a table of the random-6 seed-0 root's size come from
-    # views of the table, without a copy of a column; the root itself
-    # records its factors and takes its classes from the record, so the
-    # classes are read off an unrecorded automaton on the root's table
-    X = krohn_rhodes_decompose(random6(0)).automaton
-    A, B, _ = X._factors
-    root = Semiautomaton._from_table(
-        automata._PairLabels(A, B), X.symbol_labels, X._table, in_range=True
-    )
-    assert (root.n_states, root.n_symbols) == (368_640, 2)
-    tracemalloc.start()
-    try:
-        classes = root._classes
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert list(classes) == [0, 1]
-    assert peak < root.n_states * root.table.itemsize
 
 
 def _recorded_products(tree):

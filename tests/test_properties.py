@@ -1,5 +1,6 @@
 """Property-based checks of the algebraic laws on randomly generated inputs."""
 
+import pickle
 from array import array
 
 import pytest
@@ -267,17 +268,12 @@ def test_input_kinds_match_transformations(A):
 
 
 @settings(deadline=None)
-@given(input_columns(), st.booleans())
-def test_column_classes_match_column_equality(A, collide):
-    # the class of an input is the lowest input with an equal column; with
-    # every CRC made equal, the cell-by-cell comparison alone must find it
+@given(input_columns())
+def test_column_classes_match_column_equality(A):
+    # the class of an input is the lowest input with an equal column
     columns = [tuple(A.column(a)) for a in range(A.n_symbols)]
     expected = tuple(columns.index(col) for col in columns)
-    with pytest.MonkeyPatch.context() as mp:
-        if collide:
-            mp.setattr(kr_automata, "crc32", lambda column: 0)
-        B = Semiautomaton.from_columns(A.state_labels, A.symbol_labels, columns)
-        assert tuple(B._classes) == expected
+    assert tuple(A._classes) == expected
     assert list(A._kinds) == [A._kinds[c] for c in expected]
 
 
@@ -548,13 +544,13 @@ def test_recorded_classes_match_the_built_table(A, B, C, data):
                 assert X.delta == reference.delta
 
 
-def _scanned(X):
-    """The classes and first inputs of X's table, found by the CRC scan of
-    an automaton built on a copy of it. Its states are numbered, not
-    labelled as X's: classes do not read labels, and rendering those of a
-    product of 442,368 states takes half a second."""
-    Y = Semiautomaton._from_table(range(X.n_states), X.symbol_labels, array("i", X._table))
-    return Y._classes, Y._firsts
+def _reference_classes(X):
+    """The classes and first inputs of X's table, found by keying each
+    column as a tuple. No label is read: rendering those of a product of
+    442,368 states takes half a second."""
+    n, first = X.n_states, {}
+    classes = [first.setdefault(tuple(X._table[a * n:(a + 1) * n]), a) for a in range(X.n_symbols)]
+    return array("i", classes), tuple(first.values())
 
 
 @st.composite
@@ -566,6 +562,29 @@ def _repeating_columns(draw):
     if len(columns) > 1:
         columns[-1] = columns[draw(st.integers(0, len(columns) - 2))]
     return Semiautomaton.from_columns(A.state_labels, A.symbol_labels, columns)
+
+
+@settings(deadline=None)
+@given(_repeating_columns())
+def test_outside_automata_have_their_classes_when_built(A):
+    # every way into the library from outside sets the column classes and
+    # first inputs as plain attributes where it builds the automaton, and
+    # they are those of its table; a pickled copy keeps the table, the
+    # classes and the kinds, and equals the original
+    columns = [list(A.column(a)) for a in range(A.n_symbols)]
+    rows = [list(row) for row in A.delta]
+    copy = pickle.loads(pickle.dumps(A))
+    for X in (
+        Semiautomaton(A.state_labels, A.symbol_labels, rows),
+        Semiautomaton.from_columns(A.state_labels, A.symbol_labels, columns),
+        parse_automaton(emit_automaton(A)),
+        copy,
+    ):
+        assert "_classes" in vars(X) and "_firsts" in vars(X)
+        assert (X._classes, X._firsts) == _reference_classes(X)
+        assert X == A
+    assert copy._table == A._table and copy._kinds == A._kinds
+    assert (copy._classes, copy._firsts) == (A._classes, A._firsts)
 
 
 def _admissible_partition(A, s, t):
@@ -592,10 +611,10 @@ def _admissible_partition(A, s, t):
 def test_construction_classes_match_the_built_table(A, data):
     # every automaton a construction makes takes its column classes from how
     # it is built (Semiautomaton._from_keys, automata._product); they must be
-    # the classes a CRC scan finds in the table, on inputs with a repeated
-    # column, a choice table that may split a class, and the trees of
-    # krohn_rhodes_decompose at the default threshold and with every
-    # product recording its factors. _law_pairs trusts these classes.
+    # the classes of its table, on inputs with a repeated column, a choice
+    # table that may split a class, and the trees of krohn_rhodes_decompose
+    # at the default threshold and with every product recording its
+    # factors. _law_pairs trusts these classes.
     n, m = A.n_states, A.n_symbols
     built = []
     u, v = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
@@ -636,7 +655,7 @@ def test_construction_classes_match_the_built_table(A, data):
             built += [node.automaton for tree in trees for node in iter_nodes(tree)]
             built += [node.witness.lower for tree in trees for node in iter_nodes(tree)]
     for X in built:
-        assert (X._classes, X._firsts) == _scanned(X)
+        assert (X._classes, X._firsts) == _reference_classes(X)
 
 
 def _with_row_entry(c, values, data):
