@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import compress, count
 from typing import Optional, Sequence
 
 from .errors import InvalidCongruenceError, InvalidInputError, ResourceCapError
@@ -18,6 +19,15 @@ def clamp_label(label: str, fallback: str) -> str:
     which dominates memory long before the tables do.
     """
     return label if len(label) <= LABEL_LIMIT else fallback
+
+
+def pair_labels(pairs, prefix: str) -> list:
+    """The label "(l,r)" of each label pair (l, r), in order, clamped: one
+    longer than LABEL_LIMIT is prefix and its position, formatted only then."""
+    labels = list(map("(%s,%s)".__mod__, pairs))
+    for k in list(compress(count(), map(LABEL_LIMIT.__lt__, map(len, labels)))):
+        labels[k] = "%s%d" % (prefix, k)
+    return labels
 
 
 class Transformation:
@@ -184,10 +194,7 @@ def closure_generate(generators, *, domain_size=None, cap=CLOSURE_CAP, symbol_la
         raise InvalidInputError("need one symbol label per generator")
 
     elems, words, index = _closure(gens, n, cap)
-    table = [
-        [index[tuple(map(b.image.__getitem__, a.image))] for b in elems]
-        for a in elems
-    ]
+    table = _cayley_table(elems, index)
     labels = _word_labels(words, symbol_labels)
     return FiniteMonoid(labels, table, 0, transformations=elems, witnesses=words, check=False)
 
@@ -218,6 +225,12 @@ def _closure(gens, n: int, cap: int):
                 words.append(words[i] + (gi,))
         i += 1
     return elems, words, index
+
+
+def _cayley_table(elems, index):
+    """The table of the Transformations elems, (a, b) -> a followed by b, as
+    positions by index, which maps an image to its position in elems."""
+    return [[index[tuple(map(b.image.__getitem__, a.image))] for b in elems] for a in elems]
 
 
 def _word_labels(words, symbol_labels):
@@ -367,17 +380,11 @@ def hom_factorize(h: MonoidHom):
 def direct_product_monoid(M: FiniteMonoid, M2: FiniteMonoid) -> FiniteMonoid:
     """Componentwise product; element (i, j) is flattened as i*|M2| + j."""
     n2 = M2.order
-    labels = []
-    table = []
-    for i in range(M.order):
-        for j in range(n2):
-            labels.append(
-                clamp_label("(%s,%s)" % (M.labels[i], M2.labels[j]), "e%d" % (i * n2 + j))
-            )
-            row = []
-            for k in range(M.order):
-                ik = M.table[i][k] * n2
-                row.extend(ik + M2.table[j][l] for l in range(n2))
-            table.append(row)
+    labels = pair_labels([(a, b) for a in M.labels for b in M2.labels], "e")
+    table = [
+        [M.table[i][k] * n2 + M2.table[j][l] for k in range(M.order) for l in range(n2)]
+        for i in range(M.order)
+        for j in range(n2)
+    ]
     identity = M.identity * n2 + M2.identity
     return FiniteMonoid(labels, table, identity, check=False)

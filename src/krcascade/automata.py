@@ -10,12 +10,12 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, compress, count, islice, product, repeat
 from operator import index, is_not
 from typing import Optional
 
 from . import _lawcheck
-from .algebra import CLOSURE_CAP, Transformation, clamp_label, closure_generate
+from .algebra import CLOSURE_CAP, Transformation, closure_generate, pair_labels
 from .errors import InvalidInputError, WitnessError
 
 # Table cells are C ints: 4 bytes each, holding state indices, so a table
@@ -48,10 +48,10 @@ _FACTORED_STATES = 512
 _IDENTITY, _CONSTANT, _PERMUTATION, _OTHER = range(4)
 
 
-def _unique_labels(candidates):
+def _unique_labels(candidates) -> tuple:
     """The candidates in order, each repeat renamed to the first name
     "<label>#k" not taken yet, counting k on from the label's last repeat."""
-    candidates = list(candidates)
+    candidates = tuple(candidates)
     if len(set(candidates)) == len(candidates):
         return candidates
     taken = set()
@@ -68,7 +68,7 @@ def _unique_labels(candidates):
             lab = name
         taken.add(lab)
         out.append(lab)
-    return out
+    return tuple(out)
 
 
 def _rows(columns, n_states):
@@ -92,6 +92,19 @@ def _row_fault(rows, n_symbols, n_states):
                 raise InvalidInputError("transition target %d out of range" % x)
 
 
+def _checked_labels(state_labels, symbol_labels):
+    """The labels as strs, once there is a state and no label repeats: the one
+    check of labels, where they enter (constructor, from_columns, unpickling)."""
+    states, symbols = tuple(map(str, state_labels)), tuple(map(str, symbol_labels))
+    if not states:
+        raise InvalidInputError("need at least one state")
+    if len(set(states)) != len(states):
+        raise InvalidInputError("duplicate state label")
+    if len(set(symbols)) != len(symbols):
+        raise InvalidInputError("duplicate symbol label")
+    return states, symbols
+
+
 class _PairLabels:
     """The state labels of a product of A and B, rendered on first read."""
 
@@ -102,7 +115,7 @@ class _PairLabels:
         return self.A.n_states * self.B.n_states
 
     def render(self):
-        return tuple(_pair_state_labels(self.A, self.B))
+        return _unique_labels(pair_labels(product(self.A.state_labels, self.B.state_labels), "q"))
 
     def label(self, s):
         """Label s alone. _unique_labels renames a repeat only by the labels
@@ -115,7 +128,8 @@ class _PairLabels:
         nb = self.B.n_states
         a = _label_prefix(self.A, -(-stop // nb))
         b = _label_prefix(self.B, min(stop, nb))
-        return _unique_labels(islice(_pair_candidates(a, b, nb), stop))
+        # b is short only where a has one label: a pair's position is its state
+        return _unique_labels(pair_labels(islice(product(a, b), stop), "q"))
 
 
 def _label_prefix(X, stop):
@@ -179,9 +193,10 @@ class Semiautomaton:
 
     Every column passed in is checked once for length and range, except a
     product's: each of its cells is b + t·|B| with b < |B| and t < |A|, so it
-    is in range by construction and kept unchecked. Products also pass their
-    state labels as a _PairLabels, which is unique by construction and
-    rendered on the first read of state_labels. A product of
+    is in range by construction and kept unchecked. Labels are checked where
+    they enter (_checked_labels); a derived automaton keeps the tuples it is
+    built with, and a product's state labels are a _PairLabels, rendered on
+    their first read. A product of
     _FACTORED_STATES states or more is a _FactoredProduct: it records (A, B,
     connection) in _factors, for the law check (_lawcheck), and builds its
     table from the record only when something reads it. Like the range of
@@ -217,7 +232,7 @@ class Semiautomaton:
 
     def __init__(self, state_labels, symbol_labels, delta):
         rows = tuple(map(tuple, delta))
-        self._set_labels(state_labels, symbol_labels)
+        self._set_labels(*_checked_labels(state_labels, symbol_labels))
         n, m = self._n, len(self.symbol_labels)
         if len(rows) != n:
             raise InvalidInputError("need one transition row per state")
@@ -234,37 +249,34 @@ class Semiautomaton:
         for col in columns:
             if len(col) != n:
                 raise InvalidInputError("column length differs from state count")
-        return cls._from_keys(state_labels, symbol_labels, columns, range(len(columns)))
+        return cls._from_outside(state_labels, symbol_labels, columns, range(len(columns)))
 
     @classmethod
     def _from_keys(cls, state_labels, symbol_labels, columns, keys):
         """Build from the distinct columns of a construction: keys has one
         hashable key per input, and columns maps each key to its inputs'
-        column (_join). from_columns keys every input by itself, and
-        unpickling by its class."""
+        column (_join). The labels are kept as built: tuples of distinct
+        strs, or a product's state labels as a _PairLabels."""
         self = cls.__new__(cls)
         self._set_labels(state_labels, symbol_labels)
         self._join(columns, keys)
         return self
 
+    @classmethod
+    def _from_outside(cls, state_labels, symbol_labels, columns, keys):
+        """_from_keys on labels from outside (_checked_labels): from_columns
+        keys every input by itself, and unpickling by its class."""
+        return cls._from_keys(*_checked_labels(state_labels, symbol_labels), columns, keys)
+
     def _set_labels(self, state_labels, symbol_labels):
-        lazy = isinstance(state_labels, _PairLabels)
-        if lazy:
+        if isinstance(state_labels, _PairLabels):
             self._pending_labels = state_labels
             self._state_labels = None
-            n = len(state_labels)
         else:
-            self._state_labels = labels = tuple(map(str, state_labels))
-            n = len(labels)
-        self.symbol_labels = tuple(map(str, symbol_labels))
-        self._n = n
+            self._state_labels = state_labels
+        self.symbol_labels = symbol_labels
+        self._n = len(state_labels)
         self._state_positions = self._symbol_positions = None
-        if n < 1:
-            raise InvalidInputError("need at least one state")
-        if not lazy and len(set(labels)) != n:
-            raise InvalidInputError("duplicate state label")
-        if len(set(self.symbol_labels)) != len(self.symbol_labels):
-            raise InvalidInputError("duplicate symbol label")
 
     def _join(self, columns, keys):
         """Set the table and the column classes of an automaton whose labels
@@ -435,7 +447,7 @@ class Semiautomaton:
         # class of every input rebuild the table, checked as any other is
         n, table = self._n, self._table
         columns = {c: table[c * n:(c + 1) * n] for c in self._firsts}
-        return Semiautomaton._from_keys, (self.state_labels, self.symbol_labels, columns, self._classes)
+        return Semiautomaton._from_outside, (self.state_labels, self.symbol_labels, columns, self._classes)
 
 
 def run(A: Semiautomaton, s: int, w) -> int:
@@ -475,18 +487,6 @@ def transition_monoid(A: Semiautomaton, cap: int = CLOSURE_CAP):
     if len(firsts) < A.n_symbols:
         M.witnesses = tuple(tuple(map(firsts.__getitem__, w)) for w in M.witnesses)
     return M
-
-
-def _pair_candidates(a_labels, b_labels, nb: int):
-    return (
-        clamp_label("(%s,%s)" % (la, lb), "q%d" % (i * nb + j))
-        for i, la in enumerate(a_labels)
-        for j, lb in enumerate(b_labels)
-    )
-
-
-def _pair_state_labels(A: Semiautomaton, B: Semiautomaton):
-    return _unique_labels(_pair_candidates(A.state_labels, B.state_labels, B.n_states))
 
 
 class _FactoredProduct(Semiautomaton):

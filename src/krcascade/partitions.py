@@ -8,7 +8,7 @@ from itertools import chain, product, repeat
 from operator import add, index
 from typing import Optional
 
-from .algebra import clamp_label
+from .algebra import clamp_label, pair_labels
 from .automata import CoveringWitness, Semiautomaton, _unique_labels, cascade_product
 from .errors import InvalidInputError
 
@@ -296,11 +296,7 @@ def _partition_cover(A: Semiautomaton, P: Partition, Q: Partition, B: Semiautoma
     without the product B∘C: meets[i][j] is the unique state in P_i ∩ Q_j,
     or None when they miss, so the cover's phi is meets read row by row."""
     nsym = A.n_symbols
-    c_symbols = _unique_labels(
-        clamp_label("(%s,%s)" % (block, symbol), "x%d" % (i * nsym + a))
-        for i, block in enumerate(B.state_labels)
-        for a, symbol in enumerate(A.symbol_labels)
-    )
+    c_symbols = _unique_labels(pair_labels(product(B.state_labels, A.symbol_labels), "x"))
     meets = []
     for pb in P.blocks:
         pset = set(pb)
@@ -363,10 +359,7 @@ def yoeli_auxiliary(A: Semiautomaton, D: Decomposition, factor=None) -> YoeliAux
     states = tuple((s, i) for i, b in enumerate(D.blocks) for s in b)
     index = {pair: k for k, pair in enumerate(states)}
     a_labels, b_labels = A.state_labels, B.state_labels
-    labels = _unique_labels(
-        clamp_label("(%s,%s)" % (a_labels[s], b_labels[i]), "q%d" % k)
-        for k, (s, i) in enumerate(states)
-    )
+    labels = _unique_labels(pair_labels(((a_labels[s], b_labels[i]) for s, i in states), "q"))
     star = {
         pair: [index[(col[s], b_col[i])] for s, i in states]
         for pair, (col, b_col) in columns.items()

@@ -7,9 +7,11 @@ node's witness is verified once, by _node where the node is made, and no
 other witness is: the ones composed into it along the way are not checked on
 their own. split_permutation_reset, cover_permutation_by_grouplike and
 grouplike_cascade_split verify the witness each of them returns; the tree is
-built through their unchecked bodies, _split, _grouplike_cover and
+built through their unchecked bodies, _split, _group_cover and
 _coset_split, which build no product: a cascade step's outer cover reaches
-_substitute as its parts, phi and xi, so the tree builds only its nodes.
+_substitute as its parts, phi and xi, so the tree builds only its nodes. A
+refined factor's group is closed once, when it is planned
+(_permutation_group), and _group_cover builds it and its cover from that.
 
 A cascade node's witness is made by _substitute from the inner witnesses and
 the outer cover, and keeps phi as that composition where the node's product
@@ -24,10 +26,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, product
 from typing import Optional, Union
 
-from .algebra import CLOSURE_CAP, _closure, _word_labels, clamp_label
+from .algebra import CLOSURE_CAP, FiniteMonoid, _cayley_table, _closure, _word_labels, pair_labels
 from .automata import (
     _CONSTANT,
     _IDENTITY,
@@ -42,7 +44,6 @@ from .automata import (
     cascade_product,
     direct_product,
     identity_witness,
-    transition_monoid,
     verify_covering,
 )
 from .errors import (
@@ -198,27 +199,29 @@ def cover_permutation_by_grouplike(pi: Semiautomaton):
     group in closure order (as split_permutation_reset produces); phi is then
     the identity and each input maps to the group element acting like it.
     """
-    G, witness = _grouplike_cover(pi)
+    if not is_permutation(pi):
+        raise InvalidInputError("not a permutation semiautomaton")
+    group = _permutation_group(pi, Caps(group_order=CLOSURE_CAP))
+    if len(group[2]) != pi.n_states:
+        raise InvalidInputError(
+            "states do not form the transition group: %d states, group order %d"
+            % (pi.n_states, len(group[2]))
+        )
+    G, witness = _group_cover(pi, *group)
     _require(verify_covering(witness), "grouplike cover of the permutation automaton")
     return G, witness
 
 
-def _grouplike_cover(pi: Semiautomaton):
-    """cover_permutation_by_grouplike, with its witness unchecked."""
-    if not is_permutation(pi):
-        raise InvalidInputError("not a permutation semiautomaton")
-    M = transition_monoid(pi)
-    if M.order != pi.n_states:
-        raise InvalidInputError(
-            "states do not form the transition group: %d states, group order %d"
-            % (pi.n_states, M.order)
-        )
-    G = FiniteGroup(M)
-    glike = grouplike_of(G)
-    elt = {t.image: k for k, t in enumerate(M.transformations)}
-    xi = {c: elt[tuple(pi.column(c).tolist())] for c in pi._firsts}
+def _group_cover(pi: Semiautomaton, const, perms, elements, index, labels):
+    """(K, the unchecked cover grouplike(K) >= pi) from _permutation_group
+    on pi, or on the automaton that _split made pi from: K's table is read
+    off the closure's elements and its labels are their word labels; phi is
+    the identity, and xi sends an input to its class's permutation, a reset
+    to the identity."""
+    G = FiniteGroup(FiniteMonoid(labels, _cayley_table(elements, index), 0, check=False))
+    xi = {c: index[perms[c].image] if to is None else 0 for c, to in const.items()}
     xi = tuple(map(xi.__getitem__, pi._classes))
-    return G, CoveringWitness._from_parts(glike, pi, tuple(range(pi.n_states)), xi)
+    return G, CoveringWitness._from_parts(grouplike_of(G), pi, tuple(range(pi.n_states)), xi)
 
 
 @dataclass
@@ -231,14 +234,15 @@ class PRSplit:
 
 
 def _permutation_group(A: Semiautomaton, caps: Caps):
-    """(const, perms, elements, labels) of a permutation-reset automaton: the
-    reset target of every column class (None for a permutation), the
-    Transformation of every permutation class, each keyed by the class's
-    first input, and the elements of the group K that they generate, in
-    closure order, with their labels.
+    """(const, perms, elements, index, labels) of a permutation-reset
+    automaton: the reset target of every column class (None for a
+    permutation), the Transformation of every permutation class, each keyed
+    by the class's first input, and the elements of the group K that they
+    generate, in closure order, with their positions by image and labels.
 
     Raises ResourceCapError when K outgrows the closure or group-order cap,
-    before anything but its elements is built: no Cayley table is.
+    before anything but its elements is built: K and its table are built
+    from them by _group_cover, and only for a factor that gets refined.
     """
     kinds = A._kinds
     if _OTHER in kinds:
@@ -250,14 +254,14 @@ def _permutation_group(A: Semiautomaton, caps: Caps):
     const = {c: table[c * n] if kinds[c] == _CONSTANT else None for c in firsts}
     # the classes' first inputs generate K, as all of them do (transition_monoid)
     perms = {c: A.symbol_transformation(c) for c in firsts if const[c] is None}
-    elements, words, _ = _closure(list(perms.values()), n, CLOSURE_CAP)
+    elements, words, index = _closure(list(perms.values()), n, CLOSURE_CAP)
     if len(elements) > caps.group_order:
         raise ResourceCapError(
             "permutation group of order %d exceeds the cap of %d"
             % (len(elements), caps.group_order)
         )
     labels = _word_labels(words, [A.symbol_labels[c] for c in perms])
-    return const, perms, elements, labels
+    return const, perms, elements, index, labels
 
 
 def split_permutation_reset(A: Semiautomaton, caps: Caps = Caps()) -> PRSplit:
@@ -276,13 +280,12 @@ def split_permutation_reset(A: Semiautomaton, caps: Caps = Caps()) -> PRSplit:
     return PRSplit(pi, r, omega, product, witness)
 
 
-def _split(A: Semiautomaton, const, perms, elements, labels):
-    """(Pi, R, omega, phi) of split_permutation_reset on the (const, perms,
-    elements, labels) of _permutation_group(A), without the product Pi∘R."""
+def _split(A: Semiautomaton, const, perms, elements, index, labels):
+    """(Pi, R, omega, phi) of split_permutation_reset on
+    _permutation_group(A), without the product Pi∘R."""
     n, m = A.n_states, A.n_symbols
     # element labels are rendered words, which can coincide with one another
     k_labels = _unique_labels(labels)
-    elt = {t.image: k for k, t in enumerate(elements)}
     nk = len(elements)
 
     # every column of Pi and every block of R's columns is computed once per
@@ -290,14 +293,10 @@ def _split(A: Semiautomaton, const, perms, elements, labels):
     classes = A._classes
     columns_pi = dict.fromkeys(const, range(nk))
     for c, p in perms.items():
-        columns_pi[c] = [elt[t.compose(p).image] for t in elements]
+        columns_pi[c] = [index[t.compose(p).image] for t in elements]
     pi = Semiautomaton._from_keys(k_labels, A.symbol_labels, columns_pi, classes)
 
-    r_symbols = _unique_labels(
-        clamp_label("(%s,%s)" % (k_labels[x], A.symbol_labels[a]), "x%d" % (x * m + a))
-        for x in range(nk)
-        for a in range(m)
-    )
+    r_symbols = _unique_labels(pair_labels(product(k_labels, A.symbol_labels), "x"))
     # R's symbol (x, a) keeps a permutation input's state and sends a reset
     # to c to c shifted back by the inverse of x: its key is None or that
     # state
@@ -307,7 +306,7 @@ def _split(A: Semiautomaton, const, perms, elements, labels):
         target = {c: None if to is None else inverse[to] for c, to in const.items()}
         keys += map(target.__getitem__, classes)
     columns_r = {to: range(n) if to is None else [to] * n for to in set(keys)}
-    r = Semiautomaton._from_keys(list(A.state_labels), r_symbols, columns_r, keys)
+    r = Semiautomaton._from_keys(A.state_labels, r_symbols, columns_r, keys)
 
     omega = tuple(tuple(range(x * m, (x + 1) * m)) for x in range(nk))
     phi = tuple(chain.from_iterable(t.image for t in elements))
@@ -329,7 +328,7 @@ class ResetFactorization:
 
 
 def _two_state_identity_cover(A: Semiautomaton) -> Leaf:
-    two = Semiautomaton._from_keys(["r0", "r1"], A.symbol_labels, {0: (0, 1)}, [0] * A.n_symbols)
+    two = Semiautomaton._from_keys(("r0", "r1"), A.symbol_labels, {0: (0, 1)}, [0] * A.n_symbols)
     witness = CoveringWitness._from_parts(two, A, (0, 0), tuple(range(A.n_symbols)))
     return _node("two-state cover of a one-state automaton", Leaf, LEAF_RESET, two, witness)
 
@@ -522,7 +521,7 @@ def grouplike_to_simple_cascade(
     w_leaf = CoveringWitness._from_parts(glq, b, tuple(range(quotient.order)), cp.cosets)
     leaf = _node("grouplike quotient leaf", Leaf, LEAF_GROUPLIKE, glq, w_leaf, group=quotient)
 
-    inner = grouplike_to_simple_cascade(h_group, caps)
+    inner = grouplike_to_simple_cascade(h_group, caps, identity_witness(c_prime))
     # the split's xi is the identity, so the root's xi is the cover's
     phi = tuple(map(cover.phi.__getitem__, phi))
     sub = _substitute(b, c_prime, omega, w_leaf, inner.witness, phi, cover.xi, cover.lower)
@@ -537,9 +536,9 @@ def _reset_states(n: int) -> int:
 @dataclass(frozen=True)
 class _Plan:
     """A node of the tree before it is built: the automaton it covers, its
-    predicted state count, the breached cap if it stays a raw leaf, and the
-    (const, perms, elements, labels) of _permutation_group for a factor that
-    gets split."""
+    predicted state count, the breached cap if it stays a raw leaf, and, for
+    a factor that gets split, its group's closure (_permutation_group), from
+    which _refine_factor builds the group and its cover (_group_cover)."""
 
     automaton: Semiautomaton
     states: int
@@ -554,10 +553,10 @@ def _plan_factor(B: Semiautomaton, caps: Caps) -> _Plan:
     if is_reset(B):
         return _Plan(B, _reset_states(B.n_states))
     try:
-        const, perms, elements, labels = _permutation_group(B, caps)
+        group = _permutation_group(B, caps)
     except ResourceCapError as exc:
         return _Plan(B, B.n_states, str(exc))
-    states = len(elements) * _reset_states(B.n_states)
+    states = len(group[2]) * _reset_states(B.n_states)
     if states > caps.product_states:
         return _Plan(
             B,
@@ -565,7 +564,7 @@ def _plan_factor(B: Semiautomaton, caps: Caps) -> _Plan:
             "split product of %d states exceeds the cap of %d"
             % (states, caps.product_states),
         )
-    return _Plan(B, states, group=(const, perms, elements, labels))
+    return _Plan(B, states, group=group)
 
 
 def _plan_chain(steps, last: Semiautomaton, caps: Caps):
@@ -623,7 +622,7 @@ def _refine_factor(plan: _Plan, caps: Caps) -> Node:
     if plan.group is None:
         return reset_to_two_state(B).tree
     pi, r, omega, phi = _split(B, *plan.group)
-    G, w_g = _grouplike_cover(pi)
+    G, w_g = _group_cover(pi, *plan.group)
     g_tree = grouplike_to_simple_cascade(G, caps, w_g)
     r_tree = reset_to_two_state(r).tree
     sub = _substitute(pi, r, omega, g_tree.witness, r_tree.witness, phi, range(B.n_symbols), B)

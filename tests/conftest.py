@@ -9,6 +9,7 @@ import random
 import pytest
 
 from krcascade import Decomposition, FiniteMonoid, Partition, Semiautomaton, group_from_table
+from krcascade.automata import _unique_labels
 
 KLEIN_TABLE = [
     [0, 1, 2, 3],
@@ -108,3 +109,14 @@ def make_random_automaton(rng: random.Random, max_states: int = 4, max_symbols: 
 @pytest.fixture
 def random_automaton():
     return make_random_automaton
+
+
+def product_state_labels(left, right):
+    """The state labels of a product whose factors have the state labels
+    left and right, formatted here: "(l,r)" for each pair, state-major, or
+    "q" and the state's index where that is over 80 characters, with each
+    repeat then renamed by _unique_labels."""
+    labels = ["(%s,%s)" % (l, r) for l in left for r in right]
+    return _unique_labels(
+        lab if len(lab) <= 80 else "q%d" % k for k, lab in enumerate(labels)
+    )

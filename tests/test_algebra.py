@@ -21,7 +21,8 @@ from krcascade import (
     render_word,
     right_regular_representation,
 )
-from krcascade.algebra import clamp_label
+from krcascade.algebra import LABEL_LIMIT, clamp_label, pair_labels
+from krcascade.automata import _unique_labels
 
 from conftest import MEB_TABLE
 
@@ -129,6 +130,29 @@ def test_render_word():
 def test_clamp_label():
     assert clamp_label("short", "q0") == "short"
     assert clamp_label("x" * 200, "q7") == "q7"
+
+
+def test_pair_labels_clamp_by_position():
+    # "(l,r)" for each pair in order; one over LABEL_LIMIT characters becomes
+    # the prefix and its position, whichever of the library's prefixes
+    exact = ("a" * (LABEL_LIMIT - 4), "b")
+    over = ("a" * (LABEL_LIMIT - 3), "b")
+    assert len("(%s,%s)" % exact) == LABEL_LIMIT
+    for prefix in ("q", "x", "e"):
+        assert pair_labels([("c", "d"), exact, over, over], prefix) == [
+            "(c,d)",
+            "(%s,b)" % exact[0],
+            prefix + "2",
+            prefix + "3",
+        ]
+    assert pair_labels(iter([]), "q") == []
+    # a fallback can coincide with a label made another way; _unique_labels,
+    # which every automaton's derived labels go through, renames the later one
+    labels = ["x3"] + pair_labels([("c", "d"), ("e", "f"), exact, over], "x")
+    assert _unique_labels(labels) == ("x3", "(c,d)", "(e,f)", "(%s,b)" % exact[0], "x3#1")
+    # direct_product_monoid names its elements the same way, with prefix e
+    wide = FiniteMonoid(["a" * LABEL_LIMIT], [[0]], 0)
+    assert direct_product_monoid(wide, FiniteMonoid(["1"], [[0]], 0)).labels == ("e0",)
 
 
 def test_right_regular_representation(meb):

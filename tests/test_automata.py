@@ -37,12 +37,11 @@ from krcascade.automata import (
     _PairLabels,
     _check_omega,
     _omega_fault,
-    _pair_state_labels,
     _substitute,
     _unique_labels,
 )
 
-from conftest import make_random_automaton
+from conftest import make_random_automaton, product_state_labels
 
 
 def test_construction_validation():
@@ -594,9 +593,9 @@ def test_mutated_witnesses_are_rejected(sweep_witnesses):
 
 
 def test_unique_labels_skips_taken_names():
-    assert _unique_labels(["a#1", "a", "a"]) == ["a#1", "a", "a#2"]
-    assert _unique_labels(["a", "a", "a#1", "a#1"]) == ["a", "a#1", "a#1#1", "a#1#2"]
-    assert _unique_labels(["x", "y", "x", "x"]) == ["x", "y", "x#1", "x#2"]
+    assert _unique_labels(["a#1", "a", "a"]) == ("a#1", "a", "a#2")
+    assert _unique_labels(["a", "a", "a#1", "a#1"]) == ("a", "a#1", "a#1#1", "a#1#2")
+    assert _unique_labels(["x", "y", "x", "x"]) == ("x", "y", "x#1", "x#2")
 
 
 def _label_clash():
@@ -616,7 +615,8 @@ def test_product_labels_are_rendered_on_first_read(sa2, sa3):
         # each label rendered alone is the one of the full rendering
         pending = _PairLabels(*factors)
         alone = tuple(map(pending.label, range(len(pending))))
-        assert product.state_labels == tuple(_pair_state_labels(*factors)) == alone
+        expected = product_state_labels(*(X.state_labels for X in factors))
+        assert product.state_labels == expected == alone
         assert product.state_index(product.state_labels[-1]) == product.n_states - 1
     assert direct_product(A, B).state_labels == ("(1,2,1)", "(1,1)", "(1,2,2,1)", "(1,2,1)#1")
 
@@ -759,6 +759,21 @@ def test_malformed_input_is_named_alike_by_rows_and_columns(name):
     with pytest.raises(InvalidInputError) as err:
         Semiautomaton.from_columns(states, symbols, columns)
     assert type(err.value) is InvalidInputError and str(err.value) == (by_columns or message)
+
+
+def test_unpickling_checks_labels(sa3):
+    # unpickling is a way into the library, so a pickle whose labels repeat
+    # is refused with the constructor's message
+    for attr, labels, message in (
+        ("_state_labels", ("1", "1", "3"), "duplicate state label"),
+        ("symbol_labels", ("a", "a"), "duplicate symbol label"),
+    ):
+        A = Semiautomaton(sa3.state_labels, sa3.symbol_labels, sa3.delta)
+        setattr(A, attr, labels)
+        data = pickle.dumps(A)
+        with pytest.raises(InvalidInputError) as err:
+            pickle.loads(data)
+        assert type(err.value) is InvalidInputError and str(err.value) == message
 
 
 def test_tables_are_read_only(sa3):

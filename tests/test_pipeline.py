@@ -8,7 +8,6 @@ import random
 import sys
 from array import array
 from collections import Counter
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -69,6 +68,7 @@ from krcascade import (
     verify_covering,
     verify_tree,
 )
+from conftest import product_state_labels
 from test_tree_digest import _expected, _load_script
 
 
@@ -663,10 +663,11 @@ def test_fused_substitution_matches_substitute_then_compose(monkeypatch, request
 def test_input_kinds_build_no_transformations(monkeypatch):
     # inputs are classified off the table; a Transformation is built only for
     # a generator of a group: each distinct permutation column of a factor
-    # that gets split, and each distinct column of that split's permutation
-    # automaton. Building one per input to classify it would make 19,937
-    # calls here, one per permutation input of a split factor 3,321, and one
-    # per input of each split's permutation automaton 1,067.
+    # that gets split. The group's table and the cover of the split's
+    # permutation automaton come from that one closure, so no column of the
+    # permutation automaton is turned into one. Building one per input to
+    # classify it would make 19,937 calls here, and one per permutation
+    # input of a split factor 3,321.
     calls = []
     build = Semiautomaton.symbol_transformation
 
@@ -677,7 +678,24 @@ def test_input_kinds_build_no_transformations(monkeypatch):
     monkeypatch.setattr(Semiautomaton, "symbol_transformation", counted)
     for seed in (0, 4, 6):
         krohn_rhodes_decompose(random6(seed))
-    assert len(calls) == 61
+    assert len(calls) == 45
+
+
+def test_decomposition_checks_only_the_input_labels(monkeypatch):
+    # labels are checked where they enter the library: every automaton the
+    # decomposition derives keeps the labels it is built with, unchecked
+    calls = []
+    check = automata._checked_labels
+
+    def counted(state_labels, symbol_labels):
+        calls.append(tuple(state_labels))
+        return check(state_labels, symbol_labels)
+
+    monkeypatch.setattr(automata, "_checked_labels", counted)
+    A = random6(0)
+    tree = krohn_rhodes_decompose(A)
+    assert calls == [A.state_labels]
+    assert sum(1 for _ in iter_nodes(tree)) > 1
 
 
 def _moved(phi, n):
@@ -691,7 +709,7 @@ def _moved(phi, n):
 
 def _corrupting(build):
     """build, with one phi entry of the cover it returns sent to another
-    lower state: the witness of a Substitution or of _grouplike_cover's
+    lower state: the witness of a Substitution or of _group_cover's
     (G, witness), or the phi of _split's or _coset_split's parts, which is
     onto the lower states."""
 
@@ -722,7 +740,7 @@ CYCLE4 = Semiautomaton(["0", "1", "2", "3"], ["a"], [[1], [2], [3], [0]])
         ("_substitute", "five_pr", "permutation-reset factor"),
         ("_split", "five_pr", "permutation-reset factor"),
         ("_coset_split", "cycle4", "coset cascade"),
-        ("_grouplike_cover", "five_pr", "simple grouplike leaf"),
+        ("_group_cover", "five_pr", "simple grouplike leaf"),
     ],
 )
 def test_corrupted_inner_witness_fails_its_node(monkeypatch, request, target, name, context):
@@ -1273,8 +1291,7 @@ def test_failing_root_state_renders_no_factor_label():
     assert B.n_states == 46_080
     assert vars(upper)["_state_labels"] is None and vars(B)["_state_labels"] is None
     t = result.site[0]
-    candidates = automata._pair_candidates(A.state_labels, B.state_labels, B.n_states)
-    label = automata._unique_labels(islice(candidates, t + 1))[t]
+    label = product_state_labels(A.state_labels, B.state_labels)[t]
     symbol = w.lower.symbol_labels[result.site[1]]
     assert result.reason == "covering law fails at state %s under symbol %s" % (label, symbol)
 

@@ -23,6 +23,7 @@ from krcascade import (
     cascade_product,
     classify_inputs,
     closure_generate,
+    cover_permutation_by_grouplike,
     complementary_partition,
     d_factor,
     direct_product,
@@ -47,7 +48,7 @@ from krcascade import (
     yoeli_auxiliary,
 )
 from krcascade.automata import _CONSTANT, _IDENTITY, _OTHER, _PERMUTATION
-from krcascade.pipeline import _chain_steps
+from krcascade.pipeline import _chain_steps, _group_cover, _plan_factor, _split
 
 
 @st.composite
@@ -734,3 +735,37 @@ def test_composed_phi_checks_as_its_flat_copy(A, C, data):
                 want = verify_covering(flat)
                 assert (r.ok, r.reason, r.site) == (want.ok, want.reason, want.site)
                 assert _lawcheck.values(c) == set(flat.phi) - {None}
+
+
+@st.composite
+def _three_to_six_states(draw):
+    n = draw(st.integers(3, 6))
+    m = draw(st.integers(1, 3))
+    delta = [[draw(st.integers(0, n - 1)) for _ in range(m)] for _ in range(n)]
+    return Semiautomaton(["s%d" % i for i in range(n)], "abc"[:m], delta)
+
+
+@settings(deadline=None, max_examples=40)
+@given(_three_to_six_states())
+def test_plan_built_group_is_the_public_cover(A):
+    # a refined factor's group and its cover are built from the closure its
+    # plan made (_group_cover); they are what cover_permutation_by_grouplike
+    # gives on the split's Pi, and that is Pi's own transition group, each
+    # input sent to the element that acts like it
+    steps, last = _chain_steps(A)
+    for B in [step.b for step in steps] + [last]:
+        plan = _plan_factor(B, Caps())
+        if plan.group is None:
+            continue
+        pi = _split(B, *plan.group)[0]
+        G, w = _group_cover(pi, *plan.group)
+        H, v = cover_permutation_by_grouplike(pi)
+        assert (G.table, G.labels, G.identity) == (H.table, H.labels, H.identity)
+        assert (w.upper, w.phi, w.xi) == (v.upper, v.phi, v.xi)
+        assert w.lower is pi and v.lower is pi
+        M = transition_monoid(pi)
+        assert (G.table, G.labels, G.identity) == (M.table, M.labels, M.identity)
+        element = {t.image: k for k, t in enumerate(M.transformations)}
+        columns = map(pi.column, range(pi.n_symbols))
+        assert w.xi == tuple(element[tuple(col.tolist())] for col in columns)
+        assert w.phi == tuple(range(pi.n_states)) and verify_covering(w)

@@ -2,11 +2,12 @@
 
 The expected digests in tree_digests.txt were computed by
 benchmarks/tree_digest.py; a change that alters any node, label or report of
-these automata changes its digest. Of random6 only seeds 0, 4 and 6 are kept,
-the ones krbench's random6 workload runs (one per way the cap path ends), and
-of random8 only seeds 0, 5 and 9 (roots of 56, 2,560 and 384 states), to keep
-the test fast. Every random7 seed is kept: their chains reach 5,040 symbols,
-and random8's 40,320, the widths where a wrong column class would show.
+these automata changes its digest. The file holds all 151 lines, but of
+random6 only seeds 0, 4 and 6 are computed here, the ones krbench's random6
+workload runs (one per way the cap path ends), and of random8 only seeds 0, 5
+and 9 (roots of 56, 2,560 and 384 states), to keep the test fast. Every
+random7 seed is computed: their chains reach 5,040 symbols, and random8's
+40,320, the widths where a wrong column class would show.
 """
 
 import importlib.util
@@ -41,5 +42,5 @@ def test_tree_digests_unchanged():
         if not name.startswith(("random6-", "random8-")) or name in KEPT
     }
     assert len(got) == 137
-    assert sorted(got) == sorted(expected)
-    assert [name for name in got if got[name] != expected[name]] == []
+    assert len(expected) == 151
+    assert [name for name in got if got[name] != expected.get(name)] == []
