@@ -4,8 +4,8 @@
 
 Run from the root of a source checkout; the library is imported from its
 src/ directory. The corpus is the criterion-7 sweep (seeds 0-99), the
-ROADMAP "random n" automata for n = 4 to 8 (seeds 0-9 each) and the
-README example, 151 automata. For each one the digest covers, node by node,
+ROADMAP "random n" automata for n = 4 to 9 (seeds 0-9 each) and the
+README example, 161 automata. For each one the digest covers, node by node,
 the node type, leaf kind and raw-leaf reason, the automaton's state labels,
 symbol labels and table, the witness's phi, xi and both automata's labels
 and the covered table, and the connection omega; then the tree_report JSON
@@ -52,7 +52,7 @@ def random_n(n, seed):
 def corpus():
     for seed in range(100):
         yield "sweep3-%d" % seed, sweep3(seed)
-    for n in (4, 5, 6, 7, 8):
+    for n in (4, 5, 6, 7, 8, 9):
         for seed in range(10):
             yield "random%d-%d" % (n, seed), random_n(n, seed)
     yield "readme", Semiautomaton(

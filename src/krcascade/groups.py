@@ -125,9 +125,14 @@ def normal_closure(G: FiniteGroup, seed) -> frozenset:
     )
 
 
+def _of_group(G: FiniteGroup, H) -> bool:
+    """H holds only elements of G: ints in range(G.order)."""
+    return all(isinstance(x, int) and 0 <= x < G.order for x in H)
+
+
 def is_subgroup(G: FiniteGroup, H) -> bool:
     H = frozenset(H)
-    if G.identity not in H:
+    if G.identity not in H or not _of_group(G, H):
         return False
     return all(G.mul(x, y) in H and G.inv(x) in H for x in H for y in H)
 
@@ -167,7 +172,9 @@ def enumerate_subgroups(G: FiniteGroup, cap: int = SUBGROUP_CAP):
 
 def is_normal(G: FiniteGroup, H) -> bool:
     H = frozenset(H)
-    return all(G.mul(G.mul(g, h), G.inv(g)) in H for g in range((G.order)) for h in H)
+    return _of_group(G, H) and all(
+        G.mul(G.mul(g, h), G.inv(g)) in H for g in range((G.order)) for h in H
+    )
 
 
 def is_simple(G: FiniteGroup, cap: int = SUBGROUP_CAP) -> bool:

@@ -107,21 +107,31 @@ def is_admissible_partition(A: Semiautomaton, P: Partition) -> bool:
     return True
 
 
-def is_admissible_decomposition(A: Semiautomaton, D: Decomposition) -> bool:
+def _containment(A: Semiautomaton, D: Decomposition):
+    """Per column class of A, keyed by its first input, the blocks of D that
+    hold each block's image, in block order: D is admissible when none of
+    these lists is empty."""
     if D.n_states != A.n_states:
         raise InvalidInputError("decomposition is over a different state count")
     sets = [set(b) for b in D.blocks]
-    for col in map(A.column, A._firsts):
-        for block in D.blocks:
-            img = _image_of_block(col, block)
-            if not any(img <= b for b in sets):
-                return False
-    return True
+    contain = {}
+    for c in A._firsts:
+        images = map(_image_of_block, repeat(A.column(c)), D.blocks)
+        contain[c] = [[j for j, b in enumerate(sets) if img <= b] for img in images]
+    return contain
 
 
-def _block_label(A: Semiautomaton, block, idx: int) -> str:
-    lab = "{%s}" % ",".join(map(A.state_labels.__getitem__, block))
-    return clamp_label(lab, "B%d" % idx)
+def is_admissible_decomposition(A: Semiautomaton, D: Decomposition) -> bool:
+    return all(map(all, _containment(A, D).values()))
+
+
+def _block_labels(A: Semiautomaton, blocks) -> tuple:
+    """The state labels of a factor on blocks of A's states: each block's
+    members' labels in braces, clamped to B<position>, repeats renamed."""
+    return _unique_labels(
+        clamp_label("{%s}" % ",".join(map(A.state_labels.__getitem__, b)), "B%d" % i)
+        for i, b in enumerate(blocks)
+    )
 
 
 def p_factor(A: Semiautomaton, P: Partition):
@@ -137,16 +147,9 @@ def p_factor(A: Semiautomaton, P: Partition):
 def _quotient(A: Semiautomaton, P: Partition) -> Semiautomaton:
     """A/P, for a partition P known to be admissible."""
     heads = [block[0] for block in P.blocks]
-    columns = {}
-    for c in A._firsts:
-        col = A.column(c)
-        columns[c] = [P.block_of[col[s]] for s in heads]
-    return Semiautomaton._from_keys(
-        _unique_labels(_block_label(A, b, i) for i, b in enumerate(P.blocks)),
-        A.symbol_labels,
-        columns,
-        A._classes,
-    )
+    columns = {c: [P.block_of[t] for t in map(A.column(c).__getitem__, heads)] for c in A._firsts}
+    labels = _block_labels(A, P.blocks)
+    return Semiautomaton._from_keys(labels, A.symbol_labels, columns, A._classes)
 
 
 def d_factor(A: Semiautomaton, D: Decomposition, choice=None):
@@ -154,34 +157,23 @@ def d_factor(A: Semiautomaton, D: Decomposition, choice=None):
 
     A caller may pass its own choice table [block][symbol] -> block, |D|
     rows of |alphabet| block indices; every entry is still validated
-    against the containment condition. B's column a depends only on A's
-    column class of a and the choice table's column a, so B is built, and
-    the choice validated, once per distinct pair of them.
+    against the containment condition (_containment, which
+    is_admissible_decomposition reads too). B's column a depends only on
+    A's column class of a and the choice table's column a, so B is built,
+    and the choice validated, once per distinct pair of them. The chain
+    builds its factors without a table (pipeline._proof_factor).
     """
-    if D.n_states != A.n_states:
-        raise InvalidInputError("decomposition is over a different state count")
-    sets = [set(b) for b in D.blocks]
-    # per column class, the blocks that contain each block's image, and the
-    # blocks whose image lies in more than one; D is admissible when none
-    # is empty
-    contain, several = {}, {}
-    for c in A._firsts:
-        images = map(_image_of_block, repeat(A.column(c)), D.blocks)
-        contain[c] = blocks = [[j for j, b in enumerate(sets) if img <= b] for img in images]
-        if not all(blocks):
-            raise InvalidInputError("decomposition is not admissible")
-        several[c] = [i for i, js in enumerate(blocks) if len(js) > 1]
+    contain = _containment(A, D)
+    if not all(map(all, contain.values())):
+        raise InvalidInputError("decomposition is not admissible")
+    # per column class, the blocks whose image lies in more than one block
+    several = {c: [i for i, js in enumerate(bs) if len(js) > 1] for c, bs in contain.items()}
     if choice is None:
         keys = A._classes
         columns = {c: [js[0] for js in blocks] for c, blocks in contain.items()}
     else:
         keys, columns = _chosen_columns(A, D.count, choice, contain)
-    B = Semiautomaton._from_keys(
-        _unique_labels(_block_label(A, b, i) for i, b in enumerate(D.blocks)),
-        A.symbol_labels,
-        columns,
-        keys,
-    )
+    B = Semiautomaton._from_keys(_block_labels(A, D.blocks), A.symbol_labels, columns, keys)
     # (block, input) for every block of several under the input's class
     dont_care = frozenset(chain.from_iterable(
         map(product, map(several.__getitem__, A._classes), zip(range(A.n_symbols)))
@@ -247,13 +239,10 @@ def complementary_partition(n_states: int, P: Partition) -> Partition:
 
 
 def _check_complementary(P: Partition, Q: Partition):
-    for pb in P.blocks:
-        pset = set(pb)
-        for qb in Q.blocks:
-            if len(pset & set(qb)) > 1:
-                raise InvalidInputError(
-                    "given complement meets a partition block more than once"
-                )
+    if Q.n_states != P.n_states:
+        raise InvalidInputError("partition is over a different state count")
+    if any(len({Q.block_of[s] for s in pb}) < len(pb) for pb in P.blocks):
+        raise InvalidInputError("given complement meets a partition block more than once")
 
 
 @dataclass
@@ -311,12 +300,7 @@ def _partition_cover(A: Semiautomaton, P: Partition, Q: Partition, B: Semiautoma
         for c, col in a_columns:
             columns_c[i * nsym + c] = [0 if s is None else Q.block_of[col[s]] for s in states]
         keys += map(add, classes, repeat(i * nsym))
-    C = Semiautomaton._from_keys(
-        _unique_labels(_block_label(A, b, j) for j, b in enumerate(Q.blocks)),
-        c_symbols,
-        columns_c,
-        keys,
-    )
+    C = Semiautomaton._from_keys(_block_labels(A, Q.blocks), c_symbols, columns_c, keys)
     omega = tuple(tuple(range(i * nsym, (i + 1) * nsym)) for i in range(B.n_states))
     return C, omega, meets
 
@@ -335,12 +319,13 @@ def yoeli_auxiliary(A: Semiautomaton, D: Decomposition, factor=None) -> YoeliAux
 
     The second component follows the D-factor B, so the partition D* by second
     component is admissible and A*/D* reproduces B's table exactly; phi
-    forgetting the block component makes A* cover A. The witness is built
-    unchecked; verify it before relying on it.
+    forgetting the block component makes A* cover A. A given factor is
+    (B, choice) as d_factor returns it, or (B, None), and B is checked
+    against containment. The witness is built unchecked; verify it first.
     """
-    if factor is None:
-        factor = d_factor(A, D)
-    B, fc = factor
+    if D.n_states != A.n_states:
+        raise InvalidInputError("decomposition is over a different state count")
+    B, _ = d_factor(A, D) if factor is None else factor
     if B.n_states != D.count or B.symbol_labels != A.symbol_labels:
         raise InvalidInputError("factor automaton does not match the decomposition")
     sets = [set(b) for b in D.blocks]
@@ -397,21 +382,21 @@ def cascade_cover_from_decomposition(A: Semiautomaton, D: Decomposition, choice=
 
     The witness is built unchecked; verify it before relying on it.
     """
-    aux, fc, C, omega, phi = _decomposition_cover(A, D, choice)
+    factor = d_factor(A, D, choice)
+    aux, C, omega, phi = _decomposition_cover(A, D, factor)
     product = cascade_product(aux.b_star, C, omega)
     witness = CoveringWitness._from_parts(product, A, phi, tuple(range(A.n_symbols)))
-    return DecompositionCover(aux.b_star, C, omega, product, witness, aux, fc)
+    return DecompositionCover(aux.b_star, C, omega, product, witness, aux, factor[1])
 
 
-def _decomposition_cover(A: Semiautomaton, D: Decomposition, choice):
-    """(aux, fc, C, omega, phi) of cascade_cover_from_decomposition, without
-    the product B*∘C: the partition cover of A* by D*, on the auxiliary's
-    own B* = A*/D*, with phi read on through A* >= A, which forgets the
-    block."""
-    B, fc = d_factor(A, D, choice)
-    aux = yoeli_auxiliary(A, D, (B, fc))
+def _decomposition_cover(A: Semiautomaton, D: Decomposition, factor):
+    """(aux, C, omega, phi) of cascade_cover_from_decomposition on a given
+    D-factor, without the product B*∘C: the partition cover of A* by D*,
+    on the auxiliary's own B* = A*/D*, with phi read on through A* >= A,
+    which forgets the block."""
+    aux = yoeli_auxiliary(A, D, factor)
     Q = complementary_partition(aux.a_star.n_states, aux.d_star)
     C, omega, meets = _partition_cover(aux.a_star, aux.d_star, Q, aux.b_star)
     forget = aux.witness.phi
     phi = tuple(None if k is None else forget[k] for k in chain.from_iterable(meets))
-    return aux, fc, C, omega, phi
+    return aux, C, omega, phi

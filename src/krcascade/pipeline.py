@@ -11,15 +11,16 @@ built through their unchecked bodies, _split, _group_cover and
 _coset_split, which build no product: a cascade step's outer cover reaches
 _substitute as its parts, phi and xi, so the tree builds only its nodes. A
 refined factor's group is closed once, when it is planned
-(_permutation_group), and _group_cover builds it and its cover from that.
+(_permutation_group), and _group_cover builds it, its cover and the split's
+Pi from that: Pi is grouplike(K) read through the cover's xi.
 
 A cascade node's witness is made by _substitute from the inner witnesses and
 the outer cover, and keeps phi as that composition where the node's product
 records its factors; input kinds are read off the flat table
 (Semiautomaton._kinds). Work that depends only on an input's
-column runs once per column class (Semiautomaton._classes): the kinds, the
-proof's choice table, the columns of a split's Pi and R, and the generators
-of every group closure.
+column runs once per column class (Semiautomaton._classes): the kinds, each
+chain step's D-factor (_proof_factor), the columns of a split's Pi and R,
+and the generators of every group closure.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .automata import (
     CoveringWitness,
     Semiautomaton,
     _composed_witness,
-    _rows,
     _substitute,
     _unique_labels,
     cascade_product,
@@ -63,6 +63,7 @@ from .groups import (
 from .partitions import (
     Decomposition,
     Partition,
+    _block_labels,
     _decomposition_cover,
     _quotient,
     complementary_partition,
@@ -207,21 +208,26 @@ def cover_permutation_by_grouplike(pi: Semiautomaton):
             "states do not form the transition group: %d states, group order %d"
             % (pi.n_states, len(group[2]))
         )
-    G, witness = _group_cover(pi, *group)
+    G, w = _group_cover(pi, *group)
+    witness = CoveringWitness._from_parts(w.upper, pi, w.phi, w.xi)
     _require(verify_covering(witness), "grouplike cover of the permutation automaton")
     return G, witness
 
 
-def _group_cover(pi: Semiautomaton, const, perms, elements, index, labels):
-    """(K, the unchecked cover grouplike(K) >= pi) from _permutation_group
-    on pi, or on the automaton that _split made pi from: K's table is read
-    off the closure's elements and its labels are their word labels; phi is
-    the identity, and xi sends an input to its class's permutation, a reset
-    to the identity."""
+def _group_cover(A: Semiautomaton, const, perms, elements, index, labels):
+    """(K, the unchecked cover grouplike(K) >= Pi) from _permutation_group
+    on A: K's table is read off the closure's elements and its labels are
+    their word labels; xi sends an input of A to its class's permutation as
+    an element of K, a reset to the identity, and Pi, the permutation factor
+    of A's split, is grouplike(K) read through xi on A's inputs, so phi is
+    the identity."""
     G = FiniteGroup(FiniteMonoid(labels, _cayley_table(elements, index), 0, check=False))
+    glike = grouplike_of(G)
     xi = {c: index[perms[c].image] if to is None else 0 for c, to in const.items()}
-    xi = tuple(map(xi.__getitem__, pi._classes))
-    return G, CoveringWitness._from_parts(grouplike_of(G), pi, tuple(range(pi.n_states)), xi)
+    columns = {c: glike.column(x) for c, x in xi.items()}
+    pi = Semiautomaton._from_keys(glike.state_labels, A.symbol_labels, columns, A._classes)
+    xi = tuple(map(xi.__getitem__, A._classes))
+    return G, CoveringWitness._from_parts(glike, pi, tuple(range(G.order)), xi)
 
 
 @dataclass
@@ -273,30 +279,26 @@ def split_permutation_reset(A: Semiautomaton, caps: Caps = Caps()) -> PRSplit:
     back by the inverse of the accumulated permutation, and phi replays the
     permutation on top of R's state.
     """
-    pi, r, omega, phi = _split(A, *_permutation_group(A, caps))
+    const, _, elements, _, _ = group = _permutation_group(A, caps)
+    pi = _group_cover(A, *group)[1].lower
+    r, omega, phi = _split(A, pi, const, elements)
     product = cascade_product(pi, r, omega)
     witness = CoveringWitness._from_parts(product, A, phi, tuple(range(A.n_symbols)))
     _require(verify_covering(witness), "permutation-reset split")
     return PRSplit(pi, r, omega, product, witness)
 
 
-def _split(A: Semiautomaton, const, perms, elements, index, labels):
-    """(Pi, R, omega, phi) of split_permutation_reset on
-    _permutation_group(A), without the product Pi∘R."""
+def _split(A: Semiautomaton, pi: Semiautomaton, const, elements):
+    """(R, omega, phi) of split_permutation_reset, without the product
+    Pi∘R, for Pi made by _group_cover from _permutation_group(A)'s const
+    and elements."""
     n, m = A.n_states, A.n_symbols
-    # element labels are rendered words, which can coincide with one another
-    k_labels = _unique_labels(labels)
     nk = len(elements)
 
-    # every column of Pi and every block of R's columns is computed once per
-    # column class of A and shared by the inputs of the class
+    # every block of R's columns is computed once per column class of A and
+    # shared by the inputs of the class
     classes = A._classes
-    columns_pi = dict.fromkeys(const, range(nk))
-    for c, p in perms.items():
-        columns_pi[c] = [index[t.compose(p).image] for t in elements]
-    pi = Semiautomaton._from_keys(k_labels, A.symbol_labels, columns_pi, classes)
-
-    r_symbols = _unique_labels(pair_labels(product(k_labels, A.symbol_labels), "x"))
+    r_symbols = _unique_labels(pair_labels(product(pi.state_labels, A.symbol_labels), "x"))
     # R's symbol (x, a) keeps a permutation input's state and sends a reset
     # to c to c shifted back by the inverse of x: its key is None or that
     # state
@@ -310,7 +312,7 @@ def _split(A: Semiautomaton, const, perms, elements, index, labels):
 
     omega = tuple(tuple(range(x * m, (x + 1) * m)) for x in range(nk))
     phi = tuple(chain.from_iterable(t.image for t in elements))
-    return pi, r, omega, phi
+    return r, omega, phi
 
 
 @dataclass
@@ -390,18 +392,20 @@ class PRChain:
     witness: CoveringWitness
 
 
-def _proof_choice(X: Semiautomaton):
-    """Block targets from the chain theorem's proof: a permutation permutes the
-    complement blocks along itself; anything else resets every block to the
-    lowest block containing the whole image."""
-    n, table, kinds, classes = X.n_states, X._table, X._kinds, X._classes
-    images = {}
+def _proof_factor(X: Semiautomaton, D: Decomposition) -> Semiautomaton:
+    """The D-factor of the chain theorem's proof, for D the (n-1)-subsets of
+    X's states, block i leaving out state i: a permutation permutes the
+    blocks along itself; anything else resets every block to the lowest
+    block containing the whole image. Each column is made once per class."""
+    n, table, kinds = X.n_states, X._table, X._kinds
+    columns = {}
     for c in X._firsts:
-        image = table[c * n:(c + 1) * n].tolist()
+        image = table[c * n:(c + 1) * n]
         if kinds[c] not in _PERMUTATIONS:
             image = [min(set(range(n)).difference(image))] * n
-        images[c] = image
-    return list(_rows(list(map(images.__getitem__, classes)), n))
+        columns[c] = image
+    labels = _block_labels(X, D.blocks)
+    return Semiautomaton._from_keys(labels, X.symbol_labels, columns, X._classes)
 
 
 def _chain_steps(A: Semiautomaton):
@@ -413,7 +417,7 @@ def _chain_steps(A: Semiautomaton):
     while not is_permutation_reset(X):
         n = X.n_states
         D = Decomposition(n, [sorted(set(range(n)) - {i}) for i in range(n)])
-        aux, _, C, omega, phi = _decomposition_cover(X, D, _proof_choice(X))
+        aux, C, omega, phi = _decomposition_cover(X, D, (_proof_factor(X, D), None))
         steps.append(ChainStep(X, aux.b_star, C, omega, phi))
         X = C
     for B in [st.b for st in steps] + [X]:
@@ -621,8 +625,10 @@ def _refine_factor(plan: _Plan, caps: Caps) -> Node:
     B = plan.automaton
     if plan.group is None:
         return reset_to_two_state(B).tree
-    pi, r, omega, phi = _split(B, *plan.group)
-    G, w_g = _group_cover(pi, *plan.group)
+    const, _, elements, _, _ = plan.group
+    G, w_g = _group_cover(B, *plan.group)
+    pi = w_g.lower
+    r, omega, phi = _split(B, pi, const, elements)
     g_tree = grouplike_to_simple_cascade(G, caps, w_g)
     r_tree = reset_to_two_state(r).tree
     sub = _substitute(pi, r, omega, g_tree.witness, r_tree.witness, phi, range(B.n_symbols), B)

@@ -20,6 +20,7 @@ from krcascade import (
     enumerate_subgroups,
     factor_group,
     group_from_table,
+    grouplike_cascade_split,
     is_normal,
     is_simple,
     is_subgroup,
@@ -122,6 +123,31 @@ def test_is_subgroup(klein):
     assert is_subgroup(klein, {0, 1})
     assert not is_subgroup(klein, {0, 1, 2})
     assert not is_subgroup(klein, {1})
+
+
+@pytest.mark.parametrize(
+    "H", [[0, 99], [0, 4], [0, 1.5], [0, 1.0], [0, "a"], [0, None]],
+    ids=["99", "order", "float", "whole-float", "str", "none"],
+)
+def test_sets_outside_the_group_are_no_subgroups(klein, H):
+    # a group's elements are the ints in range(order): any other value
+    # makes no subgroup, and every function that takes one says so
+    assert not is_subgroup(klein, H)
+    assert not is_normal(klein, H)
+    for build in (coset_partition, factor_group, subgroup_as_group, grouplike_cascade_split):
+        with pytest.raises(InvalidInputError, match="^given set is not a subgroup$"):
+            build(klein, H)
+
+
+def test_negative_elements_do_not_wrap():
+    # -1 would index the trivial group's only element, so {0, -1} passed
+    # the closure checks and gave a "subgroup" of order 2
+    trivial = group_from_table([[0]])
+    assert not is_subgroup(trivial, {0, -1})
+    assert not is_normal(trivial, {0, -1})
+    with pytest.raises(InvalidInputError, match="^given set is not a subgroup$"):
+        subgroup_as_group(trivial, {0, -1})
+    assert is_subgroup(trivial, {0}) and is_normal(trivial, {0})
 
 
 def test_subgroup_cap():

@@ -170,6 +170,30 @@ def test_cascade_cover_rejects_bad_complement(seven_state, seven_p):
         cascade_cover_from_partition(seven_state, seven_p, q=bad_q)
 
 
+@pytest.mark.parametrize("n", [3, 9])
+def test_complement_over_another_state_count_is_named(seven_state, seven_p, n):
+    # a given complement over 3 or 9 states, against 7, used to index past
+    # a table or a block map and raise IndexError
+    q = Partition(n, [range(j, n, 3) for j in range(3)])
+    with pytest.raises(InvalidInputError, match="^partition is over a different state count$"):
+        cascade_cover_from_partition(seven_state, seven_p, q=q)
+
+
+@pytest.mark.parametrize(
+    "D",
+    [
+        Decomposition(8, [[5, 6, 7], [0, 1, 2, 3], [3, 4]]),
+        Decomposition(4, [[0, 1], [1, 2], [2, 3]]),
+    ],
+    ids=["8-states", "4-states"],
+)
+def test_yoeli_names_a_decomposition_over_another_state_count(six_state, six_d, D):
+    # with the factor of six_d given, a decomposition over 8 states used to
+    # raise IndexError and one over 4 states a containment fault
+    with pytest.raises(InvalidInputError, match="^decomposition is over a different state count$"):
+        yoeli_auxiliary(six_state, D, factor=d_factor(six_state, six_d))
+
+
 def test_yoeli_auxiliary(six_state, six_d):
     aux = yoeli_auxiliary(six_state, six_d)
     assert aux.states == ((0, 0), (1, 0), (2, 0), (2, 1), (3, 1), (4, 1), (4, 2), (5, 2))

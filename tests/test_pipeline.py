@@ -710,8 +710,8 @@ def _moved(phi, n):
 def _corrupting(build):
     """build, with one phi entry of the cover it returns sent to another
     lower state: the witness of a Substitution or of _group_cover's
-    (G, witness), or the phi of _split's or _coset_split's parts, which is
-    onto the lower states."""
+    (G, witness), or the phi of _split's (R, omega, phi) or _coset_split's
+    (B, C', omega, phi, ...) parts, which is onto the lower states."""
 
     def corrupted(*args, **kwargs):
         out = build(*args, **kwargs)
@@ -720,8 +720,9 @@ def _corrupting(build):
         elif isinstance(out[1], CoveringWitness):
             w = out[1]
         else:
-            phi = out[3]
-            return out[:3] + (_moved(phi, max(v for v in phi if v is not None) + 1),) + out[4:]
+            k = 2 if len(out) == 3 else 3
+            phi = out[k]
+            return out[:k] + (_moved(phi, max(v for v in phi if v is not None) + 1),) + out[k + 1:]
         bad = CoveringWitness(w.upper, w.lower, _moved(w.phi, w.lower.n_states), w.xi, check=False)
         if isinstance(out, automata.Substitution):
             return dataclasses.replace(out, witness=bad)

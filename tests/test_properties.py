@@ -15,6 +15,7 @@ from krcascade import (
     CoveringWitness,
     Decomposition,
     InputClass,
+    InvalidInputError,
     Partition,
     Semiautomaton,
     Transformation,
@@ -30,6 +31,7 @@ from krcascade import (
     direct_product_monoid,
     emit_automaton,
     evaluate_word,
+    is_admissible_decomposition,
     is_permutation,
     is_permutation_reset,
     is_reset,
@@ -48,7 +50,9 @@ from krcascade import (
     yoeli_auxiliary,
 )
 from krcascade.automata import _CONSTANT, _IDENTITY, _OTHER, _PERMUTATION
-from krcascade.pipeline import _chain_steps, _group_cover, _plan_factor, _split
+from krcascade.pipeline import _chain_steps, _group_cover, _plan_factor, _proof_factor
+
+from test_pipeline import random_n
 
 
 @st.composite
@@ -748,24 +752,117 @@ def _three_to_six_states(draw):
 @settings(deadline=None, max_examples=40)
 @given(_three_to_six_states())
 def test_plan_built_group_is_the_public_cover(A):
-    # a refined factor's group and its cover are built from the closure its
-    # plan made (_group_cover); they are what cover_permutation_by_grouplike
-    # gives on the split's Pi, and that is Pi's own transition group, each
-    # input sent to the element that acts like it
+    # a refined factor's group, its cover and the split's Pi are built from
+    # the closure its plan made (_group_cover); Pi is the group acting on
+    # its elements by each permutation input, the public split's Pi, and
+    # the group and cover are what cover_permutation_by_grouplike gives on
+    # it, which is Pi's own transition group, each input sent to the
+    # element that acts like it
     steps, last = _chain_steps(A)
     for B in [step.b for step in steps] + [last]:
         plan = _plan_factor(B, Caps())
         if plan.group is None:
             continue
-        pi = _split(B, *plan.group)[0]
-        G, w = _group_cover(pi, *plan.group)
+        const, perms, elements, index, _ = plan.group
+        G, w = _group_cover(B, *plan.group)
+        pi = w.lower
+        for a, c in enumerate(B._classes):
+            moved = elements if const[c] is not None else [t.compose(perms[c]) for t in elements]
+            assert pi.column(a).tolist() == [index[t.image] for t in moved]
+        assert pi == split_permutation_reset(B).pi
         H, v = cover_permutation_by_grouplike(pi)
         assert (G.table, G.labels, G.identity) == (H.table, H.labels, H.identity)
         assert (w.upper, w.phi, w.xi) == (v.upper, v.phi, v.xi)
-        assert w.lower is pi and v.lower is pi
+        assert v.lower is pi
         M = transition_monoid(pi)
         assert (G.table, G.labels, G.identity) == (M.table, M.labels, M.identity)
         element = {t.image: k for k, t in enumerate(M.transformations)}
         columns = map(pi.column, range(pi.n_symbols))
         assert w.xi == tuple(element[tuple(col.tolist())] for col in columns)
         assert w.phi == tuple(range(pi.n_states)) and verify_covering(w)
+
+
+def _proof_table(X):
+    """The chain proof's choice table, [block][input] -> block, built input
+    by input: block i is every state but i, a bijective column sends block
+    i to block col[i], and any other column sends every block to the
+    lowest state it misses, whose block holds the whole image."""
+    n = X.n_states
+    targets = []
+    for a in range(X.n_symbols):
+        col = X.column(a).tolist()
+        missed = sorted(set(range(n)) - set(col))
+        targets.append(col if not missed else [missed[0]] * n)
+    return [list(row) for row in zip(*targets)]
+
+
+def _assert_proof_factor_is_d_factor(X):
+    n = X.n_states
+    D = Decomposition(n, [[s for s in range(n) if s != i] for i in range(n)])
+    got = _proof_factor(X, D)
+    want, _ = d_factor(X, D, _proof_table(X))
+    assert got.table == want.table
+    assert (got.state_labels, got.symbol_labels) == (want.state_labels, want.symbol_labels)
+    assert (got._classes, got._firsts) == (want._classes, want._firsts)
+
+
+@st.composite
+def _repeated_columns(draw):
+    # 2 to 6 states and 1 to 3 inputs, each input one of a pool of drawn
+    # columns, some of them permutations, so inputs share columns
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(1, 3))
+    column = st.one_of(
+        st.lists(st.integers(0, n - 1), min_size=n, max_size=n), st.permutations(range(n))
+    )
+    pool = draw(st.lists(column, min_size=1, max_size=m))
+    columns = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(m)]
+    return Semiautomaton.from_columns(["s%d" % i for i in range(n)], "abc"[:m], columns)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_repeated_columns())
+def test_proof_factor_is_the_d_factor_of_the_proof_table(X):
+    # the chain's D-factor, made once per column class by _proof_factor,
+    # is d_factor on the proof's choice table made input by input
+    _assert_proof_factor_is_d_factor(X)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_every_chain_step_takes_the_proof_tables_factor(n):
+    sources = [step.source for seed in range(10) for step in _chain_steps(random_n(n, seed))[0]]
+    assert len(sources) >= 10
+    for X in sources:
+        _assert_proof_factor_is_d_factor(X)
+
+
+@st.composite
+def _decompositions(draw):
+    # an automaton of 1 to 5 states and 1 to 3 symbols, and 1 to 4 drawn
+    # blocks with a singleton for every state they leave out
+    A = draw(automata(max_states=5))
+    n = A.n_states
+    blocks = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=4))
+    missed = set(range(n)).difference(*blocks)
+    return A, Decomposition(n, blocks + [{s} for s in sorted(missed)])
+
+
+@settings(deadline=None, max_examples=200)
+@given(_decompositions())
+def test_admissibility_matches_the_definition(case):
+    # D is admissible when, for every input, each block's image lies in
+    # some block: checked here input by input, on sets, against the
+    # containment that is_admissible_decomposition and d_factor share
+    A, D = case
+    blocks = [set(b) for b in D.blocks]
+    admissible = all(
+        any({A.delta[s][a] for s in b} <= c for c in blocks)
+        for a in range(A.n_symbols)
+        for b in blocks
+    )
+    assert is_admissible_decomposition(A, D) == admissible
+    if admissible:
+        d_factor(A, D)
+    else:
+        with pytest.raises(InvalidInputError, match="^decomposition is not admissible$"):
+            d_factor(A, D)
