@@ -676,9 +676,12 @@ class CoveringWitness:
 
     dom, the upper states in the domain of phi in order, is computed on its
     first read and then kept; verify_covering does not read it, so a witness
-    that only gets verified never holds it. _pairs keeps the law pairs of a
-    witness checked by the passes, with the xi, upper and lower they were
-    computed from (_law_violation).
+    that only gets verified never holds it. _pairs keeps what the first
+    check by the passes computed, (xi, upper, lower, law pairs, phi,
+    descent): the law pairs and the law check's descent, with the parts they
+    were computed from, so that a check that follows only compares cells
+    (_law_violation). A witness pickles as its parts and loads keeping
+    neither _pairs nor dom.
 
     The witness of a tree node over a product that records its factors is a
     _ComposedWitness, which keeps phi as its composition (_composed, a
@@ -741,6 +744,13 @@ class CoveringWitness:
             self._dom = dom = tuple(compress(range(len(self.phi)), map(is_not, self.phi, repeat(None))))
         return dom
 
+    def __reduce__(self):
+        # a witness pickles as its parts and loads with no kept check state:
+        # pickle keeps object identity, so a copy would trust a _pairs record
+        # as its own. The upper pickles as a plain automaton, with no record
+        # for a composition to descend, so every copy is flat.
+        return CoveringWitness._from_parts, (self.upper, self.lower, self.phi, self.xi)
+
     def __repr__(self):
         return "CoveringWitness(%d of %d upper states onto %d lower states)" % (
             len(self.phi) - self.phi.count(None),
@@ -768,11 +778,6 @@ class _ComposedWitness(CoveringWitness):
     @property
     def phi(self) -> tuple:
         return self._composed.expand()
-
-    def __reduce__(self):
-        # the upper pickles as a plain automaton, with no record for the
-        # composition to descend, so the copy is flat
-        return CoveringWitness._from_parts, (self.upper, self.lower, self.phi, self.xi)
 
 
 def _composed_witness(product, lower, keys, rows, w_v: CoveringWitness, xi) -> CoveringWitness:
@@ -819,29 +824,35 @@ def _law_violation(w: CoveringWitness):
     phi(s·xi(a)) != phi(s)·a; leaving the domain of phi counts. None if none.
 
     A witness of _SYMBOL_PASS_CELLS cells (lower symbols times upper states)
-    or more is checked by the passes of _lawcheck on the one descent made
-    here, and scanned state by state only after a failure, to name the
-    first site. There is one pass per pair of _law_pairs, and two symbols
-    with the same pair compare cells of the same contents, so skipping the
-    second is exact. The pairs are computed on the witness's first check
-    and kept on it with the xi, upper and lower they were computed from,
-    and computed again when any of those is no longer the same object; they
-    depend on column contents only, and every check runs its passes in
-    full. Where the witness keeps phi composed, the descent follows the
+    or more is checked by the passes of _lawcheck on one descent, and
+    scanned state by state only after a failure, to name the first site.
+    There is one pass per pair of _law_pairs, and two symbols with the same
+    pair compare cells of the same contents, so skipping the second is
+    exact. Where the witness keeps phi composed, the descent follows the
     upper's record and a pass compares each distinct block of phi once,
     which is exact too; a flat phi takes one pass per pair over the upper's
     own table. A composed phi has _FACTORED_STATES upper states or more, so
     it takes the passes wherever there is a lower symbol to check, and is
     expanded only to name a failing site.
+
+    The pairs and the descent are computed on the witness's first check and
+    kept on it in _pairs as (xi, upper, lower, pairs, phi, descent), phi
+    being w._composed or w.phi; they are a function of those parts alone,
+    and are computed again when any of xi, upper, lower or phi is no longer
+    the same object. Every check runs the passes in full: they read the
+    table where the descent stopped and the lower's table afresh and compare
+    every cell, so a repeat check gets the verdict, reason and site of the
+    first.
     """
     xi, upper, lower = w.xi, w.upper, w.lower
     if len(xi) * upper.n_states < _SYMBOL_PASS_CELLS:
         return _lawcheck.first_failure(w)
-    kept = w._pairs
-    if kept is None or kept[0] is not xi or kept[1] is not upper or kept[2] is not lower:
-        w._pairs = kept = xi, upper, lower, _law_pairs(w)
-    descent = _lawcheck.descend(upper, w._composed or w.phi, kept[3])
-    if _lawcheck.passes(lower, descent):
+    kept, phi = w._pairs, w._composed or w.phi
+    if (kept is None or kept[0] is not xi or kept[1] is not upper or kept[2] is not lower
+            or kept[4] is not phi):
+        pairs = _law_pairs(w)
+        w._pairs = kept = xi, upper, lower, pairs, phi, _lawcheck.descend(upper, phi, pairs)
+    if _lawcheck.passes(lower, kept[5]):
         return None
     return _lawcheck.first_failure(w)
 
@@ -877,8 +888,10 @@ def verify_covering(w: CoveringWitness) -> VerificationResult:
     an entry of phi out of range, a law site. The states phi covers are
     read by _lawcheck.values, off the composition of phi where the witness
     keeps one, which reads no entry of phi, and off set(phi) otherwise; the
-    law is _law_violation's, which makes at most one descent of the law
-    check (_lawcheck.descend). A composed phi is expanded only to name a
+    law is _law_violation's. The first check of a witness makes the one
+    descent of the law check (_lawcheck.descend) and keeps it on the
+    witness; a check that follows, with the same parts, makes none and
+    compares every cell again. A composed phi is expanded only to name a
     failure.
     """
     upper, lower = w.upper, w.lower

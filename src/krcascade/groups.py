@@ -125,14 +125,19 @@ def normal_closure(G: FiniteGroup, seed) -> frozenset:
     )
 
 
-def _of_group(G: FiniteGroup, H) -> bool:
-    """H holds only elements of G: ints in range(G.order)."""
-    return all(isinstance(x, int) and 0 <= x < G.order for x in H)
+def _elements(G: FiniteGroup, H):
+    """H as a frozenset, or None unless H holds only elements of G: ints in
+    range(G.order). Any other value, an unhashable one too, is checked
+    before H is hashed."""
+    H = tuple(H)
+    if all(isinstance(x, int) and 0 <= x < G.order for x in H):
+        return frozenset(H)
+    return None
 
 
 def is_subgroup(G: FiniteGroup, H) -> bool:
-    H = frozenset(H)
-    if G.identity not in H or not _of_group(G, H):
+    H = _elements(G, H)
+    if H is None or G.identity not in H:
         return False
     return all(G.mul(x, y) in H and G.inv(x) in H for x in H for y in H)
 
@@ -171,8 +176,8 @@ def enumerate_subgroups(G: FiniteGroup, cap: int = SUBGROUP_CAP):
 
 
 def is_normal(G: FiniteGroup, H) -> bool:
-    H = frozenset(H)
-    return _of_group(G, H) and all(
+    H = _elements(G, H)
+    return H is not None and all(
         G.mul(G.mul(g, h), G.inv(g)) in H for g in range((G.order)) for h in H
     )
 
@@ -232,8 +237,8 @@ class CosetPartition:
 
 
 def coset_partition(G: FiniteGroup, H) -> CosetPartition:
-    H = frozenset(H)
-    if not is_subgroup(G, H):
+    H = _elements(G, H)
+    if H is None or not is_subgroup(G, H):
         raise InvalidInputError("given set is not a subgroup")
     cosets = [None] * G.order
     transversal = []
@@ -250,9 +255,8 @@ def coset_partition(G: FiniteGroup, H) -> CosetPartition:
 
 def factor_group(G: FiniteGroup, H) -> FiniteGroup:
     """G/H for a normal subgroup H, elements indexed like coset_partition's blocks."""
-    H = frozenset(H)
     cp = coset_partition(G, H)
-    if not is_normal(G, H):
+    if not is_normal(G, cp.subgroup):
         raise InvalidInputError("factor group needs a normal subgroup")
     s = cp.count
     table = [
@@ -268,8 +272,8 @@ def factor_group(G: FiniteGroup, H) -> FiniteGroup:
 
 def subgroup_as_group(G: FiniteGroup, H):
     """H as a group in its own right; returns (group, ascending global element indices)."""
-    H = frozenset(H)
-    if not is_subgroup(G, H):
+    H = _elements(G, H)
+    if H is None or not is_subgroup(G, H):
         raise InvalidInputError("given set is not a subgroup")
     elems = sorted(H)
     local = {x: i for i, x in enumerate(elems)}

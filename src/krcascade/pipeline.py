@@ -672,7 +672,9 @@ def verify_tree(tree: Node, sim_len: int = 6):
 
     krohn_rhodes_decompose has already verified each node witness once, where
     the node was made; verify_tree replays those checks on a tree from
-    anywhere, and io.tree_report builds its report from this one call.
+    anywhere, and io.tree_report builds its report from this one call. A
+    replayed check reuses the law pairs and descent its witness kept from
+    the first (automata._law_violation), and compares every cell again.
     """
     results = [(node, verify_covering(node.witness)) for node in iter_nodes(tree)]
     return all(res for _, res in results), results

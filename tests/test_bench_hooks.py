@@ -178,8 +178,9 @@ def _mutants(w, rng):
     """Copies of the verified witness w: one phi entry, one xi entry or one
     cell of the lower table changed; where phi is composed, one entry of
     one row map or of the inner phi changed; and copies made after w was
-    checked once, so that they keep its law pairs, with xi or the lower
-    replaced."""
+    checked once, so that they keep its law pairs and descent, with xi, the
+    lower or phi replaced: a composed phi by the one with a row map entry
+    changed, a flat one by the one with one entry changed."""
     n, m = w.lower.n_states, w.upper.n_symbols
     phi, xi = list(w.phi), list(w.xi)
     phi[rng.randrange(len(phi))] = rng.choice([None] + list(range(n)))
@@ -194,6 +195,7 @@ def _mutants(w, rng):
         CoveringWitness._from_parts(w.upper, w.lower, w.phi, xi),
         CoveringWitness._from_parts(w.upper, lower, w.phi, w.xi),
     ]
+    replaced = [("xi", xi), ("lower", lower), ("phi", tuple(phi))]
     c = w._composed
     if c is not None:
         inner = c.inner
@@ -205,14 +207,16 @@ def _mutants(w, rng):
             inner = list(inner)
             inner[rng.randrange(len(inner))] = rng.choice(values)
             inner = tuple(inner)
-        for changed in (_changed_row(c, [None] + list(range(n)), rng),
-                        _lawcheck.Composed(c.keys, c.rows, inner)):
-            out.append(automata._ComposedWitness(w.upper, w.lower, changed, w.xi))
+        changed = [_changed_row(c, [None] + list(range(n)), rng),
+                   _lawcheck.Composed(c.keys, c.rows, inner)]
+        for composed in changed:
+            out.append(automata._ComposedWitness(w.upper, w.lower, composed, w.xi))
+        replaced[-1] = ("_composed", changed[0])
     assert verify_covering(w)
-    for new_xi, new_lower in ((xi, w.lower), (w.xi, lower)):
+    for name, value in replaced:
         kept = object.__new__(type(w))
         vars(kept).update(vars(w))
-        kept.xi, kept.lower = new_xi, new_lower
+        setattr(kept, name, value)
         out.append(kept)
     return out
 
@@ -243,9 +247,9 @@ def test_mutant_verdicts_match_the_reference_checker(mutant_start, drawn, seed):
     # and with every product recording its factors and every witness checked
     # by the passes, where node witnesses keep phi composed and a changed
     # phi is flat over a recorded upper; the copies made after a check meet
-    # the kept law pairs. The mutants are drawn from a seeded generator, so
-    # that an example that returns at once once the budget is spent draws
-    # what it would have drawn.
+    # the kept law pairs and descent. The mutants are drawn from a seeded
+    # generator, so that an example that returns at once once the budget is
+    # spent draws what it would have drawn.
     n, columns = drawn
     if not columns or time.process_time() - mutant_start > MUTANT_BUDGET_S:
         return

@@ -126,12 +126,13 @@ def test_is_subgroup(klein):
 
 
 @pytest.mark.parametrize(
-    "H", [[0, 99], [0, 4], [0, 1.5], [0, 1.0], [0, "a"], [0, None]],
-    ids=["99", "order", "float", "whole-float", "str", "none"],
+    "H", [[0, 99], [0, 4], [0, 1.5], [0, 1.0], [0, "a"], [0, None], [0, [1]]],
+    ids=["99", "order", "float", "whole-float", "str", "none", "unhashable"],
 )
 def test_sets_outside_the_group_are_no_subgroups(klein, H):
-    # a group's elements are the ints in range(order): any other value
-    # makes no subgroup, and every function that takes one says so
+    # a group's elements are the ints in range(order): any other value,
+    # an unhashable one too, makes no subgroup, and every function that
+    # takes one says so rather than raising TypeError
     assert not is_subgroup(klein, H)
     assert not is_normal(klein, H)
     for build in (coset_partition, factor_group, subgroup_as_group, grouplike_cascade_split):

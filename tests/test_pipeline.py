@@ -1,6 +1,5 @@
 """The decomposition pipeline end to end, from input classes to the full tree."""
 
-import copy
 import dataclasses
 import json
 import pickle
@@ -1134,21 +1133,138 @@ def test_factored_law_check_finds_a_change_in_a_repeated_block(random6_root_witn
     assert got[1].startswith("covering law fails at state ")
 
 
-def test_verify_covering_descends_once(monkeypatch, random6_root_witness):
-    # one check of a recorded product's witness runs the descent once, for
-    # the law's passes, and the witness keeps none of it
-    w = random6_root_witness
-    calls = []
-    descend = _lawcheck.descend
+def _unchecked(w):
+    """A witness made from w's parts, of w's kind, that keeps no check."""
+    if w._composed is None:
+        return CoveringWitness._from_parts(w.upper, w.lower, w.phi, w.xi)
+    return automata._ComposedWitness(w.upper, w.lower, w._composed, w.xi)
 
-    def counted(X, phi, pairs):
-        calls.append(X)
+
+def _checked_copy(w):
+    """A copy of w with all it keeps, the record of its last check too."""
+    kept = object.__new__(type(w))
+    vars(kept).update(vars(w))
+    return kept
+
+
+def _counted_law_check(monkeypatch):
+    """The descents the law check makes, as their uppers, and the cells
+    each run of its passes compares, both in call order."""
+    descents, cells = [], []
+    descend, passes = _lawcheck.descend, _lawcheck.passes
+
+    def counted_descend(X, phi, pairs):
+        descents.append(X)
         return descend(X, phi, pairs)
 
-    monkeypatch.setattr(_lawcheck, "descend", counted)
+    def counted_passes(lower, descent):
+        _, tasks, blocks = descent
+        cells.append(sum(len(blocks[src]) - blocks[src].count(None) for _, src, _, _ in tasks))
+        return passes(lower, descent)
+
+    monkeypatch.setattr(_lawcheck, "descend", counted_descend)
+    monkeypatch.setattr(_lawcheck, "passes", counted_passes)
+    return descents, cells
+
+
+def test_verify_covering_descends_once(monkeypatch, random6_root_witness):
+    # the first check of a recorded product's witness descends once and
+    # keeps the descent with its law pairs; a check that follows descends
+    # zero times and still runs the passes; xi, the upper, the lower or the
+    # composition of phi replaced in place by an equal new object gets one
+    # descent more
+    root = random6_root_witness
+    w = _unchecked(root)
+    descents, cells = _counted_law_check(monkeypatch)
+    assert verify_covering(w) and descents == [w.upper] and len(cells) == 1
+    assert verify_covering(w) and len(descents) == 1 and len(cells) == 2
+    c = root._composed
+    parts = [
+        ("xi", tuple(list(root.xi))),
+        ("upper", automata._product(*root.upper._factors)),
+        ("lower", pickle.loads(pickle.dumps(root.lower))),
+        ("_composed", _lawcheck.Composed(c.keys, c.rows, c.inner)),
+    ]
+    for k, (name, value) in enumerate(parts, 2):
+        assert value is not getattr(w, name)
+        setattr(w, name, value)
+        assert verify_covering(w) and len(descents) == k and descents[-1] is w.upper
+        assert verify_covering(w) and len(descents) == k
+    assert len(cells) == 2 + 2 * len(parts)
+
+
+def test_repeat_check_compares_every_cell(monkeypatch, random6_root_witness):
+    # a check that reuses the kept descent still compares each cell the
+    # first check compared: 17,280 on the random-6 seed-0 root, both times
+    w = _unchecked(random6_root_witness)
+    descents, cells = _counted_law_check(monkeypatch)
+    assert verify_covering(w) and verify_covering(w)
+    assert len(descents) == 1 and cells == [17_280, 17_280]
+
+
+def test_replacing_a_checked_part_gives_a_fresh_verdict():
+    # xi, the upper, the lower or the composition of phi replaced in place
+    # on a checked witness, each by a changed one: the check gets the
+    # verdict, reason and site of a fresh witness made from the same parts,
+    # where the kept law pairs and descent would miss the change
+    w = krohn_rhodes_decompose(random_n(5, 1)).witness
+    assert type(w) is automata._ComposedWitness and verify_covering(w)
+    rng = random.Random(5)
+    classes = w.upper._classes
+    x = next(x for x in range(w.upper.n_symbols) if classes[x] != classes[w.xi[0]])
+    A, B, connection = w.upper._factors
+
+    def changed_upper(b, u):
+        columns = [list(A.column(a)) for a in range(A.n_symbols)]
+        columns[b][u] = (columns[b][u] + 1) % A.n_states
+        Y = Semiautomaton.from_columns(A.state_labels, A.symbol_labels, columns)
+        return automata._product(Y, B, connection)
+    # the first cell of the upper's left factor whose change breaks the law
+    upper = next(Y for Y in (changed_upper(b, u) for b in range(A.n_symbols)
+                             for u in range(A.n_states))
+                 if not verify_covering(automata._ComposedWitness(Y, w.lower, w._composed, w.xi)))
+    L = w.lower
+    columns = [list(L.column(b)) for b in range(L.n_symbols)]
+    v = next(v for v in w.phi if v is not None)
+    columns[0][v] = (columns[0][v] + 1) % L.n_states
+    lower = Semiautomaton.from_columns(L.state_labels, L.symbol_labels, columns)
+    c = w._composed
+    rows = dict(enumerate(c.rows)) if isinstance(c.rows, list) else dict(c.rows)
+    key = rng.choice(sorted(k for k in set(c.keys) if k is not None))
+    row = list(rows[key])
+    p = next(p for p, v in enumerate(row) if v is not None)
+    row[p] = (row[p] + 1) % L.n_states
+    rows[key] = tuple(row)
+    parts = [("xi", (x,) + w.xi[1:]), ("upper", upper), ("lower", lower),
+             ("_composed", _lawcheck.Composed(c.keys, rows, c.inner))]
+    for name, value in parts:
+        kept = _checked_copy(w)
+        setattr(kept, name, value)
+        got, want = verify_covering(kept), verify_covering(_unchecked(kept))
+        assert not got.ok, name
+        assert (got.reason, got.site) == (want.reason, want.site)
+        xi, upper, lower, _, phi, _ = kept._pairs
+        assert (xi, upper, lower, phi) == (kept.xi, kept.upper, kept.lower, kept._composed)
+
+
+def test_pickled_witness_keeps_no_check():
+    # a checked witness pickles as its parts: a copy loads with no kept law
+    # pairs, descent or domain, so a pickle whose kept check was forged to
+    # hold no law pair and no task gets the verdict, reason and site of a
+    # fresh copy, on a witness with one phi entry changed
+    root = krohn_rhodes_decompose(random_n(5, 1)).witness
+    phi = list(root.phi)
+    s = random.Random(1).choice([s for s, v in enumerate(phi) if v is not None])
+    phi[s] = (phi[s] + 1) % root.lower.n_states
+    w = CoveringWitness._from_parts(root.upper, root.lower, tuple(phi), root.xi)
+    want = verify_covering(w)
+    assert not want.ok and w._pairs is not None and w.dom
+    w._pairs = w._pairs[:3] + (set(), w.phi, (w.upper, set(), [w.phi]))
     assert verify_covering(w)
-    assert calls == [w.upper]
-    assert not hasattr(w, "_descent")
+    back = pickle.loads(pickle.dumps(w))
+    assert back._pairs is None and back._dom is None
+    got = verify_covering(back)
+    assert (got.ok, got.reason, got.site) == (want.ok, want.reason, want.site)
 
 
 def test_unrecorded_copies_take_the_flat_pass():
@@ -1236,7 +1352,7 @@ def test_kept_law_pairs_follow_a_replaced_xi_or_lower():
     columns[a][v] = (columns[a][v] + 1) % L.n_states
     lower = Semiautomaton.from_columns(L.state_labels, L.symbol_labels, columns)
     for name, value in (("xi", xi), ("lower", lower)):
-        c = copy.copy(w)
+        c = _checked_copy(w)
         setattr(c, name, value)
         got = verify_covering(c)
         fresh = CoveringWitness(c.upper, c.lower, c.phi, c.xi, check=False)
