@@ -126,12 +126,7 @@ def _first_check(w):
     check: the witness keeps nothing of an earlier one. A composed phi is
     the same _lawcheck.Composed each time, which keeps the values of its
     inner phi once computed."""
-    if w._composed is None:
-        fresh = [CoveringWitness._from_parts(w.upper, w.lower, w.phi, w.xi)
-                 for _ in range(REPEATS)]
-    else:
-        fresh = [automata._ComposedWitness(w.upper, w.lower, w._composed, w.xi)
-                 for _ in range(REPEATS)]
+    fresh = [CoveringWitness._from_parts(w.upper, w.lower, w._phi, w.xi) for _ in range(REPEATS)]
     return least_time(lambda: verify_covering(fresh.pop()), "a node witness fails verify_covering")
 
 
@@ -141,8 +136,8 @@ def witness_entry(w):
     passes_path = len(w.xi) * w.upper.n_states >= automata._SYMBOL_PASS_CELLS
     flat = unrecorded(w.upper)
     flat_cells, flat_s = passes(w, flat, w.phi, pairs)
-    phi = w.phi if w.upper._factors is None else w._composed
-    if phi is None:
+    phi = w._phi
+    if w.upper._factors is not None and not isinstance(phi, _lawcheck.Composed):
         raise SystemExit("a node witness over a recorded product keeps no composition of phi")
     cells, took = passes(w, w.upper, phi, pairs)
     flat_verify_s = verify(CoveringWitness._from_parts(flat, w.lower, w.phi, w.xi))

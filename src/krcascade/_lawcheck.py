@@ -6,16 +6,15 @@ A_x(u)·|B| + B_k(v), k = connection[x][u]. So the law's comparisons over
 phi's block of |B| states at u, under x and lower symbol a, read the block
 at A_x(u) through B's column k, and depend only on the triple (k, block at
 u, block at A_x(u)): each distinct triple is checked once. descend carries
-the tasks down the records while phi is a Composed, the phi of a tree
-node's witness kept as the record of how it was composed, which splits
-where the upper's record does. Down a Composed, every block of a level is a
-row map over the same inner phi, so a block's contents are told apart by
-its row map at the values of that inner phi, and no entry of phi is read;
-only the deepest distinct blocks, which passes reads, are expanded. passes
-checks what is left: a pass over the column of the automaton where the
-descent stopped, cell by cell, per task. A flat phi is one block on its
-upper's own table, which is the flat pass over the whole of phi, once per
-law pair.
+the tasks down the upper's record while phi is a Composed, the record of
+how a tree node's phi was composed, split as the upper's record is. Down a
+Composed, every block of a level is a row map over the same inner phi, so
+a block's contents are told apart by its row map at the values of that
+inner phi, and no entry of phi is read. Where the descent stops, the
+distinct blocks are expanded and passes checks them cell by cell on that
+level's own table; a flat phi is one block on its upper's table, the flat
+pass over the whole of phi, once per law pair. So every phi over every
+upper gets an exact verdict.
 
 A descent depends only on the upper, phi and the law pairs, so a witness
 makes it on its first check and keeps it, and every check that follows runs
@@ -58,6 +57,9 @@ class Composed:
                 _through(rows[k], inner) for k in self.keys))
         return flat
 
+    def __len__(self) -> int:
+        return len(self.keys) * len(self.inner)
+
     def inner_values(self) -> list:
         """The entries of inner but None, sorted: computed once, then kept."""
         found = self._inner_values
@@ -81,9 +83,9 @@ def values(phi) -> set:
 
 def _through(row, entries):
     """The entries mapped by the row map row, None to None, as an iterator;
-    row None maps every entry to itself."""
+    row None gives the entries back as they are."""
     if row is None:
-        return iter(entries)
+        return entries
     image = dict(enumerate(row))
     image[None] = None
     return map(image.__getitem__, entries)
@@ -91,29 +93,30 @@ def _through(row, entries):
 
 def descend(X, phi, pairs):
     """The law check's tasks on phi for the law pairs, carried down the
-    records of X while phi is a Composed: (Y, tasks, blocks), Y the
-    automaton of the level where the descent stops, whose table passes
-    reads.
+    records of X: (Y, tasks, blocks), Y the automaton of the level where the
+    descent stops, whose table passes reads.
 
     A task (x, src, dst, a) asks the law of the blocks src and dst of phi at
     the current level, src read at the states of its domain and dst at
     their images under x. It starts as one task per pair on the whole of
     phi, and each level of records splits it into the tasks of its blocks.
 
-    A flat phi is one block on X itself. Down a Composed phi, the blocks of
-    a level are row maps over the level's inner phi, the whole of phi being
-    the identity map (None) over phi itself; a Composed splits where its
-    upper's record does, so the descent stops where the inner phi is flat,
-    and the blocks are expanded there."""
-    tasks = {(x, 0, 0, a) for x, a in pairs}
-    if not isinstance(phi, Composed):
-        return X, tasks, [phi]
-    blocks, inner = [None], phi
-    while isinstance(inner, Composed):
-        A, X, connection = X._factors
-        tasks, blocks = _split(A, connection, tasks, blocks, inner)
-        inner = inner.inner
-    return X, tasks, [tuple(_through(r, inner)) for r in blocks]
+    The blocks of a level are row maps over the level's phi, the whole of
+    phi being the identity map (None) over phi itself. The descent goes down
+    a level while that phi is a Composed and X records factors (A, B,
+    connection) with |A| = len(keys) and |B| = len(inner), and goes on with
+    B and inner. Where it stops, the level's phi and the blocks over it are
+    expanded."""
+    tasks, blocks = {(x, 0, 0, a) for x, a in pairs}, [None]
+    while isinstance(phi, Composed) and X._factors is not None:
+        A, B, connection = X._factors
+        if A._n != len(phi.keys) or B._n != len(phi.inner):
+            break
+        tasks, blocks = _split(A, connection, tasks, blocks, phi)
+        X, phi = B, phi.inner
+    if isinstance(phi, Composed):
+        phi = phi.expand()
+    return X, tasks, [tuple(_through(r, phi)) for r in blocks]
 
 
 def _split(A, connection, tasks, blocks, inner):
@@ -187,7 +190,8 @@ def first_failure(w):
     """The first (s, a), domain states in order and then lower symbols, where
     the law fails on the witness w, or None: a scan of the domain states in
     order, each over all lower symbols."""
-    phi, xi, upper, lower = w.phi, w.xi, w.upper, w.lower
+    phi, xi, upper, lower = w._phi, w.xi, w.upper, w.lower
+    phi = phi.expand() if isinstance(phi, Composed) else phi
     cells, nu, images, nl = upper._table, upper._n, lower._table, lower._n
     # s is counted by hand: most calls are on witnesses of two to four
     # states, where enumerate's pair per state costs a tenth of the scan

@@ -35,8 +35,9 @@ _STATE_LIMIT = 2 ** (8 * _CELL_BYTES - 1)
 # total over them is lowest from 256 to 384 cells, and over the random-5
 # ones 12% higher at 1 cell and 9% higher at 512; with the passes at every
 # size, krbench's sweep3-replay verify_s nearly doubles (0.0034 to 0.0065
-# s). It stays at most _FACTORED_STATES, so that a composed phi takes the
-# passes and is never expanded by the scan.
+# s). Both paths are exact on any phi; it stays at most _FACTORED_STATES
+# for speed, so that a tree node's composed phi takes the passes and is
+# never expanded by the scan.
 _SYMBOL_PASS_CELLS = 256
 # The smallest product that records its factors for the law check. Timed
 # over the node witnesses of random-5 seeds 0-9 and random-6 seeds 0, 4 and
@@ -660,82 +661,69 @@ class CoveringWitness:
 
     phi: per upper state, a lower-state index or None (None = outside the domain).
     xi: per lower symbol, an upper symbol index.
-    Construction normalizes phi and xi and checks their lengths and ranges;
-    with check=True it then runs verify_covering, the one checker of a
-    covering, and raises WitnessError with its reason when the witness does
-    not verify. check=False builds the witness without that call, for one
-    that gets verified later anyway.
+    Construction normalizes phi and xi and checks phi's range, then the
+    lengths of phi and xi and xi's range (_parts_fault); with check=True it
+    then runs verify_covering, the one checker of a covering, and raises
+    WitnessError with its reason when the witness does not verify.
+    _from_parts makes a witness of parts the library derived, kept as they
+    are, with only the second checks (_set, the body both share). Such a
+    witness is verified only where the library relies on it: at a tree
+    node, by a public wrapper or by compose_coverings.
 
-    _from_parts builds a witness from phi and xi tuples whose entries are
-    already normalized: it keeps the length checks and the xi range check,
-    and skips the pass that normalizes phi and checks its range. Every
-    witness the library derives is made so (a parsed one goes through the
-    constructor), and is verified only where the library relies on it: at a
-    tree node, by a public wrapper or by compose_coverings. verify_covering's
-    covered == set(range(n)) test proves that phi is onto and in range.
+    phi is kept as given in _phi, a tuple or a _lawcheck.Composed: a tree
+    node's witness over a product that records its factors keeps the record
+    of its composition (_substitute), which the law check follows down the
+    product's record. Reading phi gives the tuple, which a Composed builds
+    once. A part (upper, lower, phi or xi) set on a made witness is checked
+    as it is set, and what does not fit is kept in _fault, which
+    verify_covering reports: every witness as it stands gets a verdict.
 
     dom, the upper states in the domain of phi in order, is computed on its
-    first read and then kept; verify_covering does not read it, so a witness
-    that only gets verified never holds it. _pairs keeps what the first
-    check by the passes computed, (xi, upper, lower, law pairs, phi,
-    descent): the law pairs and the law check's descent, with the parts they
-    were computed from, so that a check that follows only compares cells
-    (_law_violation). A witness pickles as its parts and loads keeping
-    neither _pairs nor dom.
-
-    The witness of a tree node over a product that records its factors is a
-    _ComposedWitness, which keeps phi as its composition (_composed, a
-    _lawcheck.Composed) and builds the tuple only on the first read of phi;
-    the law check follows the product's record through that composition.
-    Any other witness has a flat phi and _composed None, and its law is
-    checked on the upper's own table, which a product that records its
-    factors builds on that first read.
+    first read and then kept. _pairs keeps the law pairs and the descent of
+    the first check by the passes, with the parts they came from (see
+    _law_violation). A witness pickles as its parts, phi as the tuple, and
+    loads keeping neither _pairs nor dom.
     """
 
-    _composed = None
-
     def __init__(self, upper: Semiautomaton, lower: Semiautomaton, phi, xi, check=True):
-        self.upper = upper
-        self.lower = lower
-        self._dom = self._pairs = None
         phi = tuple(phi)
         image = {v: None if v is None else int(v) for v in set(phi)}
-        self.phi = tuple(map(image.__getitem__, phi))
-        self.xi = tuple(map(int, xi))
-        if len(self.phi) != upper.n_states:
-            raise WitnessError("phi needs one entry per upper state")
-        if len(self.xi) != lower.n_symbols:
-            raise WitnessError("xi needs one entry per lower symbol")
-        covered = set(image.values()) - {None}
-        if covered and not (0 <= min(covered) and max(covered) < lower.n_states):
-            for v in self.phi:
-                if v is not None and not 0 <= v < lower.n_states:
-                    raise WitnessError("phi image %d out of range" % v)
-        self._check_xi_range()
+        phi = tuple(map(image.__getitem__, phi))
+        bad = set(image.values()).difference(range(lower.n_states), (None,))
+        if bad:
+            raise WitnessError("phi image %d out of range" % next(v for v in phi if v in bad))
+        self._set(upper, lower, phi, tuple(map(int, xi)))
         if check:
             result = verify_covering(self)
             if not result:
                 raise WitnessError(result.reason)
 
     @classmethod
-    def _from_parts(cls, upper: Semiautomaton, lower: Semiautomaton, phi: tuple, xi: tuple):
-        """The witness with these phi and xi tuples, kept as they are."""
+    def _from_parts(cls, upper: Semiautomaton, lower: Semiautomaton, phi, xi: tuple):
         self = cls.__new__(cls)
-        self.upper, self.lower, self.phi, self.xi = upper, lower, phi, xi
-        self._dom = self._pairs = None
-        if len(phi) != upper.n_states:
-            raise WitnessError("phi needs one entry per upper state")
-        if len(xi) != lower.n_symbols:
-            raise WitnessError("xi needs one entry per lower symbol")
-        self._check_xi_range()
+        self._set(upper, lower, phi, xi)
         return self
 
-    def _check_xi_range(self):
-        xi, m = self.xi, self.upper.n_symbols
-        if xi and not (0 <= min(xi) and max(xi) < m):
-            for x in xi:
-                if not 0 <= x < m:
-                    raise WitnessError("xi image %d out of range" % x)
+    def _set(self, upper, lower, phi, xi):
+        parts = vars(self)
+        parts.update(upper=upper, lower=lower, _phi=phi, xi=xi, _dom=None, _pairs=None)
+        fault = parts["_fault"] = _parts_fault(self)
+        if fault is not None:
+            raise WitnessError(fault)
+
+    def __setattr__(self, name, value):
+        # phi is kept in _phi as it is set. A part set on a made witness is
+        # checked here, once, so that a check reads only the fault kept in
+        # _fault; dom is made again
+        name = "_phi" if name == "phi" else name
+        object.__setattr__(self, name, value)
+        if name in _PARTS:
+            vars(self).update(_fault=_parts_fault(self), _dom=None)
+
+    @property
+    def phi(self) -> tuple:
+        phi = self._phi
+        return phi.expand() if isinstance(phi, _lawcheck.Composed) else phi
 
     @property
     def dom(self) -> tuple:
@@ -748,47 +736,41 @@ class CoveringWitness:
         # a witness pickles as its parts and loads with no kept check state:
         # pickle keeps object identity, so a copy would trust a _pairs record
         # as its own. The upper pickles as a plain automaton, with no record
-        # for a composition to descend, so every copy is flat.
+        # of factors, so phi pickles as the tuple.
         return CoveringWitness._from_parts, (self.upper, self.lower, self.phi, self.xi)
 
     def __repr__(self):
         return "CoveringWitness(%d of %d upper states onto %d lower states)" % (
-            len(self.phi) - self.phi.count(None),
-            self.upper.n_states,
-            self.lower.n_states,
-        )
+            len(self.phi) - self.phi.count(None), self.upper.n_states, self.lower.n_states)
 
 
-class _ComposedWitness(CoveringWitness):
-    """A witness over a product U∘V that records its factors, with phi kept
-    as its composition in _composed: phi(u·|V| + v) = rows[keys[u]][p], p
-    the inner witness's phi at v (_lawcheck.Composed). verify_covering
-    reads the states it covers off it and the law check descends through
-    it, and neither reads an entry of phi; phi is the tuple it expands to,
-    built on its first read, a block at a time, then kept. A witness made
-    from this one's phi is flat, and so is one unpickled from it."""
+# The attributes of a CoveringWitness that _parts_fault reads.
+_PARTS = frozenset(("upper", "lower", "_phi", "xi"))
 
-    def __init__(self, upper: Semiautomaton, lower: Semiautomaton, composed, xi: tuple):
-        self.upper, self.lower, self._composed, self.xi = upper, lower, composed, xi
-        self._dom = self._pairs = None
-        if len(xi) != lower.n_symbols:
-            raise WitnessError("xi needs one entry per lower symbol")
-        self._check_xi_range()
 
-    @property
-    def phi(self) -> tuple:
-        return self._composed.expand()
+def _parts_fault(w: CoveringWitness):
+    """Why w's phi or xi does not fit its automata, or None: a wrong length,
+    or an entry of xi out of range. Both constructors raise it, and a part
+    set later keeps it in w._fault, which verify_covering reports and
+    simulation_counterexample raises."""
+    xi, upper = w.xi, w.upper
+    if len(w._phi) != upper._n:
+        return "phi needs one entry per upper state"
+    if len(xi) != len(w.lower.symbol_labels):
+        return "xi needs one entry per lower symbol"
+    m = len(upper.symbol_labels)
+    if xi and not (0 <= min(xi) and max(xi) < m):
+        return "xi image %d out of range" % next(x for x in xi if not 0 <= x < m)
+    return None
 
 
 def _composed_witness(product, lower, keys, rows, w_v: CoveringWitness, xi) -> CoveringWitness:
     """The witness product >= lower, product = U∘V with V = w_v.upper, whose
     phi(u·|V| + v) is rows[keys[u]][phi_V(v)], None where keys[u], phi_V(v)
-    or that entry is: composed where the product records its factors, and
-    expanded here where it does not."""
-    phi = _lawcheck.Composed(keys, rows, w_v._composed or w_v.phi)
-    if product._factors is None:
-        return CoveringWitness._from_parts(product, lower, phi.expand(), xi)
-    return _ComposedWitness(product, lower, phi, xi)
+    or that entry is: composed where the product records its factors."""
+    phi = _lawcheck.Composed(keys, rows, w_v._phi)
+    return CoveringWitness._from_parts(
+        product, lower, phi if product._factors else phi.expand(), xi)
 
 
 class HomImageWitness:
@@ -828,26 +810,25 @@ def _law_violation(w: CoveringWitness):
     scanned state by state only after a failure, to name the first site.
     There is one pass per pair of _law_pairs, and two symbols with the same
     pair compare cells of the same contents, so skipping the second is
-    exact. Where the witness keeps phi composed, the descent follows the
-    upper's record and a pass compares each distinct block of phi once,
-    which is exact too; a flat phi takes one pass per pair over the upper's
-    own table. A composed phi has _FACTORED_STATES upper states or more, so
-    it takes the passes wherever there is a lower symbol to check, and is
-    expanded only to name a failing site.
+    exact. Where phi is kept composed, the descent follows the upper's
+    record as far as the two agree and a pass compares each distinct block
+    of phi once, which is exact too; a flat phi takes one pass per pair over
+    the upper's own table. Both paths are exact on any phi, and a tree
+    node's phi is composed only over _FACTORED_STATES upper states or more,
+    so it takes the passes and is expanded only to name a failing site.
 
     The pairs and the descent are computed on the witness's first check and
     kept on it in _pairs as (xi, upper, lower, pairs, phi, descent), phi
-    being w._composed or w.phi; they are a function of those parts alone,
-    and are computed again when any of xi, upper, lower or phi is no longer
-    the same object. Every check runs the passes in full: they read the
-    table where the descent stopped and the lower's table afresh and compare
-    every cell, so a repeat check gets the verdict, reason and site of the
-    first.
+    being w._phi; they are a function of those parts alone, and are
+    computed again when any of xi, upper, lower or phi is no longer the
+    same object. Every check runs the passes in full: they read the table
+    where the descent stopped and the lower's table afresh and compare every
+    cell, so a repeat check gets the verdict, reason and site of the first.
     """
     xi, upper, lower = w.xi, w.upper, w.lower
-    if len(xi) * upper.n_states < _SYMBOL_PASS_CELLS:
+    if len(xi) * upper._n < _SYMBOL_PASS_CELLS:
         return _lawcheck.first_failure(w)
-    kept, phi = w._pairs, w._composed or w.phi
+    kept, phi = w._pairs, w._phi
     if (kept is None or kept[0] is not xi or kept[1] is not upper or kept[2] is not lower
             or kept[4] is not phi):
         pairs = _law_pairs(w)
@@ -884,29 +865,32 @@ def verify_covering(w: CoveringWitness) -> VerificationResult:
     law: the one checker of a covering witness, which CoveringWitness(...,
     check=True) runs too.
 
-    A failure names, in this order: an empty domain, a missed lower state,
-    an entry of phi out of range, a law site. The states phi covers are
-    read by _lawcheck.values, off the composition of phi where the witness
-    keeps one, which reads no entry of phi, and off set(phi) otherwise; the
-    law is _law_violation's. The first check of a witness makes the one
-    descent of the law check (_lawcheck.descend) and keeps it on the
-    witness; a check that follows, with the same parts, makes none and
-    compares every cell again. A composed phi is expanded only to name a
-    failure.
+    A failure names, in this order: a part that does not fit (_parts_fault),
+    an empty domain, a missed lower state, an entry of phi out of range, a
+    law site. The states phi covers are read by _lawcheck.values, off the
+    composition of phi where the witness keeps one, which reads no entry of
+    phi, and off set(phi) otherwise; the law is _law_violation's. The first
+    check of a witness makes the one descent of the law check
+    (_lawcheck.descend) and keeps it on the witness; a check that follows,
+    with the same parts, makes none and compares every cell again. A
+    composed phi is expanded only to name a failure.
     """
+    fault = w._fault
+    if fault is not None:
+        return VerificationResult(False, fault)
     upper, lower = w.upper, w.lower
-    covered = _lawcheck.values(w._composed or w.phi)
+    covered = _lawcheck.values(w._phi)
     if not covered:
         return VerificationResult(False, "phi has an empty domain")
-    if covered != set(range(lower.n_states)):
-        missing = set(range(lower.n_states)) - covered
+    n = lower._n
+    if len(covered) != n or not covered.issuperset(range(n)):
+        missing = set(range(n)) - covered
         if missing:
-            return VerificationResult(
-                False, "phi misses lower state %s" % _state_label(lower, min(missing))
-            )
-        # an entry out of range, which only _from_parts leaves unchecked
+            label = _state_label(lower, min(missing))
+            return VerificationResult(False, "phi misses lower state %s" % label)
+        # an entry out of range, which _from_parts and setting phi leave unchecked
         for v in w.phi:
-            if v is not None and not 0 <= v < lower.n_states:
+            if v is not None and not 0 <= v < n:
                 return VerificationResult(False, "phi image %d out of range" % v)
     site = _law_violation(w)
     if site is None:
@@ -916,12 +900,9 @@ def verify_covering(w: CoveringWitness) -> VerificationResult:
         return VerificationResult(
             False, "domain not closed under symbol %s" % lower.symbol_labels[a], site
         )
-    return VerificationResult(
-        False,
-        "covering law fails at state %s under symbol %s"
-        % (_state_label(upper, s), lower.symbol_labels[a]),
-        site,
-    )
+    label = _state_label(upper, s)
+    reason = "covering law fails at state %s under symbol %s" % (label, lower.symbol_labels[a])
+    return VerificationResult(False, reason, site)
 
 
 def verify_hom_image(w: HomImageWitness) -> VerificationResult:
@@ -985,8 +966,12 @@ def simulation_counterexample(w: CoveringWitness, max_len: int):
     first (s, a), domain states in order and then symbols, where the one-symbol
     law or domain closure fails, with the one-letter word (a,); for
     max_len >= 1 the verdict does not depend on max_len. Cost is
-    |dom| * |lower alphabet| steps, not |lower alphabet| ** max_len.
+    |dom| * |lower alphabet| steps, not |lower alphabet| ** max_len. Parts
+    that do not fit raise WitnessError with _parts_fault's reason.
     """
+    fault = w._fault
+    if fault is not None:
+        raise WitnessError(fault)
     if max_len <= 0:
         return None
     site = _law_violation(w)

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from itertools import chain, product
 from typing import Optional, Union
 
+from . import automata
 from .algebra import CLOSURE_CAP, FiniteMonoid, _cayley_table, _closure, _word_labels, pair_labels
 from .automata import (
     _CONSTANT,
@@ -561,14 +562,20 @@ def _plan_factor(B: Semiautomaton, caps: Caps) -> _Plan:
     except ResourceCapError as exc:
         return _Plan(B, B.n_states, str(exc))
     states = len(group[2]) * _reset_states(B.n_states)
+    reason = _breach("split", states, caps)
+    return _Plan(B, B.n_states, reason) if reason else _Plan(B, states, group=group)
+
+
+def _breach(kind: str, states: int, caps: Caps) -> Optional[str]:
+    """Why a planned product (kind "split" or "chain") of this many states is
+    not built, or None: it exceeds the cap, or the most states a table holds
+    (automata._STATE_LIMIT, read at each call as _product reads it)."""
     if states > caps.product_states:
-        return _Plan(
-            B,
-            B.n_states,
-            "split product of %d states exceeds the cap of %d"
-            % (states, caps.product_states),
-        )
-    return _Plan(B, states, group=group)
+        return "%s product of %d states exceeds the cap of %d" % (kind, states, caps.product_states)
+    if states > automata._STATE_LIMIT:
+        return "%s product of %d states exceeds the table limit of %d states" % (
+            kind, states, automata._STATE_LIMIT)
+    return None
 
 
 def _plan_chain(steps, last: Semiautomaton, caps: Caps):
@@ -585,14 +592,11 @@ def _plan_chain(steps, last: Semiautomaton, caps: Caps):
     for st in reversed(steps):
         left = None
         product = st.b.n_states * states
-        if product <= caps.product_states:
+        if _breach("chain", product, caps) is None:
             left = _plan_factor(st.b, caps)
             product = left.states * states
-        if product > caps.product_states:
-            reason = "chain product of %d states exceeds the cap of %d" % (
-                product,
-                caps.product_states,
-            )
+        reason = _breach("chain", product, caps)
+        if reason is not None:
             base = _Plan(st.source, st.source.n_states, reason)
             states = base.states
             above = []

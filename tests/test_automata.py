@@ -8,6 +8,7 @@ from array import array
 import pytest
 
 import krcascade.automata as kr_automata
+from krcascade import _lawcheck
 from krcascade import (
     CoveringWitness,
     HomImageWitness,
@@ -245,6 +246,59 @@ def test_verify_covering_names_a_phi_entry_out_of_range(sa3, sa2, monkeypatch):
     phi = (0,) * upper.n_states
     res = verify_covering(CoveringWitness._from_parts(upper, sa2, phi[:-1] + (5,), (0, 1)))
     assert res.reason == "phi misses lower state 2"
+
+
+_MISFITS = [
+    ("xi", (0,), "xi needs one entry per lower symbol"),
+    ("xi", (0, 5), "xi image 5 out of range"),
+    ("xi", (0, -1), "xi image -1 out of range"),
+    ("phi", (0, 1), "phi needs one entry per upper state"),
+]
+
+
+@pytest.mark.parametrize(
+    "composed, name, value, reason",
+    [(False,) + case for case in _MISFITS]
+    + [(True,) + case for case in _MISFITS]
+    + [(True, "keys", range(2), "phi needs one entry per upper state")],
+)
+def test_parts_that_do_not_fit_get_a_failing_verdict(sa3, monkeypatch, composed, name, value,
+                                                     reason):
+    # phi or xi set on a checked witness with the wrong length, or with an
+    # entry of xi out of range: verify_covering fails naming the part, as
+    # the constructors do, and simulation_counterexample raises with that
+    # reason. The witness covers sa3 by itself or, with every product
+    # recording its factors and every witness checked by the passes, sa3∘sa3
+    # by itself with phi composed over the record; "keys" gives that
+    # composition one key too few. Set back to what it was, the part fits
+    # again and the witness verifies
+    if composed:
+        monkeypatch.setattr(kr_automata, "_FACTORED_STATES", 1)
+        monkeypatch.setattr(kr_automata, "_SYMBOL_PASS_CELLS", 1)
+        X = direct_product(sa3, sa3)
+        rows = [tuple(range(3 * u, 3 * u + 3)) for u in range(3)]
+        w = CoveringWitness._from_parts(X, X, _lawcheck.Composed(range(3), rows, (0, 1, 2)), (0, 1))
+    else:
+        w = identity_witness(sa3)
+    assert verify_covering(w)
+    if name == "keys":
+        name, value = "phi", _lawcheck.Composed(value, w._phi.rows, w._phi.inner)
+    kept = getattr(w, "_" + name if name == "phi" else name)
+    setattr(w, name, value)
+    res = verify_covering(w)
+    assert (res.ok, res.reason, res.site) == (False, reason, None)
+    with pytest.raises(WitnessError, match=reason):
+        simulation_counterexample(w, 3)
+    setattr(w, name, kept)
+    assert verify_covering(w) and simulation_counterexample(w, 3) is None
+
+
+def test_setting_phi_makes_dom_again(sa3):
+    # dom is kept from its first read, and made again once phi is set
+    w = identity_witness(sa3)
+    assert w.dom == (0, 1, 2)
+    w.phi = (0, None, 1)
+    assert w.dom == (0, 2) and w.phi == (0, None, 1)
 
 
 def test_covering_domain_closure(sa2):

@@ -196,8 +196,8 @@ def _mutants(w, rng):
         CoveringWitness._from_parts(w.upper, lower, w.phi, w.xi),
     ]
     replaced = [("xi", xi), ("lower", lower), ("phi", tuple(phi))]
-    c = w._composed
-    if c is not None:
+    c = w._phi
+    if isinstance(c, _lawcheck.Composed):
         inner = c.inner
         width = len(next(iter(c.rows.values() if isinstance(c.rows, dict) else c.rows)))
         values = [None] + list(range(width))
@@ -210,8 +210,8 @@ def _mutants(w, rng):
         changed = [_changed_row(c, [None] + list(range(n)), rng),
                    _lawcheck.Composed(c.keys, c.rows, inner)]
         for composed in changed:
-            out.append(automata._ComposedWitness(w.upper, w.lower, composed, w.xi))
-        replaced[-1] = ("_composed", changed[0])
+            out.append(CoveringWitness._from_parts(w.upper, w.lower, composed, w.xi))
+        replaced[-1] = ("_phi", changed[0])
     assert verify_covering(w)
     for name, value in replaced:
         kept = object.__new__(type(w))

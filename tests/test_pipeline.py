@@ -532,6 +532,32 @@ def test_random6_cap_outcomes(seed, root_states, raw_states, reason):
     assert ok
 
 
+TABLE_LIMIT = "%s product of %d states exceeds the table limit of %d states"
+
+
+@pytest.mark.parametrize(
+    "n, seed, limit, caps, reason",
+    [
+        (8, 0, None, Caps(group_order=120, product_states=10**11),
+         TABLE_LIMIT % ("chain", 4529848320, 2**31)),
+        (5, 0, 10_000, Caps(), TABLE_LIMIT % ("chain", 46080, 10_000)),
+        (5, 0, 10_000, Caps(product_states=20_000),
+         "chain product of 46080 states exceeds the cap of 20000"),
+        (4, 0, 6, Caps(), TABLE_LIMIT % ("split", 8, 6)),
+    ],
+)
+def test_plan_keeps_products_within_the_table_limit(monkeypatch, n, seed, limit, caps, reason):
+    # a product over the most states a table holds (automata._STATE_LIMIT,
+    # 2**31, or set lower) is planned as a raw leaf that names that limit,
+    # where the cap alone would let it through and _product refuse it; a cap
+    # below the limit is named as before. Each tree verifies
+    if limit is not None:
+        monkeypatch.setattr(automata, "_STATE_LIMIT", limit)
+    tree = krohn_rhodes_decompose(random_n(n, seed), caps)
+    assert [leaf.reason for leaf in leaves(tree) if leaf.kind == LEAF_RAW] == [reason]
+    assert verify_tree(tree)[0]
+
+
 def _record_products(monkeypatch):
     """Route automata._product through a recorder; returns the list of
     products it builds, in order."""
@@ -1073,7 +1099,7 @@ def _cells_compared(w, upper=None):
     automaton: one per entry of a task's source block that is not None."""
     pairs = automata._law_pairs(w)
     if upper is None:
-        descent = _lawcheck.descend(w.upper, w._composed, pairs)
+        descent = _lawcheck.descend(w.upper, w._phi, pairs)
     else:
         descent = _lawcheck.descend(upper, w.phi, pairs)
     assert _lawcheck.passes(w.lower, descent)
@@ -1113,7 +1139,7 @@ def test_factored_law_check_finds_a_change_in_a_repeated_block(random6_root_witn
     # own with one entry changed, the check through the composition fails
     # with the per-symbol pass's reason and site
     w = random6_root_witness
-    c0 = w._composed
+    c0 = w._phi
     c1 = c0.inner
     c2 = c1.inner
     keys = list(c2.keys)
@@ -1127,17 +1153,15 @@ def test_factored_law_check_finds_a_change_in_a_repeated_block(random6_root_witn
     rows[new] = tuple(row)
     inner = _lawcheck.Composed(c1.keys, c1.rows, _lawcheck.Composed(keys, rows, c2.inner))
     composed = _lawcheck.Composed(c0.keys, c0.rows, inner)
-    bad = automata._ComposedWitness(w.upper, w.lower, composed, w.xi)
+    bad = CoveringWitness._from_parts(w.upper, w.lower, composed, w.xi)
     got, want = _verdicts(bad)
     assert got == want and not got[0]
     assert got[1].startswith("covering law fails at state ")
 
 
 def _unchecked(w):
-    """A witness made from w's parts, of w's kind, that keeps no check."""
-    if w._composed is None:
-        return CoveringWitness._from_parts(w.upper, w.lower, w.phi, w.xi)
-    return automata._ComposedWitness(w.upper, w.lower, w._composed, w.xi)
+    """A witness made from w's parts, phi as w keeps it, that keeps no check."""
+    return CoveringWitness._from_parts(w.upper, w.lower, w._phi, w.xi)
 
 
 def _checked_copy(w):
@@ -1178,12 +1202,12 @@ def test_verify_covering_descends_once(monkeypatch, random6_root_witness):
     descents, cells = _counted_law_check(monkeypatch)
     assert verify_covering(w) and descents == [w.upper] and len(cells) == 1
     assert verify_covering(w) and len(descents) == 1 and len(cells) == 2
-    c = root._composed
+    c = root._phi
     parts = [
         ("xi", tuple(list(root.xi))),
         ("upper", automata._product(*root.upper._factors)),
         ("lower", pickle.loads(pickle.dumps(root.lower))),
-        ("_composed", _lawcheck.Composed(c.keys, c.rows, c.inner)),
+        ("_phi", _lawcheck.Composed(c.keys, c.rows, c.inner)),
     ]
     for k, (name, value) in enumerate(parts, 2):
         assert value is not getattr(w, name)
@@ -1208,7 +1232,7 @@ def test_replacing_a_checked_part_gives_a_fresh_verdict():
     # verdict, reason and site of a fresh witness made from the same parts,
     # where the kept law pairs and descent would miss the change
     w = krohn_rhodes_decompose(random_n(5, 1)).witness
-    assert type(w) is automata._ComposedWitness and verify_covering(w)
+    assert isinstance(w._phi, _lawcheck.Composed) and verify_covering(w)
     rng = random.Random(5)
     classes = w.upper._classes
     x = next(x for x in range(w.upper.n_symbols) if classes[x] != classes[w.xi[0]])
@@ -1222,13 +1246,13 @@ def test_replacing_a_checked_part_gives_a_fresh_verdict():
     # the first cell of the upper's left factor whose change breaks the law
     upper = next(Y for Y in (changed_upper(b, u) for b in range(A.n_symbols)
                              for u in range(A.n_states))
-                 if not verify_covering(automata._ComposedWitness(Y, w.lower, w._composed, w.xi)))
+                 if not verify_covering(CoveringWitness._from_parts(Y, w.lower, w._phi, w.xi)))
     L = w.lower
     columns = [list(L.column(b)) for b in range(L.n_symbols)]
     v = next(v for v in w.phi if v is not None)
     columns[0][v] = (columns[0][v] + 1) % L.n_states
     lower = Semiautomaton.from_columns(L.state_labels, L.symbol_labels, columns)
-    c = w._composed
+    c = w._phi
     rows = dict(enumerate(c.rows)) if isinstance(c.rows, list) else dict(c.rows)
     key = rng.choice(sorted(k for k in set(c.keys) if k is not None))
     row = list(rows[key])
@@ -1236,7 +1260,7 @@ def test_replacing_a_checked_part_gives_a_fresh_verdict():
     row[p] = (row[p] + 1) % L.n_states
     rows[key] = tuple(row)
     parts = [("xi", (x,) + w.xi[1:]), ("upper", upper), ("lower", lower),
-             ("_composed", _lawcheck.Composed(c.keys, rows, c.inner))]
+             ("_phi", _lawcheck.Composed(c.keys, rows, c.inner))]
     for name, value in parts:
         kept = _checked_copy(w)
         setattr(kept, name, value)
@@ -1244,7 +1268,7 @@ def test_replacing_a_checked_part_gives_a_fresh_verdict():
         assert not got.ok, name
         assert (got.reason, got.site) == (want.reason, want.site)
         xi, upper, lower, _, phi, _ = kept._pairs
-        assert (xi, upper, lower, phi) == (kept.xi, kept.upper, kept.lower, kept._composed)
+        assert (xi, upper, lower, phi) == (kept.xi, kept.upper, kept.lower, kept._phi)
 
 
 def test_pickled_witness_keeps_no_check():
@@ -1300,9 +1324,9 @@ def test_pickled_composed_witness_is_flat_and_verifies():
     # entry changed it gets the reason and site of the same change to a
     # flat copy over the original product
     w = krohn_rhodes_decompose(random_n(5, 1)).witness
-    assert type(w) is automata._ComposedWitness
+    assert isinstance(w._phi, _lawcheck.Composed)
     back = pickle.loads(pickle.dumps(w))
-    assert type(back) is CoveringWitness and back._composed is None
+    assert type(back) is CoveringWitness and type(back._phi) is tuple
     assert back.upper == w.upper and back.upper._factors is None
     assert (back.phi, back.xi) == (w.phi, w.xi)
     assert verify_covering(back)
@@ -1387,11 +1411,71 @@ def test_composed_descent_stops_where_the_inner_phi_is_flat(monkeypatch):
         c = _lawcheck.Composed(tuple(range(U.n_states)), case, tuple(range(n)))
         Y, _, blocks = _lawcheck.descend(X, c, automata._law_pairs(identity_witness(X)))
         assert Y is VW and c._flat is None
-        got = verify_covering(automata._ComposedWitness(X, X, c, xi))
+        got = verify_covering(CoveringWitness._from_parts(X, X, c, xi))
         want = verify_covering(CoveringWitness._from_parts(X, X, c.expand(), xi))
         assert (got.ok, got.reason, got.site) == (want.ok, want.reason, want.site)
         verdicts.append(got.ok)
     assert verdicts[0] and not any(verdicts[1:])
+
+
+def test_composed_phi_over_an_unrecorded_upper_checks_flat():
+    # the random-5 seed-1 root keeps phi composed over its product's record;
+    # with the upper replaced on the checked witness by its unpickled copy,
+    # which records no factors, the descent stops at once and the check
+    # expands phi: it verifies, and with one row-map entry changed it gets
+    # the reason and site of the flat witness over that copy
+    w = krohn_rhodes_decompose(random_n(5, 1)).witness
+    c = w._phi
+    assert isinstance(c, _lawcheck.Composed) and verify_covering(w)
+    w.upper = pickle.loads(pickle.dumps(w.upper))
+    assert w.upper._factors is None and verify_covering(w)
+    assert _lawcheck.descend(w.upper, c, automata._law_pairs(w))[2] == [w.phi]
+    rows = dict(enumerate(c.rows)) if isinstance(c.rows, list) else dict(c.rows)
+    key = next(k for k in c.keys if k is not None)
+    row = list(rows[key])
+    p = next(p for p, v in enumerate(row) if v is not None)
+    row[p] = (row[p] + 1) % w.lower.n_states
+    rows[key] = tuple(row)
+    bad = CoveringWitness._from_parts(w.upper, w.lower, _lawcheck.Composed(c.keys, rows, c.inner), w.xi)
+    got = verify_covering(bad)
+    want = verify_covering(CoveringWitness._from_parts(w.upper, w.lower, bad.phi, w.xi))
+    assert not got.ok and (got.reason, got.site) == (want.reason, want.site)
+    assert got.site is not None, got.reason
+
+
+def test_composed_phi_split_otherwise_than_the_record_checks_flat(monkeypatch):
+    # compositions of the identity cover of U∘(V∘W) (2, 2 and 3 states)
+    # that split its 12 states otherwise than the record does: 3 blocks of
+    # 4 at the top, or 2 of 6 over an inner composition of 3 blocks of 2.
+    # The descent stops where the shapes first disagree, at the top or on
+    # V∘W, and each check, and each with two entries of a row map swapped,
+    # gets the verdict, reason and site of the flat witness
+    monkeypatch.setattr(automata, "_FACTORED_STATES", 1)
+    monkeypatch.setattr(automata, "_SYMBOL_PASS_CELLS", 1)
+    U, V = (Semiautomaton(["p", "q"], ["a", "b"], [[1, 0], [0, 0]]) for _ in range(2))
+    W = Semiautomaton(["0", "1", "2"], ["a", "b"], [[1, 0], [2, 1], [0, 2]])
+    X = direct_product(U, direct_product(V, W))
+    pairs = automata._law_pairs(identity_witness(X))
+
+    def blocks(n, width, inner):
+        return _lawcheck.Composed(range(n), [tuple(range(k * width, (k + 1) * width))
+                                             for k in range(n)], inner)
+    cases = [(blocks(3, 4, tuple(range(4))), X),
+             (blocks(2, 6, blocks(3, 2, (0, 1))), X._factors[1])]
+    for c, stop in cases:
+        assert _lawcheck.descend(X, c, pairs)[0] is stop
+        for swapped in (None, 0, 1):
+            phi = c
+            if swapped is not None:
+                rows = list(c.rows)
+                row = list(rows[swapped])
+                row[0], row[1] = row[1], row[0]
+                rows[swapped] = tuple(row)
+                phi = _lawcheck.Composed(c.keys, rows, c.inner)
+            got = verify_covering(CoveringWitness._from_parts(X, X, phi, (0, 1)))
+            want = verify_covering(CoveringWitness._from_parts(X, X, phi.expand(), (0, 1)))
+            assert (got.ok, got.reason, got.site) == (want.ok, want.reason, want.site)
+            assert got.ok == (swapped is None), got
 
 
 def test_failing_root_state_renders_no_factor_label():
@@ -1453,7 +1537,7 @@ def test_public_path_builds_no_recorded_table(request, name):
 def _composed_phis(tree):
     """The compositions of phi that the tree's node witnesses keep and,
     down their inner phis, the ones those keep."""
-    found, stack = {}, [node.witness._composed for node in iter_nodes(tree)]
+    found, stack = {}, [node.witness._phi for node in iter_nodes(tree)]
     while stack:
         c = stack.pop()
         if isinstance(c, _lawcheck.Composed) and id(c) not in found:

@@ -723,15 +723,15 @@ def test_composed_phi_checks_as_its_flat_copy(A, C, data):
         witnesses = [sub.witness] + [
             node.witness for X in (A, C) for node in iter_nodes(krohn_rhodes_decompose(X))
         ]
-        composed = [w for w in witnesses if w._composed is not None]
+        composed = [w for w in witnesses if isinstance(w._phi, _lawcheck.Composed)]
         assert composed[0] is sub.witness and verify_covering(sub.witness)
         for w in composed:
-            c = w._composed
+            c = w._phi
             # a fresh copy: _substitute reads the phi of a composed left cover
             cases = [_lawcheck.Composed(c.keys, c.rows, c.inner)]
             cases += _composed_mutants(c, w.lower.n_states, data)
             for c in cases:
-                got = kr_automata._ComposedWitness(w.upper, w.lower, c, w.xi)
+                got = CoveringWitness._from_parts(w.upper, w.lower, c, w.xi)
                 r = verify_covering(got)
                 if r.ok:
                     assert simulation_counterexample(got, 1) is None and c._flat is None
@@ -747,6 +747,47 @@ def _three_to_six_states(draw):
     m = draw(st.integers(1, 3))
     delta = [[draw(st.integers(0, n - 1)) for _ in range(m)] for _ in range(n)]
     return Semiautomaton(["s%d" % i for i in range(n)], "abc"[:m], delta)
+
+
+# The most cells (lower symbols times upper states) of a node witness that
+# test_unpickled_upper_checks_as_the_flat_witness checks: the scan of larger
+# ones, and their pickling, make a draw take seconds (a 6-state, 3-symbol
+# root can have 442,368 states), and 4,096 still takes in composed phis at
+# the default _FACTORED_STATES.
+UNPICKLED_CELLS = 4096
+
+
+@settings(deadline=None, max_examples=25)
+@given(_three_to_six_states(), st.data())
+def test_unpickled_upper_checks_as_the_flat_witness(A, data):
+    # every node witness of a drawn tree, and where phi is composed a copy
+    # with one entry of a row map changed, with the upper replaced by its
+    # unpickled copy, which records no factors: the verdict, reason and
+    # site of the flat witness over that copy. Each draw is decomposed at
+    # the default _FACTORED_STATES and with every product recording its
+    # factors, and each witness is checked at the default switch and with
+    # the scan's switch above _FACTORED_STATES, where a composed phi is
+    # scanned
+    for factored in (kr_automata._FACTORED_STATES, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kr_automata, "_FACTORED_STATES", factored)
+            nodes = iter_nodes(krohn_rhodes_decompose(A))
+        for w in [node.witness for node in nodes]:
+            if len(w.xi) * w.upper.n_states > UNPICKLED_CELLS:
+                continue
+            upper = pickle.loads(pickle.dumps(w.upper))
+            phis = [w._phi]
+            if isinstance(w._phi, _lawcheck.Composed):
+                phis.append(_with_row_entry(w._phi, [None] + list(range(w.lower.n_states)), data))
+            for cells in (kr_automata._SYMBOL_PASS_CELLS, kr_automata._STATE_LIMIT):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(kr_automata, "_SYMBOL_PASS_CELLS", cells)
+                    for phi in phis:
+                        copy = CoveringWitness._from_parts(upper, w.lower, phi, w.xi)
+                        got = verify_covering(copy)
+                        flat = CoveringWitness._from_parts(upper, w.lower, copy.phi, w.xi)
+                        want = verify_covering(flat)
+                        assert (got.ok, got.reason, got.site) == (want.ok, want.reason, want.site)
 
 
 @settings(deadline=None, max_examples=40)
