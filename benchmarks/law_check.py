@@ -28,9 +28,9 @@ switch and "passes" from it on, and the least CPU time of the scan
 of computing the law pairs, so that the two costs the switch weighs sit
 side by side.
 verify_covering, which also checks that phi is onto, is timed three ways.
-A witness keeps its law pairs and its descent after its first check, and
-makes them again only when xi, the upper, the lower or phi is replaced, so
-a check that follows runs the passes alone. first_verify_s times the first
+A witness keeps its descent after its first check and drops it when xi,
+the upper, the lower or phi is set, so a check that follows runs the
+passes alone. first_verify_s times the first
 check, on a witness made afresh from the parts of the one built
 (_first_check); repeat_verify_s times the checks that follow on the witness
 as built, which its construction has checked already; flat_verify_s times
@@ -45,13 +45,13 @@ import argparse
 import json
 import os
 import platform
-import random
 import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "benchmarks")]
 
+from corpus_recipe import CORPUS, random_n  # noqa: E402
 from krcascade import (  # noqa: E402
     CoveringWitness,
     Semiautomaton,
@@ -61,17 +61,9 @@ from krcascade import (  # noqa: E402
 )
 from krcascade import _lawcheck, automata  # noqa: E402
 
-CORPUS = [(5, seed) for seed in range(10)] + [(6, seed) for seed in (0, 4, 6)]
 REPEATS = 5
 KEYS = ("flat_cells", "factored_cells", "flat_s", "factored_s", "scan_s", "pairs_s",
         "flat_verify_s", "first_verify_s", "repeat_verify_s")
-
-
-def random_n(n, seed):
-    """The ROADMAP "random n" recipe: 2 symbols, targets drawn state-major."""
-    rng = random.Random(1000 * n + seed)
-    delta = [[rng.randrange(n) for _ in range(2)] for _ in range(n)]
-    return Semiautomaton(["s%d" % i for i in range(n)], "ab", delta)
 
 
 def unrecorded(X):

@@ -22,7 +22,7 @@ import random
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "benchmarks")]
 
 from krcascade import (  # noqa: E402
     Semiautomaton,
@@ -31,6 +31,7 @@ from krcascade import (  # noqa: E402
     render_tree_text,
     tree_report,
 )
+from corpus_recipe import random_n  # noqa: E402
 
 
 def sweep3(seed):
@@ -40,13 +41,6 @@ def sweep3(seed):
     m = rng.randint(1, 2)
     delta = [[rng.randrange(n) for _ in range(m)] for _ in range(n)]
     return Semiautomaton(["s%d" % i for i in range(n)], "abcdefgh"[:m], delta)
-
-
-def random_n(n, seed):
-    """The ROADMAP "random n" recipe: 2 symbols, targets drawn state-major."""
-    rng = random.Random(1000 * n + seed)
-    delta = [[rng.randrange(n) for _ in range(2)] for _ in range(n)]
-    return Semiautomaton(["s%d" % i for i in range(n)], "ab", delta)
 
 
 def corpus():

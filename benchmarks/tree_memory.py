@@ -28,25 +28,15 @@ import argparse
 import gc
 import json
 import os
-import random
 import sys
 import tracemalloc
 import types
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "benchmarks")]
 
-from krcascade import Semiautomaton, iter_nodes, krohn_rhodes_decompose  # noqa: E402
-
-CORPUS = [(5, seed) for seed in range(10)] + [(6, seed) for seed in (0, 4, 6)]
-
-
-def random_n(n, seed):
-    """The ROADMAP "random n" recipe: 2 symbols, targets drawn state-major."""
-    rng = random.Random(1000 * n + seed)
-    delta = [[rng.randrange(n) for _ in range(2)] for _ in range(n)]
-    return Semiautomaton(["s%d" % i for i in range(n)], "ab", delta)
-
+from corpus_recipe import CORPUS, random_n  # noqa: E402
+from krcascade import iter_nodes, krohn_rhodes_decompose  # noqa: E402
 
 # what a walk of the objects a tree holds does not enter: shared code
 _SHARED = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)

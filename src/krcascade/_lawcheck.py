@@ -17,11 +17,11 @@ pass over the whole of phi, once per law pair. So every phi over every
 upper gets an exact verdict.
 
 A descent depends only on the upper, phi and the law pairs, so a witness
-makes it on its first check and keeps it, and every check that follows runs
-only passes over it. Nothing else in a check needs to read phi: values
-reads the states a Composed covers off its record. After a failure,
-first_failure scans the domain state by state to name the first failing
-site. Nothing here imports the rest of the package: an automaton's record
+makes it on its first check and keeps it until one of its parts is set, and
+every check in between runs only passes over it. Nothing else in a check
+needs to read phi: values reads the states a Composed covers off its
+record. After a failure, first_failure scans the domain state by state to
+name the first failing site. Nothing here imports the rest of the package: an automaton's record
 is read off its _factors attribute, (A, B, connection) or None.
 """
 

@@ -679,10 +679,10 @@ class CoveringWitness:
     verify_covering reports: every witness as it stands gets a verdict.
 
     dom, the upper states in the domain of phi in order, is computed on its
-    first read and then kept. _pairs keeps the law pairs and the descent of
-    the first check by the passes, with the parts they came from (see
-    _law_violation). A witness pickles as its parts, phi as the tuple, and
-    loads keeping neither _pairs nor dom.
+    first read and then kept; _descent keeps the descent of the first check
+    by the passes (see _law_violation). Both are derived from the parts
+    alone, and setting a part drops both. A witness pickles as its parts,
+    phi as the tuple, and loads keeping neither _descent nor dom.
     """
 
     def __init__(self, upper: Semiautomaton, lower: Semiautomaton, phi, xi, check=True):
@@ -706,7 +706,7 @@ class CoveringWitness:
 
     def _set(self, upper, lower, phi, xi):
         parts = vars(self)
-        parts.update(upper=upper, lower=lower, _phi=phi, xi=xi, _dom=None, _pairs=None)
+        parts.update(upper=upper, lower=lower, _phi=phi, xi=xi, _dom=None, _descent=None)
         fault = parts["_fault"] = _parts_fault(self)
         if fault is not None:
             raise WitnessError(fault)
@@ -714,11 +714,11 @@ class CoveringWitness:
     def __setattr__(self, name, value):
         # phi is kept in _phi as it is set. A part set on a made witness is
         # checked here, once, so that a check reads only the fault kept in
-        # _fault; dom is made again
+        # _fault; dom and the descent, made from the parts, are dropped
         name = "_phi" if name == "phi" else name
         object.__setattr__(self, name, value)
         if name in _PARTS:
-            vars(self).update(_fault=_parts_fault(self), _dom=None)
+            vars(self).update(_fault=_parts_fault(self), _dom=None, _descent=None)
 
     @property
     def phi(self) -> tuple:
@@ -733,10 +733,10 @@ class CoveringWitness:
         return dom
 
     def __reduce__(self):
-        # a witness pickles as its parts and loads with no kept check state:
-        # pickle keeps object identity, so a copy would trust a _pairs record
-        # as its own. The upper pickles as a plain automaton, with no record
-        # of factors, so phi pickles as the tuple.
+        # a witness pickles as its parts and loads with no kept descent or
+        # dom, so a copy trusts nothing a pickle could have forged. The upper
+        # pickles as a plain automaton, with no record of factors, so phi
+        # pickles as the tuple.
         return CoveringWitness._from_parts, (self.upper, self.lower, self.phi, self.xi)
 
     def __repr__(self):
@@ -817,23 +817,19 @@ def _law_violation(w: CoveringWitness):
     node's phi is composed only over _FACTORED_STATES upper states or more,
     so it takes the passes and is expanded only to name a failing site.
 
-    The pairs and the descent are computed on the witness's first check and
-    kept on it in _pairs as (xi, upper, lower, pairs, phi, descent), phi
-    being w._phi; they are a function of those parts alone, and are
-    computed again when any of xi, upper, lower or phi is no longer the
-    same object. Every check runs the passes in full: they read the table
-    where the descent stopped and the lower's table afresh and compare every
-    cell, so a repeat check gets the verdict, reason and site of the first.
+    The descent is made on the witness's first check and kept on it in
+    _descent. It is a function of xi, upper, lower and phi alone, and
+    setting any of them drops it. Every check runs the passes in full: they
+    read the table where the descent stopped and the lower's table afresh
+    and compare every cell, so a repeat check gets the verdict, reason and
+    site of the first.
     """
-    xi, upper, lower = w.xi, w.upper, w.lower
-    if len(xi) * upper._n < _SYMBOL_PASS_CELLS:
+    if len(w.xi) * w.upper._n < _SYMBOL_PASS_CELLS:
         return _lawcheck.first_failure(w)
-    kept, phi = w._pairs, w._phi
-    if (kept is None or kept[0] is not xi or kept[1] is not upper or kept[2] is not lower
-            or kept[4] is not phi):
-        pairs = _law_pairs(w)
-        w._pairs = kept = xi, upper, lower, pairs, phi, _lawcheck.descend(upper, phi, pairs)
-    if _lawcheck.passes(lower, kept[5]):
+    descent = w._descent
+    if descent is None:
+        w._descent = descent = _lawcheck.descend(w.upper, w._phi, _law_pairs(w))
+    if _lawcheck.passes(w.lower, descent):
         return None
     return _lawcheck.first_failure(w)
 
@@ -844,11 +840,11 @@ def _law_pairs(w: CoveringWitness) -> set:
     named by its lowest input, so each pair is itself an (x, a) whose
     columns are those of xi(a) and a.
 
-    They are built with no loop in Python, and _law_violation keeps them on
-    the witness: on a tree node of 4 states over 1,440 symbols they take
-    about 0.18 ms (a loop over the symbols 0.29 ms), against 0.01 ms for
-    the passes and 0.6 ms for the scan they replace, and a tree node is
-    checked three times."""
+    They are built with no loop in Python, once per kept descent: on a
+    tree node of 4 states over 1,440 symbols they take about 0.18 ms (a
+    loop over the symbols 0.29 ms), against 0.01 ms for the passes and
+    0.6 ms for the scan they replace, and a tree node is checked three
+    times."""
     return set(zip(map(w.upper._classes.__getitem__, w.xi), w.lower._classes))
 
 

@@ -44,7 +44,13 @@ def _read(path):
         return fh.read()
 
 
+def _nonnegative(flag: str, length: int):
+    if length < 0:
+        raise InvalidInputError("%s of %d is negative" % (flag, length))
+
+
 def cmd_decompose(args) -> int:
+    _nonnegative("--verify-len", args.verify_len)
     A = parse_automaton(_read(args.file))
     caps = Caps(group_order=args.cap_group, product_states=args.cap_states)
     tree = krohn_rhodes_decompose(A, caps=caps)
@@ -62,6 +68,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _nonnegative("--len", args.max_len)
     upper = parse_automaton(_read(args.upper))
     lower = parse_automaton(_read(args.lower))
     w = parse_witness(_read(args.witness), upper, lower)

@@ -95,34 +95,22 @@ def emit_automaton(A: Semiautomaton) -> str:
 
 def emit_witness(w) -> str:
     if isinstance(w, CoveringWitness):
-        doc = {
-            "format_version": FORMAT_VERSION,
-            "kind": "covering",
-            "phi": [
-                [w.upper.state_labels[s], w.lower.state_labels[w.phi[s]]]
-                for s in w.dom
-            ],
-            "xi": [
-                [w.lower.symbol_labels[a], w.upper.symbol_labels[w.xi[a]]]
-                for a in range(w.lower.n_symbols)
-            ],
-        }
+        kind, upper, lower = "covering", w.upper, w.lower
+        phi = _labelled(w.dom, upper.state_labels, lower.state_labels, w.phi)
+        xi = _labelled(range(lower.n_symbols), lower.symbol_labels, upper.symbol_labels, w.xi)
     elif isinstance(w, HomImageWitness):
-        doc = {
-            "format_version": FORMAT_VERSION,
-            "kind": "hom-image",
-            "phi": [
-                [w.source.state_labels[s], w.target.state_labels[w.phi[s]]]
-                for s in range(w.source.n_states)
-            ],
-            "xi": [
-                [w.source.symbol_labels[a], w.target.symbol_labels[w.xi[a]]]
-                for a in range(w.source.n_symbols)
-            ],
-        }
+        kind, source, target = "hom-image", w.source, w.target
+        phi = _labelled(range(source.n_states), source.state_labels, target.state_labels, w.phi)
+        xi = _labelled(range(source.n_symbols), source.symbol_labels, target.symbol_labels, w.xi)
     else:
         raise ParseError("not a witness object")
+    doc = {"format_version": FORMAT_VERSION, "kind": kind, "phi": phi, "xi": xi}
     return json.dumps(doc, indent=2) + "\n"
+
+
+def _labelled(domain, source, target, image) -> list:
+    """[source[i], target[image[i]]] for each i of domain, in order."""
+    return [[source[i], target[image[i]]] for i in domain]
 
 
 def _pair_list(doc, field):

@@ -100,11 +100,7 @@ def _image_of_block(column, block):
 def is_admissible_partition(A: Semiautomaton, P: Partition) -> bool:
     if P.n_states != A.n_states:
         raise InvalidInputError("partition is over a different state count")
-    for col in map(A.column, A._firsts):
-        for block in P.blocks:
-            if len({P.block_of[t] for t in _image_of_block(col, block)}) != 1:
-                return False
-    return True
+    return is_admissible_decomposition(A, P)
 
 
 def _containment(A: Semiautomaton, D: Decomposition):

@@ -77,11 +77,16 @@ class Caps:
     """Resource guards; breaches become raw leaves, not crashes.
 
     krohn_rhodes_decompose checks them on planned sizes before construction,
-    so a breach builds nothing.
+    so a breach builds nothing. A negative cap raises InvalidInputError.
     """
 
     group_order: int = 24
     product_states: int = 500_000
+
+    def __post_init__(self):
+        for name, cap in vars(self).items():
+            if cap < 0:
+                raise InvalidInputError("cap %s of %d is negative" % (name, cap))
 
 
 class InputClass(enum.Enum):
@@ -677,8 +682,8 @@ def verify_tree(tree: Node, sim_len: int = 6):
     krohn_rhodes_decompose has already verified each node witness once, where
     the node was made; verify_tree replays those checks on a tree from
     anywhere, and io.tree_report builds its report from this one call. A
-    replayed check reuses the law pairs and descent its witness kept from
-    the first (automata._law_violation), and compares every cell again.
+    replayed check reuses the descent its witness kept from the first
+    (automata._law_violation), and compares every cell again.
     """
     results = [(node, verify_covering(node.witness)) for node in iter_nodes(tree)]
     return all(res for _, res in results), results

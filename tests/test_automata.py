@@ -293,12 +293,28 @@ def test_parts_that_do_not_fit_get_a_failing_verdict(sa3, monkeypatch, composed,
     assert verify_covering(w) and simulation_counterexample(w, 3) is None
 
 
-def test_setting_phi_makes_dom_again(sa3):
-    # dom is kept from its first read, and made again once phi is set
-    w = identity_witness(sa3)
-    assert w.dom == (0, 1, 2)
-    w.phi = (0, None, 1)
-    assert w.dom == (0, 2) and w.phi == (0, None, 1)
+@pytest.mark.parametrize("name", ["upper", "lower", "phi", "_phi", "xi", "note"])
+def test_setting_a_part_drops_dom_and_descent(monkeypatch, sa3, sa2, name):
+    # dom and the descent of a check by the passes are kept on the witness;
+    # setting a part, phi under either name, drops both, and the next check
+    # descends once more; setting anything else drops neither
+    monkeypatch.setattr(kr_automata, "_SYMBOL_PASS_CELLS", 1)
+    descents, descend = [], _lawcheck.descend
+    monkeypatch.setattr(_lawcheck, "descend", lambda *a: descents.append(a) or descend(*a))
+    w = CoveringWitness(sa3, sa2, (0, 1, None), (0, 1))
+    kept = w._descent
+    assert w.dom == (0, 1) and len(descents) == 1 and kept is not None
+    setattr(w, name, {
+        "upper": pickle.loads(pickle.dumps(sa3)), "lower": pickle.loads(pickle.dumps(sa2)),
+        "phi": (0, 1, 1), "_phi": (0, 1, 1), "xi": (0, 1), "note": "not a part",
+    }[name])
+    if name == "note":
+        assert vars(w)["_dom"] == (0, 1) and w._descent is kept
+        assert verify_covering(w) and len(descents) == 1
+        return
+    assert vars(w)["_dom"] is None and w._descent is None
+    assert verify_covering(w) and len(descents) == 2 and w._descent is not None
+    assert w.dom == ((0, 1, 2) if name in ("phi", "_phi") else (0, 1))
 
 
 def test_covering_domain_closure(sa2):

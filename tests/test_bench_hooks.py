@@ -178,9 +178,9 @@ def _mutants(w, rng):
     """Copies of the verified witness w: one phi entry, one xi entry or one
     cell of the lower table changed; where phi is composed, one entry of
     one row map or of the inner phi changed; and copies made after w was
-    checked once, so that they keep its law pairs and descent, with xi, the
-    lower or phi replaced: a composed phi by the one with a row map entry
-    changed, a flat one by the one with one entry changed."""
+    checked once, so that they keep its descent, with xi, the lower or phi
+    replaced: a composed phi by the one with a row map entry changed, a
+    flat one by the one with one entry changed."""
     n, m = w.lower.n_states, w.upper.n_symbols
     phi, xi = list(w.phi), list(w.xi)
     phi[rng.randrange(len(phi))] = rng.choice([None] + list(range(n)))
@@ -247,9 +247,9 @@ def test_mutant_verdicts_match_the_reference_checker(mutant_start, drawn, seed):
     # and with every product recording its factors and every witness checked
     # by the passes, where node witnesses keep phi composed and a changed
     # phi is flat over a recorded upper; the copies made after a check meet
-    # the kept law pairs and descent. The mutants are drawn from a seeded
-    # generator, so that an example that returns at once once the budget is
-    # spent draws what it would have drawn.
+    # the kept descent. The mutants are drawn from a seeded generator, so
+    # that an example that returns at once once the budget is spent draws
+    # what it would have drawn.
     n, columns = drawn
     if not columns or time.process_time() - mutant_start > MUTANT_BUDGET_S:
         return

@@ -92,6 +92,22 @@ def test_covering_witness_round_trip(sa3, sa2):
     assert verify_covering(back)
 
 
+def test_emitted_witness_bytes():
+    # both kinds of witness document, byte for byte: keys in order, phi over
+    # the domain (covering) or every source state (hom-image), xi from the
+    # lower's symbols to the upper's (covering) or source to target
+    upper = Semiautomaton(["p", "q", "r"], ["x", "y"], [[0, 1], [0, 1], [0, 2]])
+    lower = Semiautomaton(["1", "2"], ["a", "b", "c"], [[0, 1, 1], [0, 1, 0]])
+    cover = CoveringWitness(upper, lower, [1, None, 0], [1, 0, 1], check=False)
+    hom = HomImageWitness(upper, lower, [1, 0, 1], [2, 0], check=False)
+    for w, kind, phi, xi in [
+        (cover, "covering", [["p", "2"], ["r", "1"]], [["a", "y"], ["b", "x"], ["c", "y"]]),
+        (hom, "hom-image", [["p", "2"], ["q", "1"], ["r", "2"]], [["x", "c"], ["y", "a"]]),
+    ]:
+        doc = {"format_version": 1, "kind": kind, "phi": phi, "xi": xi}
+        assert emit_witness(w) == json.dumps(doc, indent=2) + "\n"
+
+
 def test_wrong_witness_parses_then_fails(sa3, sa2):
     doc = {
         "format_version": 1,
@@ -403,6 +419,23 @@ def test_cli_missing_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 4
     assert "i/o error" in err
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["--cap-group", "-3"], "cap group_order of -3 is negative"),
+    (["--cap-states", "-1"], "cap product_states of -1 is negative"),
+    (["--verify-len", "-2"], "--verify-len of -2 is negative"),
+])
+def test_cli_decompose_rejects_a_negative_bound(docs, capsys, argv, reason):
+    assert main(["decompose", docs["five_pr"]] + argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "invalid input: %s\n" % reason)
+
+
+def test_cli_verify_rejects_a_negative_length(docs, capsys):
+    assert main(["verify", docs["sa3"], docs["sa2"], docs["witness"], "--len", "-4"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "invalid input: --len of -4 is negative\n")
 
 
 def test_cli_verify(docs, capsys):

@@ -1230,7 +1230,8 @@ def test_replacing_a_checked_part_gives_a_fresh_verdict():
     # xi, the upper, the lower or the composition of phi replaced in place
     # on a checked witness, each by a changed one: the check gets the
     # verdict, reason and site of a fresh witness made from the same parts,
-    # where the kept law pairs and descent would miss the change
+    # and keeps the descent of the new parts, where the descent kept from
+    # the old parts would miss the change
     w = krohn_rhodes_decompose(random_n(5, 1)).witness
     assert isinstance(w._phi, _lawcheck.Composed) and verify_covering(w)
     rng = random.Random(5)
@@ -1267,26 +1268,27 @@ def test_replacing_a_checked_part_gives_a_fresh_verdict():
         got, want = verify_covering(kept), verify_covering(_unchecked(kept))
         assert not got.ok, name
         assert (got.reason, got.site) == (want.reason, want.site)
-        xi, upper, lower, _, phi, _ = kept._pairs
-        assert (xi, upper, lower, phi) == (kept.xi, kept.upper, kept.lower, kept._phi)
+        assert kept._descent is not w._descent
+        assert kept._descent == _lawcheck.descend(
+            kept.upper, kept._phi, automata._law_pairs(kept))
 
 
 def test_pickled_witness_keeps_no_check():
-    # a checked witness pickles as its parts: a copy loads with no kept law
-    # pairs, descent or domain, so a pickle whose kept check was forged to
-    # hold no law pair and no task gets the verdict, reason and site of a
-    # fresh copy, on a witness with one phi entry changed
+    # a checked witness pickles as its parts: a copy loads with no kept
+    # descent or domain, so a pickle whose kept descent was forged to hold
+    # no task gets the verdict, reason and site of a fresh copy, on a
+    # witness with one phi entry changed
     root = krohn_rhodes_decompose(random_n(5, 1)).witness
     phi = list(root.phi)
     s = random.Random(1).choice([s for s, v in enumerate(phi) if v is not None])
     phi[s] = (phi[s] + 1) % root.lower.n_states
     w = CoveringWitness._from_parts(root.upper, root.lower, tuple(phi), root.xi)
     want = verify_covering(w)
-    assert not want.ok and w._pairs is not None and w.dom
-    w._pairs = w._pairs[:3] + (set(), w.phi, (w.upper, set(), [w.phi]))
+    assert not want.ok and w._descent is not None and w.dom
+    w._descent = w.upper, set(), [w.phi]
     assert verify_covering(w)
     back = pickle.loads(pickle.dumps(w))
-    assert back._pairs is None and back._dom is None
+    assert back._descent is None and back._dom is None
     got = verify_covering(back)
     assert (got.ok, got.reason, got.site) == (want.ok, want.reason, want.site)
 
@@ -1349,11 +1351,11 @@ def test_pickled_tree_verifies_and_reports_the_same():
     assert render_tree_text(tree_report(copy)) == render_tree_text(tree_report(tree))
 
 
-def test_kept_law_pairs_follow_a_replaced_xi_or_lower():
-    # a check keeps the law pairs on the witness; a copy given another xi,
-    # or another lower automaton, after that check gets them computed again
-    # and the verdict of a fresh witness with the same parts, where the
-    # pairs kept would miss the change
+def test_kept_descent_follows_a_replaced_xi_or_lower():
+    # a check keeps the descent on the witness; a copy given another xi, or
+    # another lower automaton, after that check descends again from the new
+    # law pairs and gets the verdict of a fresh witness with the same parts,
+    # where the descent kept would miss the change
     def wide(w):
         twins = any(c != a for a, c in enumerate(w.lower._classes))
         cells = len(w.xi) * w.upper.n_states
@@ -1362,8 +1364,8 @@ def test_kept_law_pairs_follow_a_replaced_xi_or_lower():
     tree = krohn_rhodes_decompose(random_n(5, 0))
     w = next(node.witness for node in iter_nodes(tree) if wide(node.witness))
     assert verify_covering(w)
-    kept = w._pairs
-    assert kept[0] is w.xi and kept[1] is w.upper and kept[2] is w.lower
+    kept = w._descent
+    assert kept is not None
     # xi sends a symbol to another upper column class
     classes = w.upper._classes
     x = next(x for x in range(w.upper.n_symbols) if classes[x] != classes[w.xi[0]])
@@ -1382,8 +1384,10 @@ def test_kept_law_pairs_follow_a_replaced_xi_or_lower():
         fresh = CoveringWitness(c.upper, c.lower, c.phi, c.xi, check=False)
         want = verify_covering(fresh)
         assert not got.ok and (got.reason, got.site) == (want.reason, want.site)
-        assert c._pairs[3] == automata._law_pairs(fresh) != kept[3]
-        assert w._pairs is kept
+        pairs = automata._law_pairs(fresh)
+        assert pairs != automata._law_pairs(w)
+        assert c._descent == _lawcheck.descend(c.upper, c._phi, pairs) != kept
+        assert w._descent is kept
 
 
 def test_composed_descent_stops_where_the_inner_phi_is_flat(monkeypatch):
