@@ -77,18 +77,20 @@ def _rows(columns, n_states):
     return zip(*columns) if columns else repeat((), n_states)
 
 
+def _integer(x, name: str) -> int:
+    try:
+        return index(x)
+    except TypeError:
+        raise InvalidInputError("%s %r is not an integer" % (name, x)) from None
+
+
 def _row_fault(rows, n_symbols, n_states):
     """Raise for the first malformed row or target, in row order."""
     for row in rows:
         if len(row) != n_symbols:
             raise InvalidInputError("transition row length differs from alphabet size")
         for x in row:
-            try:
-                x = index(x)
-            except TypeError:
-                raise InvalidInputError(
-                    "transition target %r is not an integer" % (x,)
-                ) from None
+            x = _integer(x, "transition target")
             if not 0 <= x < n_states:
                 raise InvalidInputError("transition target %d out of range" % x)
 
@@ -740,8 +742,9 @@ class CoveringWitness:
         return CoveringWitness._from_parts, (self.upper, self.lower, self.phi, self.xi)
 
     def __repr__(self):
-        return "CoveringWitness(%d of %d upper states onto %d lower states)" % (
-            len(self.phi) - self.phi.count(None), self.upper.n_states, self.lower.n_states)
+        # names no entry of phi, which a composed phi would build in full
+        return "CoveringWitness(%d upper states onto %d lower states)" % (
+            self.upper.n_states, self.lower.n_states)
 
 
 # The attributes of a CoveringWitness that _parts_fault reads.
@@ -946,6 +949,11 @@ def compose_coverings(w1: CoveringWitness, w2: CoveringWitness) -> CoveringWitne
     return CoveringWitness._from_parts(w1.upper, w2.lower, phi, xi)
 
 
+def _nonnegative(name: str, length: int):
+    if length < 0:
+        raise InvalidInputError("%s of %d is negative" % (name, length))
+
+
 def simulation_counterexample(w: CoveringWitness, max_len: int):
     """A pair (upper start state, word) violating phi(s·xi(x)) = phi(s)·x, or None.
 
@@ -962,9 +970,11 @@ def simulation_counterexample(w: CoveringWitness, max_len: int):
     first (s, a), domain states in order and then symbols, where the one-symbol
     law or domain closure fails, with the one-letter word (a,); for
     max_len >= 1 the verdict does not depend on max_len. Cost is
-    |dom| * |lower alphabet| steps, not |lower alphabet| ** max_len. Parts
-    that do not fit raise WitnessError with _parts_fault's reason.
+    |dom| * |lower alphabet| steps, not |lower alphabet| ** max_len. A
+    negative max_len raises InvalidInputError, and parts that do not fit
+    raise WitnessError with _parts_fault's reason.
     """
+    _nonnegative("max_len", max_len)
     fault = w._fault
     if fault is not None:
         raise WitnessError(fault)

@@ -13,6 +13,7 @@ import sys
 
 from .automata import (
     CoveringWitness,
+    _nonnegative,
     transition_monoid,
     verify_covering,
     verify_hom_image,
@@ -42,11 +43,6 @@ EXIT_IO = 4
 def _read(path):
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
-
-
-def _nonnegative(flag: str, length: int):
-    if length < 0:
-        raise InvalidInputError("%s of %d is negative" % (flag, length))
 
 
 def cmd_decompose(args) -> int:

@@ -9,64 +9,24 @@ from operator import add, index
 from typing import Optional
 
 from .algebra import clamp_label, pair_labels
-from .automata import CoveringWitness, Semiautomaton, _unique_labels, cascade_product
+from .automata import CoveringWitness, Semiautomaton, _integer, _unique_labels, cascade_product
 from .errors import InvalidInputError
 
 
-class Partition:
-    """Disjoint nonempty blocks covering the state set, in given block order."""
-
-    def __init__(self, n_states: int, blocks):
-        self.n_states = int(n_states)
-        self.blocks = tuple(tuple(sorted(int(s) for s in b)) for b in blocks)
-        seen = set()
-        for b in self.blocks:
-            if not b:
-                raise InvalidInputError("empty block")
-            for s in b:
-                if not 0 <= s < self.n_states:
-                    raise InvalidInputError("state %d out of range" % s)
-                if s in seen:
-                    raise InvalidInputError("state %d appears in two blocks" % s)
-                seen.add(s)
-        if len(seen) != self.n_states:
-            raise InvalidInputError("blocks do not cover the state set")
-        self.block_of = [0] * self.n_states
-        for i, b in enumerate(self.blocks):
-            for s in b:
-                self.block_of[s] = i
-        self.block_of = tuple(self.block_of)
-
-    @property
-    def count(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def max_block_size(self) -> int:
-        return max(len(b) for b in self.blocks)
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.blocks == other.blocks
-
-    def __repr__(self):
-        return "Partition(%s)" % (list(map(list, self.blocks)),)
-
-
 class Decomposition:
-    """Nonempty blocks covering the state set; overlap is allowed."""
+    """Nonempty blocks of states covering the state set; overlap is allowed.
+    States are integers (operator.index), and a block is read as a set."""
 
     def __init__(self, n_states: int, blocks):
-        self.n_states = int(n_states)
-        self.blocks = tuple(tuple(sorted(int(s) for s in set(b))) for b in blocks)
-        covered = set()
+        self.n_states = _integer(n_states, "state count")
+        self.blocks = tuple(tuple(sorted({_integer(s, "state") for s in b})) for b in blocks)
         for b in self.blocks:
             if not b:
                 raise InvalidInputError("empty block")
             for s in b:
                 if not 0 <= s < self.n_states:
                     raise InvalidInputError("state %d out of range" % s)
-            covered.update(b)
-        if covered != set(range(self.n_states)):
+        if set(chain.from_iterable(self.blocks)) != set(range(self.n_states)):
             raise InvalidInputError("blocks do not cover the state set")
 
     @property
@@ -81,7 +41,25 @@ class Decomposition:
         return sum(len(b) for b in self.blocks) == self.n_states
 
     def __repr__(self):
-        return "Decomposition(%s)" % (list(map(list, self.blocks)),)
+        return "%s(%s)" % (type(self).__name__, list(map(list, self.blocks)))
+
+
+class Partition(Decomposition):
+    """A decomposition whose blocks are disjoint, in given block order;
+    block_of[s] is the block of state s."""
+
+    def __init__(self, n_states: int, blocks):
+        super().__init__(n_states, blocks)
+        block_of = [None] * self.n_states
+        for i, b in enumerate(self.blocks):
+            for s in b:
+                if block_of[s] is not None:
+                    raise InvalidInputError("state %d appears in two blocks" % s)
+                block_of[s] = i
+        self.block_of = tuple(block_of)
+
+    def __eq__(self, other):
+        return isinstance(other, Partition) and self.blocks == other.blocks
 
 
 @dataclass(frozen=True)
@@ -314,7 +292,7 @@ def yoeli_auxiliary(A: Semiautomaton, D: Decomposition, factor=None) -> YoeliAux
     """State splitting: A* lives on pairs (s, block) with s in the block.
 
     The second component follows the D-factor B, so the partition D* by second
-    component is admissible and A*/D* reproduces B's table exactly; phi
+    component is admissible and B* = A*/D* is B on D*'s block labels; phi
     forgetting the block component makes A* cover A. A given factor is
     (B, choice) as d_factor returns it, or (B, None), and B is checked
     against containment. The witness is built unchecked; verify it first.
@@ -354,11 +332,9 @@ def yoeli_auxiliary(A: Semiautomaton, D: Decomposition, factor=None) -> YoeliAux
     witness = CoveringWitness._from_parts(
         a_star, A, tuple(s for s, i in states), tuple(range(A.n_symbols))
     )
-    # D* is admissible by construction, and the table check below confirms
-    # the quotient
-    b_star = _quotient(a_star, d_star)
-    if b_star.table != B.table:
-        raise InvalidInputError("auxiliary quotient disagrees with the factor table")
+    labels = _block_labels(a_star, d_star.blocks)
+    b_columns = {c: B.column(c) for c in B._firsts}
+    b_star = Semiautomaton._from_keys(labels, A.symbol_labels, b_columns, B._classes)
     return YoeliAuxiliary(a_star, d_star, witness, b_star, states)
 
 

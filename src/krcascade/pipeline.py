@@ -40,6 +40,7 @@ from .automata import (
     CoveringWitness,
     Semiautomaton,
     _composed_witness,
+    _nonnegative,
     _substitute,
     _unique_labels,
     cascade_product,
@@ -54,6 +55,7 @@ from .errors import (
     WitnessError,
 )
 from .groups import (
+    SUBGROUP_CAP,
     CosetPartition,
     FiniteGroup,
     _composition_walk,
@@ -68,7 +70,6 @@ from .partitions import (
     _decomposition_cover,
     _quotient,
     complementary_partition,
-    p_factor,
 )
 
 
@@ -80,7 +81,7 @@ class Caps:
     so a breach builds nothing. A negative cap raises InvalidInputError.
     """
 
-    group_order: int = 24
+    group_order: int = SUBGROUP_CAP
     product_states: int = 500_000
 
     def __post_init__(self):
@@ -490,7 +491,9 @@ def _coset_split(glike: Semiautomaton, G: FiniteGroup, H):
     with glike = grouplike(G), without the product B∘C'."""
     cp = coset_partition(G, H)
     h_group, h_elems = subgroup_as_group(G, H)
-    b, _ = p_factor(glike, Partition(G.order, [cp.block(i) for i in range(cp.count)]))
+    # the right cosets of a subgroup are an admissible partition of
+    # grouplike(G), so B is their quotient with no admissibility check
+    b = _quotient(glike, Partition(G.order, [cp.block(i) for i in range(cp.count)]))
 
     c_prime = grouplike_of(h_group)
     h_index = {h: j for j, h in enumerate(h_elems)}
@@ -651,8 +654,8 @@ def krohn_rhodes_decompose(A: Semiautomaton, caps: Caps = Caps()) -> Node:
     semiautomata (or raw components naming the breached cap), with a root
     witness covering A.
 
-    Every cap is checked on predicted sizes first (_plan_chain), so only the
-    part of the chain that survives the caps is ever built.
+    Every cap is checked on predicted sizes (_plan_chain) once _chain_steps
+    has built the chain, so only the tree nodes the caps allow are built.
     """
     if A.n_states == 1:
         return _two_state_identity_cover(A)
@@ -675,7 +678,8 @@ def verify_tree(tree: Node, sim_len: int = 6):
     The simulation verdict is read from the root's law check, not
     recomputed: simulation_counterexample is the one-symbol law check that
     verify_covering runs on the root witness, so once that verifies no word
-    of any length breaks it, and sim_len changes nothing here. Node automata
+    of any length breaks it, and sim_len changes nothing here but a negative
+    sim_len, which raises InvalidInputError. Node automata
     are products, whose cells are states by construction (Semiautomaton), so
     no table is scanned again before the law check reads it.
 
@@ -685,25 +689,18 @@ def verify_tree(tree: Node, sim_len: int = 6):
     replayed check reuses the descent its witness kept from the first
     (automata._law_violation), and compares every cell again.
     """
+    _nonnegative("sim_len", sim_len)
     results = [(node, verify_covering(node.witness)) for node in iter_nodes(tree)]
     return all(res for _, res in results), results
 
 
 def canonical_group_key(G: FiniteGroup):
     """(order, abelian, canonical table) for cyclic groups; the table slot falls
-    back to the element-order multiset otherwise."""
+    back to the element-order multiset otherwise. A cyclic group of order n
+    is Z_n, whose table, in the powers of any generator, is (i + j) % n."""
     n = G.order
-    for g in range(n):
-        if G.element_order(g) == n:
-            powers = [G.identity]
-            for _ in range(n - 1):
-                powers.append(G.mul(powers[-1], g))
-            rank = {x: i for i, x in enumerate(powers)}
-            table = tuple(
-                tuple(rank[G.mul(powers[i], powers[j])] for j in range(n))
-                for i in range(n)
-            )
-            return (n, True, table)
+    if any(G.element_order(g) == n for g in range(n)):
+        return (n, True, tuple(tuple((i + j) % n for j in range(n)) for i in range(n)))
     orders = tuple(sorted(G.element_order(x) for x in range(n)))
     return (n, G.is_abelian(), orders)
 

@@ -4,6 +4,8 @@ Expected tables were computed by hand from the transition columns in
 conftest.py before the implementation existed.
 """
 
+import re
+
 import pytest
 
 from krcascade import (
@@ -32,13 +34,17 @@ def test_partition_validation():
     assert p.block_of == (0, 1, 0, 2)
     assert p.count == 3
     assert p.max_block_size == 2
-    with pytest.raises(InvalidInputError):
+    assert isinstance(p, Decomposition) and p.is_partition()
+    assert repr(p) == "Partition([[0, 2], [1], [3]])"
+    # a block is a set of states, as a decomposition's is
+    assert Partition(3, [[0, 0, 1], [2]]) == Partition(3, [[1, 0], [2]])
+    with pytest.raises(InvalidInputError, match="^empty block$"):
         Partition(3, [[0, 1], [], [2]])
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="^state 3 out of range$"):
         Partition(3, [[0, 1], [3]])
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="^state 1 appears in two blocks$"):
         Partition(3, [[0, 1], [1, 2]])
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="^blocks do not cover the state set$"):
         Partition(3, [[0, 1]])
 
 
@@ -48,13 +54,37 @@ def test_decomposition_validation():
     assert d.count == 2
     assert d.max_block_size == 3
     assert not d.is_partition()
+    assert repr(d) == "Decomposition([[0, 1, 2], [2, 3]])"
     assert Decomposition(2, [[0], [1]]).is_partition()
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="^empty block$"):
         Decomposition(3, [[0, 1], []])
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="^state 5 out of range$"):
         Decomposition(3, [[0, 1], [5]])
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="^blocks do not cover the state set$"):
         Decomposition(3, [[0, 1]])
+
+
+@pytest.mark.parametrize("cls", [Partition, Decomposition])
+@pytest.mark.parametrize(
+    "n_states, blocks, message",
+    [
+        (3, [[0, 1], [2.7]], "state 2.7 is not an integer"),
+        (3, [[0, 1.9], ["2"]], "state 1.9 is not an integer"),
+        (3, [[0, 1], ["2"]], "state '2' is not an integer"),
+        (3.0, [[0, 1], [2]], "state count 3.0 is not an integer"),
+    ],
+    ids=["float", "first-non-integer", "str", "float-count"],
+)
+def test_a_non_integer_state_is_named(cls, n_states, blocks, message):
+    # refused as a transition target is, never truncated or parsed
+    with pytest.raises(InvalidInputError, match="^%s$" % re.escape(message)):
+        cls(n_states, blocks)
+
+
+def test_integer_like_states_are_taken():
+    # anything with __index__ is a state, as it is a transition target
+    assert Partition(2, [[False], [True]]).blocks == ((0,), (1,))
+    assert Decomposition(2, [[0, True], [1]]).blocks == ((0, 1), (1,))
 
 
 def test_admissibility(seven_state, seven_p, six_state, six_d):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krcascade import _lawcheck, automata, pipeline
+from krcascade import _lawcheck, automata, partitions, pipeline
 from krcascade import (
     Caps,
     CoveringWitness,
@@ -487,6 +487,16 @@ def test_canonical_group_key(klein):
     assert orders == (1, 2, 2, 2, 3, 3)
 
 
+def test_canonical_group_key_of_a_cyclic_group_on_other_generators():
+    # Z_6 closed from the square and the cube of a 6-cycle: its element 1,
+    # the square, has order 3, and the key is still Z_6's addition table
+    square, cube = (Transformation([(i + k) % 6 for i in range(6)]) for k in (2, 3))
+    G = FiniteGroup(closure_generate([square, cube], domain_size=6))
+    assert G.order == 6 and G.element_order(1) == 3
+    z6 = tuple(tuple((i + j) % 6 for j in range(6)) for i in range(6))
+    assert canonical_group_key(G) == (6, True, z6) == canonical_group_key(cyclic(6))
+
+
 def test_leaf_description(five_state):
     raw = Leaf(LEAF_RAW, five_state, None, reason="cap hit")
     assert leaf_description(raw) == "raw component: cap hit"
@@ -850,12 +860,16 @@ def test_witness_domains_are_built_on_first_read():
     tree_report(tree, sim_len=6)
     witnesses = [node.witness for node in iter_nodes(tree)]
     assert [w for w in witnesses if vars(w)["_dom"] is not None] == []
+    # repr reads no entry of phi, so a composed phi stays unbuilt
+    composed = [w._phi for w in witnesses if isinstance(w._phi, _lawcheck.Composed)]
+    assert composed
+    list(map(repr, witnesses))
+    assert [phi for phi in composed if phi._flat is not None] == []
     rng = random.Random(5000)
     for w in witnesses:
         for c in [w] + _one_entry_corruptions(w, rng):
             dom = tuple(s for s, v in enumerate(c.phi) if v is not None)
-            shown = "CoveringWitness(%d of %d upper states onto %d lower states)" % (
-                len(dom),
+            shown = "CoveringWitness(%d upper states onto %d lower states)" % (
                 c.upper.n_states,
                 c.lower.n_states,
             )
@@ -865,6 +879,37 @@ def test_witness_domains_are_built_on_first_read():
             assert c.dom == dom
             assert vars(c)["_dom"] is c.dom
             assert repr(c) == shown
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("sim_len", lambda tree, n: verify_tree(tree, sim_len=n)),
+        ("sim_len", lambda tree, n: tree_report(tree, sim_len=n)),
+        ("max_len", lambda tree, n: simulation_counterexample(tree.witness, n)),
+    ],
+    ids=["verify_tree", "tree_report", "simulation_counterexample"],
+)
+def test_a_negative_length_is_refused(five_pr, name, call):
+    # worded as the command line words a negative --len; a length of 0 is valid
+    tree = krohn_rhodes_decompose(five_pr)
+    with pytest.raises(InvalidInputError, match="^%s of -4 is negative$" % name):
+        call(tree, -4)
+    call(tree, 0)
+
+
+def test_decomposing_runs_no_containment_pass(monkeypatch):
+    # the chain's D-factors, the Yoeli quotients A*/D* and the coset
+    # partitions are admissible by construction, so decomposing runs no
+    # containment pass, and the trees are the pinned ones
+    def refuse(A, D):
+        raise AssertionError("containment pass while decomposing")
+
+    monkeypatch.setattr(partitions, "_containment", refuse)
+    td, expected = _load_script(), _expected()
+    for n, seed in [(5, seed) for seed in range(10)] + [(6, seed) for seed in range(10)]:
+        tree = krohn_rhodes_decompose(random_n(n, seed))
+        assert td.tree_digest(tree) == expected["random%d-%d" % (n, seed)]
 
 
 def _verify_tree_with_simulation(tree, sim_len):

@@ -50,6 +50,7 @@ from krcascade import (
     yoeli_auxiliary,
 )
 from krcascade.automata import _CONSTANT, _IDENTITY, _OTHER, _PERMUTATION
+from krcascade.partitions import _quotient
 from krcascade.pipeline import _chain_steps, _group_cover, _plan_factor, _proof_factor
 
 from test_pipeline import random_n
@@ -867,6 +868,28 @@ def test_proof_factor_is_the_d_factor_of_the_proof_table(X):
     # the chain's D-factor, made once per column class by _proof_factor,
     # is d_factor on the proof's choice table made input by input
     _assert_proof_factor_is_d_factor(X)
+
+
+def _assert_b_star_is_the_quotient(X, D, factor):
+    aux = yoeli_auxiliary(X, D, factor)
+    got, want = aux.b_star, _quotient(aux.a_star, aux.d_star)
+    assert (got.state_labels, got.symbol_labels) == (want.state_labels, want.symbol_labels)
+    assert got.table == want.table
+    assert (got._classes, got._firsts) == (want._classes, want._firsts)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_repeated_columns(), st.data())
+def test_yoeli_b_star_is_the_quotient_by_d_star(X, data):
+    # B* is built as the factor on D*'s block labels, never as the quotient
+    # A*/D*; both are the same automaton, for the chain's factor and for
+    # d_factor's on a decomposition made admissible by a block of every state
+    n = X.n_states
+    D = Decomposition(n, [[s for s in range(n) if s != i] for i in range(n)])
+    _assert_b_star_is_the_quotient(X, D, (_proof_factor(X, D), None))
+    blocks = data.draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), max_size=4))
+    D = Decomposition(n, blocks + [range(n)])
+    _assert_b_star_is_the_quotient(X, D, d_factor(X, D))
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
