@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from itertools import compress, count
+from operator import index
 from typing import Optional, Sequence
 
 from .errors import InvalidCongruenceError, InvalidInputError, ResourceCapError
@@ -30,22 +31,27 @@ def pair_labels(pairs, prefix: str) -> list:
     return labels
 
 
+def _integer(x, name: str) -> int:
+    """x by operator.index; a value such as 2.7 or '2' raises InvalidInputError."""
+    try:
+        return index(x)
+    except TypeError:
+        raise InvalidInputError("%s %r is not an integer" % (name, x)) from None
+
+
 class Transformation:
     """Total self-map of {0..n-1}; composition is diagrammatic, (fg)(x) = g(f(x))."""
 
     __slots__ = ("image",)
 
     def __init__(self, image):
-        image = tuple(map(int, image))
+        image = tuple(_integer(x, "image point") for x in image)
         n = len(image)
         if n == 0:
             raise InvalidInputError("transformation needs at least one point")
         if not (0 <= min(image) and max(image) < n):
-            for x in image:
-                if not 0 <= x < n:
-                    raise InvalidInputError(
-                        "image point %d out of range for domain size %d" % (x, n)
-                    )
+            x = next(x for x in image if not 0 <= x < n)
+            raise InvalidInputError("image point %d out of range for domain size %d" % (x, n))
         self.image = image
 
     @property

@@ -10,12 +10,12 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import chain, compress, count, islice, product, repeat
-from operator import index, is_not
+from itertools import compress, count, islice, product, repeat
+from operator import is_not
 from typing import Optional
 
 from . import _lawcheck
-from .algebra import CLOSURE_CAP, Transformation, closure_generate, pair_labels
+from .algebra import CLOSURE_CAP, Transformation, _integer, closure_generate, pair_labels
 from .errors import InvalidInputError, WitnessError
 
 # Table cells are C ints: 4 bytes each, holding state indices, so a table
@@ -75,13 +75,6 @@ def _unique_labels(candidates) -> tuple:
 def _rows(columns, n_states):
     """The rows of the table with per-symbol images columns[a][s]."""
     return zip(*columns) if columns else repeat((), n_states)
-
-
-def _integer(x, name: str) -> int:
-    try:
-        return index(x)
-    except TypeError:
-        raise InvalidInputError("%s %r is not an integer" % (name, x)) from None
 
 
 def _row_fault(rows, n_symbols, n_states):
@@ -417,18 +410,14 @@ class Semiautomaton:
         return [self.symbol_transformation(a) for a in range(self.n_symbols)]
 
     def word_indices(self, w):
-        """Normalize a word to symbol indices; strings are read per character."""
-        if isinstance(w, str):
-            return [self.symbol_index(ch) for ch in w]
+        """Normalize a word to symbol indices: a str item is a symbol label (a
+        str word is read per character), and anything else an index."""
         out = []
-        for item in w:
-            if isinstance(item, str):
-                out.append(self.symbol_index(item))
-            else:
-                item = int(item)
-                if not 0 <= item < self.n_symbols:
-                    raise InvalidInputError("symbol index %d out of range" % item)
-                out.append(item)
+        for x in w:
+            a = self.symbol_index(x) if isinstance(x, str) else _integer(x, "symbol index")
+            if not 0 <= a < self.n_symbols:
+                raise InvalidInputError("symbol index %d out of range" % a)
+            out.append(a)
         return out
 
     def __eq__(self, other):
@@ -455,6 +444,7 @@ class Semiautomaton:
 
 def run(A: Semiautomaton, s: int, w) -> int:
     """delta*: the state reached from s after reading w."""
+    s = _integer(s, "state index")
     if not 0 <= s < A.n_states:
         raise InvalidInputError("state index %d out of range" % s)
     table, n = A._table, A.n_states
@@ -606,30 +596,12 @@ def direct_product(A: Semiautomaton, B: Semiautomaton) -> Semiautomaton:
 
 def _check_omega(A: Semiautomaton, B: Semiautomaton, omega):
     """omega as a tuple of row tuples of ints, one row per state of A and one
-    entry per symbol of A, each a symbol of B.
-
-    Each distinct row is checked once, by builtins. Rows with entries that
-    are not ints, such as bools, go through _omega_fault, which normalizes
-    them, as does a fault, which it names."""
-    omega = tuple(map(tuple, omega))
+    entry per symbol of A, each a symbol of B (_integer converts each): the
+    one check of a connection, where it enters, which names the first fault."""
     try:
-        rows = dict.fromkeys(omega)
+        omega = tuple(tuple(_integer(x, "connection mapping image") for x in row) for row in omega)
     except TypeError:
-        return _omega_fault(A, B, omega)
-    m = A.n_symbols
-    if (
-        len(omega) == A.n_states
-        and set(map(len, rows)) == {m}
-        and {int}.issuperset(map(type, chain.from_iterable(rows)))
-        and (not m or (0 <= min(map(min, rows)) and max(map(max, rows)) < B.n_symbols))
-    ):
-        return omega
-    return _omega_fault(A, B, omega)
-
-
-def _omega_fault(A: Semiautomaton, B: Semiautomaton, omega):
-    """_check_omega by a loop over the entries, which names the first fault."""
-    omega = tuple(tuple(int(x) for x in row) for row in omega)
+        raise InvalidInputError("connection mapping is not a sequence of rows") from None
     if len(omega) != A.n_states:
         raise InvalidInputError("connection mapping needs one row per first-factor state")
     for row in omega:
@@ -644,7 +616,7 @@ def _omega_fault(A: Semiautomaton, B: Semiautomaton, omega):
 
 
 def cascade_product(A: Semiautomaton, B: Semiautomaton, omega) -> Semiautomaton:
-    """A driving B: (s,t)·a = (s·a, t·omega(s,a)), over A's alphabet."""
+    """A driving B: (s,t)·a = (s·a, t·omega(s,a)), over A's alphabet; omega is checked."""
     return _product(A, B, list(zip(*_check_omega(A, B, omega))))
 
 
@@ -689,12 +661,14 @@ class CoveringWitness:
 
     def __init__(self, upper: Semiautomaton, lower: Semiautomaton, phi, xi, check=True):
         phi = tuple(phi)
-        image = {v: None if v is None else int(v) for v in set(phi)}
-        phi = tuple(map(image.__getitem__, phi))
+        # each distinct entry is converted once; 1.0 == 1, so types count
+        keys = tuple(zip(phi, map(type, phi)))
+        image = {k: None if k[0] is None else _integer(k[0], "phi image") for k in set(keys)}
+        phi = tuple(map(image.__getitem__, keys))
         bad = set(image.values()).difference(range(lower.n_states), (None,))
         if bad:
             raise WitnessError("phi image %d out of range" % next(v for v in phi if v in bad))
-        self._set(upper, lower, phi, tuple(map(int, xi)))
+        self._set(upper, lower, phi, tuple(_integer(x, "xi image") for x in xi))
         if check:
             result = verify_covering(self)
             if not result:
@@ -786,8 +760,8 @@ class HomImageWitness:
     def __init__(self, source: Semiautomaton, target: Semiautomaton, phi, xi, check=True):
         self.source = source
         self.target = target
-        self.phi = tuple(int(v) for v in phi)
-        self.xi = tuple(int(x) for x in xi)
+        self.phi = tuple(_integer(v, "phi image") for v in phi)
+        self.xi = tuple(_integer(x, "xi image") for x in xi)
         if len(self.phi) != source.n_states:
             raise WitnessError("phi needs one entry per source state")
         if len(self.xi) != source.n_symbols:
@@ -1007,17 +981,12 @@ def _substitute(
     of |C| entries, after phi_V. So phi' is kept as that composition of
     phi_U, the rows and phi_V (_composed_witness), and expanded at once only
     where the product records no factors. xi' is xi, since the product keeps
-    A's alphabet. The witness is built unchecked: verify it once, or verify
-    the tree node witness it becomes, as krohn_rhodes_decompose does.
+    A's alphabet. Nothing is checked (substitute checks input from outside):
+    as in Ginzburg, the connection is composed from maps the caller built, so
+    _product builds the product directly. Verify the witness once, or the
+    tree node witness it becomes, as krohn_rhodes_decompose does.
     """
-    omega = _check_omega(A, C, omega)
-    if w_u.lower != A:
-        raise WitnessError("inner witness does not cover the first factor")
-    if w_v.lower != C:
-        raise WitnessError("inner witness does not cover the second factor")
     nc = C.n_states
-    if len(phi) != A.n_states * nc:
-        raise InvalidInputError("product automaton does not match the given factors")
     U, V = w_u.upper, w_v.upper
     # U's columns at xi_U, keyed by U's classes
     through = list(map(U._classes.__getitem__, w_u.xi))
@@ -1031,7 +1000,7 @@ def _substitute(
         if pu is not None:
             maps[pu] = phi[pu * nc:(pu + 1) * nc]
     omega2 = tuple(map(rows.__getitem__, keys))
-    product = cascade_product(u_prime, V, omega2)
+    product = _product(u_prime, V, list(zip(*omega2)))
     witness = _composed_witness(product, X, keys, maps, w_v, tuple(xi))
     return Substitution(u_prime, product, omega2, witness)
 
@@ -1048,11 +1017,20 @@ def substitute(
     unreachable from the witness domain and reuse row 0. phi sends (u,v) to
     (phi_U(u), phi_V(v)), outside the domain when either part is.
 
-    This is _substitute with the identity cover of A∘C. The witness is built
-    unchecked: verify it once, or verify the tree node witness it is composed
-    into, as krohn_rhodes_decompose does.
+    omega, the witnesses' lower automata and parts, and the size of
+    product_ac are checked, then _substitute runs on the identity cover of
+    A∘C. The witness is built unchecked: verify it once.
     """
+    omega = _check_omega(A, C, omega)
+    if w_u.lower != A:
+        raise WitnessError("inner witness does not cover the first factor")
+    if w_v.lower != C:
+        raise WitnessError("inner witness does not cover the second factor")
+    if w_u._fault or w_v._fault:
+        raise WitnessError(w_u._fault or w_v._fault)
     n, m = product_ac.n_states, product_ac.n_symbols
+    if n != A.n_states * C.n_states:
+        raise InvalidInputError("product automaton does not match the given factors")
     return _substitute(A, C, omega, w_u, w_v, range(n), range(m), product_ac)
 
 

@@ -8,8 +8,8 @@ from itertools import chain, product, repeat
 from operator import add, index
 from typing import Optional
 
-from .algebra import clamp_label, pair_labels
-from .automata import CoveringWitness, Semiautomaton, _integer, _unique_labels, cascade_product
+from .algebra import _integer, clamp_label, pair_labels
+from .automata import CoveringWitness, Semiautomaton, _unique_labels, cascade_product
 from .errors import InvalidInputError
 
 

@@ -31,7 +31,7 @@ from itertools import chain, product
 from typing import Optional, Union
 
 from . import automata
-from .algebra import CLOSURE_CAP, FiniteMonoid, _cayley_table, _closure, _word_labels, pair_labels
+from .algebra import CLOSURE_CAP, FiniteMonoid, _cayley_table, _closure, _integer, _word_labels, pair_labels
 from .automata import (
     _CONSTANT,
     _IDENTITY,
@@ -58,9 +58,9 @@ from .groups import (
     SUBGROUP_CAP,
     CosetPartition,
     FiniteGroup,
-    _composition_walk,
+    _maximal_normal_subgroup,
     coset_partition,
-    is_simple,
+    factor_group,
     subgroup_as_group,
 )
 from .partitions import (
@@ -78,7 +78,8 @@ class Caps:
     """Resource guards; breaches become raw leaves, not crashes.
 
     krohn_rhodes_decompose checks them on planned sizes before construction,
-    so a breach builds nothing. A negative cap raises InvalidInputError.
+    so a breach builds nothing. Each cap is converted by _integer, and one
+    that is not an integer or is negative raises InvalidInputError.
     """
 
     group_order: int = SUBGROUP_CAP
@@ -86,8 +87,10 @@ class Caps:
 
     def __post_init__(self):
         for name, cap in vars(self).items():
+            cap = _integer(cap, "cap %s" % name)
             if cap < 0:
                 raise InvalidInputError("cap %s of %d is negative" % (name, cap))
+            object.__setattr__(self, name, cap)
 
 
 class InputClass(enum.Enum):
@@ -416,7 +419,9 @@ def _proof_factor(X: Semiautomaton, D: Decomposition) -> Semiautomaton:
 
 
 def _chain_steps(A: Semiautomaton):
-    """The steps of pr_chain and its last factor, without the assembled cascade."""
+    """The steps of pr_chain and its last factor, without the assembled
+    cascade. Every factor is permutation-reset with no test: each B* is a
+    _proof_factor, and the loop stops at a permutation-reset continuation."""
     if A.n_states < 2:
         raise InvalidInputError("chain needs at least two states")
     steps = []
@@ -427,9 +432,6 @@ def _chain_steps(A: Semiautomaton):
         aux, C, omega, phi = _decomposition_cover(X, D, (_proof_factor(X, D), None))
         steps.append(ChainStep(X, aux.b_star, C, omega, phi))
         X = C
-    for B in [st.b for st in steps] + [X]:
-        if not is_permutation_reset(B):
-            raise InvalidInputError("chain produced a non-permutation-reset factor")
     return steps, X
 
 
@@ -515,7 +517,9 @@ def grouplike_to_simple_cascade(
 ) -> Node:
     """Cascade of simple grouplike leaves covering grouplike(G), one leaf per
     composition factor. Given cover, a witness grouplike(G) >= X, the root
-    covers X through it; the default is the identity cover of grouplike(G)."""
+    covers X through it; the default is the identity cover of grouplike(G).
+    G is simple when its largest proper normal subgroup H is None or trivial,
+    and otherwise H is maximal normal, so G/H is simple with no test."""
     if G.order > caps.group_order:
         raise ResourceCapError(
             "group of order %d exceeds the cap of %d" % (G.order, caps.group_order)
@@ -525,10 +529,11 @@ def grouplike_to_simple_cascade(
     elif tuple(cover.upper.table) != tuple(chain.from_iterable(zip(*G.table))):
         raise InvalidInputError("cover does not start at the grouplike automaton of G")
     glike = cover.upper
-    if G.order == 1 or is_simple(G, caps.group_order):
+    H = _maximal_normal_subgroup(G, range(G.order), caps.group_order)
+    if H is None or len(H) == 1:
         return _node("simple grouplike leaf", Leaf, LEAF_GROUPLIKE, glike, cover, group=G)
 
-    H, quotient = next(_composition_walk(G, caps.group_order))
+    quotient = factor_group(G, H)
     b, c_prime, omega, phi, h_group, cp = _coset_split(glike, G, H)
     glq = grouplike_of(quotient)
     w_leaf = CoveringWitness._from_parts(glq, b, tuple(range(quotient.order)), cp.cosets)

@@ -2,6 +2,7 @@
 
 import pickle
 import random
+import re
 import sys
 from array import array
 
@@ -10,6 +11,7 @@ import pytest
 import krcascade.automata as kr_automata
 from krcascade import _lawcheck
 from krcascade import (
+    Caps,
     CoveringWitness,
     HomImageWitness,
     InvalidInputError,
@@ -37,8 +39,6 @@ from krcascade import (
 from krcascade.automata import (
     _PairLabels,
     _check_omega,
-    _omega_fault,
-    _substitute,
     _unique_labels,
 )
 
@@ -129,42 +129,89 @@ class _Index:
     __int__ = __index__
 
 
+_MAPPED = ((1, 1), (0, 0), (0, 1))
+
+
 @pytest.mark.parametrize(
-    "omega",
+    "omega, want",
     [
-        [[1, 1], [0, 0], [0, 1]],
-        [(True, False), (0, 0), (0, 1)],
-        [[1, 1], [0, _Index(1)], [0, 1]],
-        [[1.0, 1], [0, 0], [0, 1]],
-        [["1", 1], [0, 0], [0, 1]],
-        [[1, 1], [0, 0]],
-        [[1, 1], [0, 0], [0, 1], [0, 0]],
-        [[1, 1], [0, 0, 0], [0, 1]],
-        [[1, 1], [0, 0], [0]],
-        [[1, 2], [0, 0], [0, 1]],
-        [[1, 1], [0, -1], [0, 1]],
-        [[1, 1], [0, 2 ** 40], [0, 1]],
-        [[1, 1], [0, 0], [0, 1.5]],
-        [[1, 1], [0, "x"], [0, 1]],
-        [[1, 1], [0, [0]], [0, 1]],
-        [[1, 1], 0, [0, 1]],
-        iter([iter([1, 1]), iter([0, 0]), iter([0, 1])]),
+        ([[1, 1], [0, 0], [0, 1]], _MAPPED),
+        ([(True, False), (0, 0), (0, 1)], ((1, 0), (0, 0), (0, 1))),
+        ([[1, 1], [0, _Index(1)], [0, 1]], ((1, 1), (0, 1), (0, 1))),
+        ([[1.0, 1], [0, 0], [0, 1]], "connection mapping image 1.0 is not an integer"),
+        ([["1", 1], [0, 0], [0, 1]], "connection mapping image '1' is not an integer"),
+        ([[1, 1], [0, 0]], "connection mapping needs one row per first-factor state"),
+        ([[1, 1], [0, 0], [0, 1], [0, 0]], "connection mapping needs one row per first-factor state"),
+        ([[1, 1], [0, 0, 0], [0, 1]], "connection mapping row length differs from alphabet"),
+        ([[1, 1], [0, 0], [0]], "connection mapping row length differs from alphabet"),
+        ([[1, 2], [0, 0], [0, 1]], "connection mapping image 2 outside the second factor's alphabet"),
+        ([[1, 1], [0, -1], [0, 1]], "connection mapping image -1 outside the second factor's alphabet"),
+        ([[1, 1], [0, 2 ** 40], [0, 1]],
+         "connection mapping image 1099511627776 outside the second factor's alphabet"),
+        ([[1, 1], [0, 0], [0, 1.5]], "connection mapping image 1.5 is not an integer"),
+        ([[1, 1], [0, "x"], [0, 1]], "connection mapping image 'x' is not an integer"),
+        ([[1, 1], [0, [0]], [0, 1]], "connection mapping image [0] is not an integer"),
+        ([[1, 1], 0, [0, 1]], "connection mapping is not a sequence of rows"),
+        (iter([iter([1, 1]), iter([0, 0]), iter([0, 1])]), _MAPPED),
     ],
+    ids=["omega%d" % k for k in range(17)],
 )
-def test_check_omega_matches_entry_loop(sa2, sa3, omega):
-    # the check by builtins returns what the loop over every entry returns,
-    # ints only, and raises what it raises, with the same message
-    rows = [list(row) if not isinstance(row, int) else row for row in omega]
-    try:
-        want = _omega_fault(sa3, sa2, rows)
-    except Exception as exc:
-        with pytest.raises(type(exc)) as got:
-            _check_omega(sa3, sa2, rows)
-        assert str(got.value) == str(exc)
-    else:
-        got = _check_omega(sa3, sa2, rows)
+def test_check_omega_matches_entry_loop(sa2, sa3, omega, want):
+    # the one check of a connection is the loop over its entries: it gives
+    # int tuples, or names the first fault, and both public entries,
+    # cascade_product and substitute, refuse what it refuses with its message
+    if isinstance(want, tuple):
+        got = _check_omega(sa3, sa2, omega)
         assert got == want
         assert {type(x) for row in got for x in row} == {int}
+        return
+    product = cascade_product(sa3, sa2, _MAPPED)
+    covers = identity_witness(sa3), identity_witness(sa2)
+    for check in (
+        lambda: _check_omega(sa3, sa2, omega),
+        lambda: cascade_product(sa3, sa2, omega),
+        lambda: substitute(product, sa3, sa2, omega, *covers),
+    ):
+        with pytest.raises(InvalidInputError, match="^%s$" % re.escape(want)):
+            check()
+
+
+# both inputs swap the two states, so each entry below reads the value 1;
+# the entries of a connection are test_check_omega_matches_entry_loop's
+_SWAP = Semiautomaton(["p", "q"], ["a", "b"], [[1, 1], [0, 0]])
+_INTEGER_ENTRIES = {
+    "transformation": lambda v: Transformation([v, 0]).image,
+    "witness-phi": lambda v: CoveringWitness(_SWAP, _SWAP, [0, v], [0, 1]).phi,
+    "witness-xi": lambda v: CoveringWitness(_SWAP, _SWAP, [0, 1], [v, 0]).xi,
+    "hom-phi": lambda v: HomImageWitness(_SWAP, _SWAP, [0, v], [0, 1]).phi,
+    "hom-xi": lambda v: HomImageWitness(_SWAP, _SWAP, [0, 1], [v, 0]).xi,
+    "word": lambda v: _SWAP.word_indices([v]),
+    "run-word": lambda v: run(_SWAP, 0, [v]),
+    "run-state": lambda v: run(_SWAP, v, []),
+    "word-transformation": lambda v: word_transformation(_SWAP, [v]).image,
+    "caps": lambda v: Caps(group_order=v, product_states=v),
+}
+_WORDS = {"word", "run-word", "word-transformation"}
+
+
+@pytest.mark.parametrize("entry", list(_INTEGER_ENTRIES))
+@pytest.mark.parametrize(
+    "value, taken",
+    [(1.0, False), ("1", False), (True, True), (_Index(1), True)],
+    ids=["float", "numeric-str", "bool", "index"],
+)
+def test_integer_entries_refuse_what_is_not_an_integer(entry, value, taken):
+    # every entry converts by operator.index: a float or a numeric string is
+    # named, never truncated or parsed, and what it takes reads as the int.
+    # A string in a word is a symbol label, so '1' is an unknown symbol there
+    make = _INTEGER_ENTRIES[entry]
+    if taken:
+        assert repr(make(value)) == repr(make(1))
+    else:
+        with pytest.raises(InvalidInputError) as refused:
+            make(value)
+        named = "unknown symbol %r" if entry in _WORDS and value == "1" else "%r is not an integer"
+        assert str(refused.value).endswith(named % (value,))
 
 
 def test_direct_product(sa2):
@@ -526,10 +573,12 @@ def test_substitute_rejects_mismatched_inputs(seven_state, seven_p, sa2):
         substitute(cov.product, cov.b, cov.c, cov.omega, w_u, w_u)
     with pytest.raises(InvalidInputError, match="does not match"):
         substitute(sa2, cov.b, cov.c, cov.omega, w_u, w_v)
-    # the outer cover's phi needs one entry per state of the product
-    short = range(cov.product.n_states - 1)
-    with pytest.raises(InvalidInputError, match="does not match"):
-        _substitute(cov.b, cov.c, cov.omega, w_u, w_v, short, range(2), seven_state)
+    # a part set on a made witness that no longer fits is named, as
+    # verify_covering names it
+    m = w_v.upper.n_symbols
+    w_v.xi = (m,) + w_v.xi[1:]
+    with pytest.raises(WitnessError, match="^xi image %d out of range$" % m):
+        substitute(cov.product, cov.b, cov.c, cov.omega, w_u, w_v)
 
 
 def _violates(w, s, word):

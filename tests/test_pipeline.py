@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krcascade import _lawcheck, automata, partitions, pipeline
+from krcascade import _lawcheck, automata, groups, partitions, pipeline
 from krcascade import (
     Caps,
     CoveringWitness,
@@ -898,14 +898,20 @@ def test_a_negative_length_is_refused(five_pr, name, call):
     call(tree, 0)
 
 
-def test_decomposing_runs_no_containment_pass(monkeypatch):
-    # the chain's D-factors, the Yoeli quotients A*/D* and the coset
-    # partitions are admissible by construction, so decomposing runs no
-    # containment pass, and the trees are the pinned ones
-    def refuse(A, D):
-        raise AssertionError("containment pass while decomposing")
+@pytest.mark.parametrize("name", ["_containment", "_check_omega", "is_simple"])
+def test_decomposing_runs_no_containment_pass(monkeypatch, name):
+    # what the construction guarantees is not checked again while
+    # decomposing, and the trees are the pinned ones: the chain's D-factors,
+    # the Yoeli quotients A*/D* and the coset partitions are admissible, so
+    # no containment pass runs; a tree node's connection is composed from
+    # maps in hand, so none is checked; and a group is simple when its
+    # largest proper normal subgroup is trivial, so no simplicity test runs
+    def refuse(*args):
+        raise AssertionError("%s ran while decomposing" % name)
 
-    monkeypatch.setattr(partitions, "_containment", refuse)
+    for module in (automata, groups, partitions, pipeline):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, refuse)
     td, expected = _load_script(), _expected()
     for n, seed in [(5, seed) for seed in range(10)] + [(6, seed) for seed in range(10)]:
         tree = krohn_rhodes_decompose(random_n(n, seed))

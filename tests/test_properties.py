@@ -57,8 +57,8 @@ from test_pipeline import random_n
 
 
 @st.composite
-def automata(draw, max_states=5, max_symbols=3):
-    n = draw(st.integers(1, max_states))
+def automata(draw, max_states=5, max_symbols=3, min_states=1):
+    n = draw(st.integers(min_states, max_states))
     m = draw(st.integers(1, max_symbols))
     delta = [[draw(st.integers(0, n - 1)) for _ in range(m)] for _ in range(n)]
     return Semiautomaton(
@@ -204,6 +204,15 @@ def test_product_laws(A, B, data):
         cells = X.table.tolist()
         assert len(cells) == X.n_states * X.n_symbols
         assert 0 <= min(cells) and max(cells) < X.n_states
+
+
+@settings(deadline=None)
+@given(automata(max_states=6, max_symbols=3, min_states=2))
+def test_pr_chain_factors_are_permutation_reset(A):
+    # pr_chain's factors are _chain_steps' B*s and its last continuation,
+    # which nothing tests for being permutation-reset once built
+    steps, last = _chain_steps(A)
+    assert all(map(is_permutation_reset, [step.b for step in steps] + [last]))
 
 
 @settings(deadline=None)
