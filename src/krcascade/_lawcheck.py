@@ -5,16 +5,21 @@ A state of a product A∘B is u·|B| + v, and symbol x sends it to
 A_x(u)·|B| + B_k(v), k = connection[x][u]. So the law's comparisons over
 phi's block of |B| states at u, under x and lower symbol a, read the block
 at A_x(u) through B's column k, and depend only on the triple (k, block at
-u, block at A_x(u)): each distinct triple is checked once. descend carries
-the tasks down the upper's record while phi is a Composed, the record of
-how a tree node's phi was composed, split as the upper's record is. Down a
-Composed, every block of a level is a row map over the same inner phi, so
-a block's contents are told apart by its row map at the values of that
-inner phi, and no entry of phi is read. Where the descent stops, the
-distinct blocks are expanded and passes checks them cell by cell on that
-level's own table; a flat phi is one block on its upper's table, the flat
-pass over the whole of phi, once per law pair. So every phi over every
-upper gets an exact verdict.
+u, block at A_x(u)), where k counts only by its column class in B: each
+distinct triple is checked once, k named by the first input of its class.
+That is exact at every level, not only at the top, whose law pairs are
+classes already: B's classes are how _product keys B's columns, so where B
+is a recorded product C∘D, the inputs of a class have equal columns in C
+and equal classes in D along their connection rows, and split into the
+same tasks one level down. descend carries the tasks down the upper's
+record while phi is a Composed, the record of how a tree node's phi was
+composed, split as the upper's record is. Down a Composed, every block of
+a level is a row map over the same inner phi, so a block's contents are
+told apart by its row map at the values of that inner phi, and no entry
+of phi is read. Where the descent stops, the distinct blocks are expanded
+and passes checks them cell by cell on that level's own table; a flat phi
+is one block on its upper's table, the flat pass over the whole of phi,
+once per law pair. So every phi over every upper gets an exact verdict.
 
 A descent depends only on the upper, phi and the law pairs, so a witness
 makes it on its first check and keeps it until one of its parts is set, and
@@ -98,8 +103,11 @@ def descend(X, phi, pairs):
 
     A task (x, src, dst, a) asks the law of the blocks src and dst of phi at
     the current level, src read at the states of its domain and dst at
-    their images under x. It starts as one task per pair on the whole of
-    phi, and each level of records splits it into the tasks of its blocks.
+    their images under x. x is the first input of its column class at every
+    level: a task starts as one per law pair on the whole of phi, and each
+    level of records splits it into the tasks of its blocks, each keyed by
+    the class of its connection symbol, so that tasks merge per class all
+    the way down.
 
     The blocks of a level are row maps over the level's phi, the whole of
     phi being the identity map (None) over phi itself. The descent goes down
@@ -112,25 +120,26 @@ def descend(X, phi, pairs):
         A, B, connection = X._factors
         if A._n != len(phi.keys) or B._n != len(phi.inner):
             break
-        tasks, blocks = _split(A, connection, tasks, blocks, phi)
+        tasks, blocks = _split(A, B, connection, tasks, blocks, phi)
         X, phi = B, phi.inner
     if isinstance(phi, Composed):
         phi = phi.expand()
     return X, tasks, [tuple(_through(r, phi)) for r in blocks]
 
 
-def _split(A, connection, tasks, blocks, inner):
+def _split(A, B, connection, tasks, blocks, inner):
     """The tasks and blocks of a product A∘B one level down, the blocks row
     maps over inner, a Composed over A∘B: each block cut into its |A|
-    pieces of |B| entries, and a task on them for each state u of A.
-    Tasks on a piece outside the domain of phi are dropped, since they
-    compare nothing.
+    pieces of |B| entries, and a task on them for each state u of A, whose
+    symbol is the first input of the column class in B of connection[x][u],
+    B's _classes. Tasks on a piece outside the domain of phi are dropped,
+    since they compare nothing.
 
     The piece at u of block r is r after inner's row at key u: a row map
     over inner's own inner phi, as every piece of the level is, so its
     entries at the values of that phi are its contents, and those number
     it. Pieces at equal keys are equal."""
-    na, table = A._n, A._table
+    na, table, classes = A._n, A._table, B._classes
     keys, rows, at = inner.keys, inner.rows, inner.inner_values()
     # the distinct keys in order of first appearance, as pieces are numbered
     distinct = list(dict.fromkeys(keys))
@@ -151,7 +160,8 @@ def _split(A, connection, tasks, blocks, inner):
     out = set()
     for x, src, dst, a in tasks:
         targets = map(parts[dst].__getitem__, table[x * na:(x + 1) * na])
-        out.update(zip(connection[x], parts[src], targets, repeat(a)))
+        symbols = map(classes.__getitem__, connection[x])
+        out.update(zip(symbols, parts[src], targets, repeat(a)))
     # the all-None piece, if a block holds it
     empty = ids.get((None,) * len(at))
     if empty is not None:

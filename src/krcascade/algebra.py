@@ -39,6 +39,19 @@ def _integer(x, name: str) -> int:
         raise InvalidInputError("%s %r is not an integer" % (name, x)) from None
 
 
+def _integers(xs, name: str) -> tuple:
+    """The entries of xs as a tuple of ints: operator.index over all of them
+    in one map, which costs less than a call per entry, and _integer to name
+    the first entry that is not an integer."""
+    xs = tuple(xs)
+    try:
+        return tuple(map(index, xs))
+    except TypeError:
+        for x in xs:
+            _integer(x, name)
+        raise
+
+
 class Transformation:
     """Total self-map of {0..n-1}; composition is diagrammatic, (fg)(x) = g(f(x))."""
 
@@ -135,8 +148,8 @@ class FiniteMonoid:
 
     def __init__(self, labels, table, identity, transformations=None, witnesses=None, check=True):
         self.labels = tuple(str(x) for x in labels)
-        self.table = tuple(tuple(int(x) for x in row) for row in table)
-        self.identity = int(identity)
+        self.table = tuple(_integers(row, "table entry") for row in table)
+        self.identity = _integer(identity, "identity")
         self.transformations = None if transformations is None else tuple(transformations)
         self.witnesses = None if witnesses is None else tuple(tuple(w) for w in witnesses)
         n = len(self.table)
@@ -188,10 +201,10 @@ def closure_generate(generators, *, domain_size=None, cap=CLOSURE_CAP, symbol_la
         for g in gens[1:]:
             if g.domain_size != n:
                 raise InvalidInputError("generators must share one domain size")
-        if domain_size is not None and int(domain_size) != n:
+        if domain_size is not None and _integer(domain_size, "domain size") != n:
             raise InvalidInputError("domain_size disagrees with the given generators")
     else:
-        n = 1 if domain_size is None else int(domain_size)
+        n = 1 if domain_size is None else _integer(domain_size, "domain size")
         if n < 1:
             raise InvalidInputError("domain size must be positive")
     if symbol_labels is None:
@@ -261,7 +274,7 @@ class Congruence:
 
     def __init__(self, monoid: FiniteMonoid, class_of, check=True):
         self.monoid = monoid
-        self.class_of = tuple(int(c) for c in class_of)
+        self.class_of = _integers(class_of, "class index")
         n = monoid.order
         if len(self.class_of) != n:
             raise InvalidInputError("need one class per element")
@@ -303,7 +316,7 @@ class MonoidHom:
     def __init__(self, source: FiniteMonoid, target: FiniteMonoid, map, check=True):
         self.source = source
         self.target = target
-        self.map = tuple(int(x) for x in map)
+        self.map = _integers(map, "hom image")
         if len(self.map) != source.order:
             raise InvalidInputError("need one image per source element")
         for x in self.map:

@@ -380,11 +380,16 @@ class Semiautomaton:
 
     def column(self, a: int) -> memoryview:
         """The images of every state under symbol a, 0 <= a < n_symbols, as
-        a read-only view."""
-        if not 0 <= a < len(self.symbol_labels):
-            raise IndexError("symbol index out of range")
+        a read-only view. An int out of range raises IndexError, and a value
+        that is not an integer InvalidInputError."""
         n = self._n
-        return self.table[a * n:(a + 1) * n]
+        try:
+            if 0 <= a < len(self.symbol_labels):
+                return self.table[a * n:(a + 1) * n]
+        except TypeError:
+            # converted only after the fault, so an int makes no call more
+            return self.column(_integer(a, "symbol index"))
+        raise IndexError("symbol index out of range")
 
     def state_index(self, label) -> int:
         try:
@@ -399,8 +404,13 @@ class Semiautomaton:
             raise InvalidInputError("unknown symbol %r" % (label,)) from None
 
     def step(self, s: int, a: int) -> int:
-        a = range(len(self.symbol_labels))[a]
-        s = range(self._n)[s]
+        """The image of state s under symbol a; an int out of range raises
+        IndexError, and a value that is not an integer InvalidInputError."""
+        try:
+            a = range(len(self.symbol_labels))[a]
+            s = range(self._n)[s]
+        except TypeError:
+            return self.step(_integer(s, "state index"), _integer(a, "symbol index"))
         return self._table[a * self._n + s]
 
     def symbol_transformation(self, a: int) -> Transformation:
@@ -665,9 +675,7 @@ class CoveringWitness:
         keys = tuple(zip(phi, map(type, phi)))
         image = {k: None if k[0] is None else _integer(k[0], "phi image") for k in set(keys)}
         phi = tuple(map(image.__getitem__, keys))
-        bad = set(image.values()).difference(range(lower.n_states), (None,))
-        if bad:
-            raise WitnessError("phi image %d out of range" % next(v for v in phi if v in bad))
+        _check_phi_range(set(image.values()), phi, lower.n_states)
         self._set(upper, lower, phi, tuple(_integer(x, "xi image") for x in xi))
         if check:
             result = verify_covering(self)
@@ -719,6 +727,16 @@ class CoveringWitness:
         # names no entry of phi, which a composed phi would build in full
         return "CoveringWitness(%d upper states onto %d lower states)" % (
             self.upper.n_states, self.lower.n_states)
+
+
+def _check_phi_range(values, phi, n):
+    """Raise WitnessError naming the first entry of phi, a tuple or a
+    Composed, out of range(n), if values, phi's entries but None, hold one:
+    only then is a Composed expanded."""
+    bad = values.difference(range(n), (None,))
+    if bad:
+        phi = phi.expand() if isinstance(phi, _lawcheck.Composed) else phi
+        raise WitnessError("phi image %d out of range" % next(v for v in phi if v in bad))
 
 
 # The attributes of a CoveringWitness that _parts_fault reads.
@@ -1017,8 +1035,9 @@ def substitute(
     unreachable from the witness domain and reuse row 0. phi sends (u,v) to
     (phi_U(u), phi_V(v)), outside the domain when either part is.
 
-    omega, the witnesses' lower automata and parts, and the size of
-    product_ac are checked, then _substitute runs on the identity cover of
+    omega, the witnesses' lower automata and parts (the range of phi too,
+    which _substitute reads as indices), and the size of product_ac are
+    checked, then _substitute runs on the identity cover of
     A∘C. The witness is built unchecked: verify it once.
     """
     omega = _check_omega(A, C, omega)
@@ -1028,6 +1047,9 @@ def substitute(
         raise WitnessError("inner witness does not cover the second factor")
     if w_u._fault or w_v._fault:
         raise WitnessError(w_u._fault or w_v._fault)
+    # phi set on an inner witness after it was made is unchecked in range
+    for w in (w_u, w_v):
+        _check_phi_range(_lawcheck.values(w._phi), w._phi, w.lower._n)
     n, m = product_ac.n_states, product_ac.n_symbols
     if n != A.n_states * C.n_states:
         raise InvalidInputError("product automaton does not match the given factors")

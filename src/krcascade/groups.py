@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .algebra import FiniteMonoid, clamp_label, find_identity, is_associative
+from .algebra import FiniteMonoid, _integer, _integers, clamp_label, find_identity, is_associative
 from .errors import InvalidInputError, NotAGroupError, ResourceCapError
 
 SUBGROUP_CAP = 24
@@ -15,7 +15,7 @@ class FiniteGroup:
         self.monoid = monoid
         if inverse is None:
             inverse = _compute_inverses(monoid)
-        self.inverse = tuple(int(x) for x in inverse)
+        self.inverse = _integers(inverse, "inverse")
         if len(self.inverse) != monoid.order:
             raise InvalidInputError("need one inverse per element")
         e = monoid.identity
@@ -81,6 +81,7 @@ def _compute_inverses(monoid: FiniteMonoid):
 
 def group_from_table(table, labels=None, identity=None):
     """Validate a multiplication table as a group; inverses are computed."""
+    table = [_integers(row, "table entry") for row in table]
     n = len(table)
     if labels is None:
         labels = ["g%d" % i for i in range(n)]
@@ -89,7 +90,7 @@ def group_from_table(table, labels=None, identity=None):
     e = find_identity(table)
     if e is None:
         raise NotAGroupError("table has no two-sided identity")
-    if identity is not None and int(identity) != e:
+    if identity is not None and _integer(identity, "identity") != e:
         raise InvalidInputError("claimed identity is not the table's identity")
     monoid = FiniteMonoid(labels, table, e, check=False)
     return FiniteGroup(monoid)

@@ -12,16 +12,22 @@ import krcascade.automata as kr_automata
 from krcascade import _lawcheck
 from krcascade import (
     Caps,
+    Congruence,
     CoveringWitness,
+    FiniteGroup,
+    FiniteMonoid,
     HomImageWitness,
     InvalidInputError,
+    MonoidHom,
     Semiautomaton,
     Transformation,
     WitnessError,
     cascade_product,
+    closure_generate,
     compose_coverings,
     direct_product,
     emit_automaton,
+    group_from_table,
     identity_witness,
     iter_nodes,
     krohn_rhodes_decompose,
@@ -79,6 +85,10 @@ def test_indexing_and_step(sa3):
     for s, a in ((3, 0), (0, 2), (-4, 0), (0, -3)):
         with pytest.raises(IndexError):
             sa3.step(s, a)
+    assert list(sa3.column(1)) == [1, 1, 2]
+    for a in (2, -1):
+        with pytest.raises(IndexError):
+            sa3.column(a)
     assert sa3.symbol_transformation(0) == Transformation([0, 0, 0])
     assert [t.image for t in sa3.transformations()] == [(0, 0, 0), (1, 1, 2)]
 
@@ -176,9 +186,11 @@ def test_check_omega_matches_entry_loop(sa2, sa3, omega, want):
             check()
 
 
-# both inputs swap the two states, so each entry below reads the value 1;
-# the entries of a connection are test_check_omega_matches_entry_loop's
+# both inputs swap the two states, and _Z2 is the group of two elements,
+# so each entry below reads the value 1; the entries of a connection are
+# test_check_omega_matches_entry_loop's
 _SWAP = Semiautomaton(["p", "q"], ["a", "b"], [[1, 1], [0, 0]])
+_Z2 = FiniteMonoid("ea", [[0, 1], [1, 0]], 0)
 _INTEGER_ENTRIES = {
     "transformation": lambda v: Transformation([v, 0]).image,
     "witness-phi": lambda v: CoveringWitness(_SWAP, _SWAP, [0, v], [0, 1]).phi,
@@ -190,6 +202,17 @@ _INTEGER_ENTRIES = {
     "run-state": lambda v: run(_SWAP, v, []),
     "word-transformation": lambda v: word_transformation(_SWAP, [v]).image,
     "caps": lambda v: Caps(group_order=v, product_states=v),
+    "step-state": lambda v: _SWAP.step(v, 0),
+    "step-symbol": lambda v: _SWAP.step(0, v),
+    "column": lambda v: list(_SWAP.column(v)),
+    "monoid-table": lambda v: FiniteMonoid("ea", [[0, 1], [1, v]], 0).table,
+    "monoid-identity": lambda v: FiniteMonoid("ea", [[0, 0], [0, 1]], v).identity,
+    "group-table": lambda v: group_from_table([[0, v], [v, 0]]).table,
+    "group-identity": lambda v: group_from_table([[1, 0], [0, 1]], identity=v).identity,
+    "group-inverse": lambda v: FiniteGroup(_Z2, [0, v]).inverse,
+    "congruence": lambda v: Congruence(_Z2, [0, v]).class_of,
+    "monoid-hom": lambda v: MonoidHom(_Z2, _Z2, [0, v]).map,
+    "domain-size": lambda v: closure_generate([], domain_size=v).transformations,
 }
 _WORDS = {"word", "run-word", "word-transformation"}
 
@@ -578,6 +601,24 @@ def test_substitute_rejects_mismatched_inputs(seven_state, seven_p, sa2):
     m = w_v.upper.n_symbols
     w_v.xi = (m,) + w_v.xi[1:]
     with pytest.raises(WitnessError, match="^xi image %d out of range$" % m):
+        substitute(cov.product, cov.b, cov.c, cov.omega, w_u, w_v)
+
+
+@pytest.mark.parametrize("entry", [5, -1])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_substitute_names_a_phi_entry_set_out_of_range(seven_state, seven_p, side, entry):
+    # an inner witness whose phi is set out of range after it was made is
+    # refused with the reason verify_covering gives for it, not an
+    # IndexError or KeyError from the body
+    from krcascade import cascade_cover_from_partition
+
+    cov = cascade_cover_from_partition(seven_state, seven_p)
+    w_u, w_v = identity_witness(cov.b), identity_witness(cov.c)
+    w = w_u if side == "left" else w_v
+    w.phi = w.phi[:-1] + (entry,)
+    reason = "phi image %d out of range" % entry
+    assert not verify_covering(w)
+    with pytest.raises(WitnessError, match="^%s$" % reason):
         substitute(cov.product, cov.b, cov.c, cov.omega, w_u, w_v)
 
 

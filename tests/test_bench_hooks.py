@@ -12,11 +12,13 @@ verifier, so it also checks the trees of random automata here.
 
 import importlib
 import importlib.util
+import json
 import os
 import random
 import re
 import time
 from array import array
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -92,6 +94,25 @@ def test_law_check_script_runs_per_witness(monkeypatch, five_pr):
     e = law_check.witness_entry(w)
     assert (e["states"], e["recorded"], e["path"]) == (512, True, "passes")
     assert e["flat_cells"] == e["factored_cells"] == 480
+
+
+def test_law_check_record_counts_what_the_check_compares():
+    # the factored_cells totals that BENCH_law_check.json records for
+    # random5 and random6 are the cells the law check compares on that
+    # corpus now, counted as the script counts them; only cells are
+    # counted, nothing is timed, so a change to the descent that leaves the
+    # file as it was fails here
+    law_check = _load("law_check", "benchmarks", "law_check.py")
+    with open(os.path.join(ROOT, "BENCH_law_check.json"), encoding="utf-8") as fh:
+        totals = json.load(fh)["totals"]
+    counted = Counter()
+    for n, seed in law_check.CORPUS:
+        for node in iter_nodes(krohn_rhodes_decompose(law_check.random_n(n, seed))):
+            w = node.witness
+            descent = _lawcheck.descend(w.upper, w._phi, automata._law_pairs(w))
+            counted["random%d" % n] += law_check.cells_compared(descent)
+    recorded = {name: t["factored_cells"] for name, t in totals.items()}
+    assert recorded == dict(counted) and set(recorded) == {"random5", "random6"}
 
 
 def test_tree_memory_script_runs_per_tree(monkeypatch, five_pr):

@@ -1167,8 +1167,10 @@ def _unrecorded(X):
 
 def test_factored_law_check_compares_one_block_per_distinct_triple(random6_root_witness):
     # on the random-6 seed-0 root, a product of products of products, the
-    # check through the recorded factors compares 17,280 cells where the flat
-    # pass compares every domain state once per law pair
+    # check through the recorded factors compares each distinct block once
+    # per distinct triple of connection class, block and successor block at
+    # every level, 4,464 cells, where the flat pass compares every domain
+    # state once per law pair
     w = random6_root_witness
     U = w.upper
     # an unrecorded copy whose labels stay unrendered, as the root's do:
@@ -1180,8 +1182,39 @@ def test_factored_law_check_compares_one_block_per_distinct_triple(random6_root_
     assert flat._factors is None
     dom = len(w.phi) - w.phi.count(None)
     assert (U.n_states, dom, len(automata._law_pairs(w))) == (368_640, 207_360, 2)
-    assert _cells_compared(w) == 17_280
+    assert _cells_compared(w) == 4_464
     assert _cells_compared(w, flat) == 414_720
+
+
+def _descent_levels(X, phi, pairs):
+    """The law check's descent on phi over X for the law pairs, and the
+    automaton and tasks of each of its levels, the top one first: each
+    task's symbol reads a column of that automaton's first factor, or of
+    the automaton itself where the descent stops."""
+    levels, split = [(X, {(x, 0, 0, a) for x, a in pairs})], _lawcheck._split
+
+    def recorded(A, B, connection, tasks, blocks, inner):
+        out = split(A, B, connection, tasks, blocks, inner)
+        levels.append((B, out[0]))
+        return out
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_lawcheck, "_split", recorded)
+        return _lawcheck.descend(X, phi, pairs), levels
+
+
+def test_every_task_symbol_is_the_first_input_of_its_class(random6_root_witness):
+    # the descent on the random-6 seed-0 root goes three levels down, and at
+    # each one every task's symbol is the first input of its column class in
+    # that level's automaton: the law pairs' at the top, and below it the
+    # class of each connection symbol, so tasks that differ only in a
+    # symbol of the same class are one task: 12, 45 and 62 tasks below the
+    # top, where keying by the raw connection symbol gives 12, 60 and 240
+    w = random6_root_witness
+    descent, levels = _descent_levels(w.upper, w._phi, automata._law_pairs(w))
+    assert len(levels) == 4 and _lawcheck.passes(w.lower, descent)
+    for Y, tasks in levels:
+        assert {x for x, _, _, _ in tasks} <= set(Y._firsts)
+    assert [len(tasks) for _, tasks in levels] == [2, 12, 45, 62]
 
 
 def test_factored_law_check_finds_a_change_in_a_repeated_block(random6_root_witness):
@@ -1270,11 +1303,11 @@ def test_verify_covering_descends_once(monkeypatch, random6_root_witness):
 
 def test_repeat_check_compares_every_cell(monkeypatch, random6_root_witness):
     # a check that reuses the kept descent still compares each cell the
-    # first check compared: 17,280 on the random-6 seed-0 root, both times
+    # first check compared: 4,464 on the random-6 seed-0 root, both times
     w = _unchecked(random6_root_witness)
     descents, cells = _counted_law_check(monkeypatch)
     assert verify_covering(w) and verify_covering(w)
-    assert len(descents) == 1 and cells == [17_280, 17_280]
+    assert len(descents) == 1 and cells == [4_464, 4_464]
 
 
 def test_replacing_a_checked_part_gives_a_fresh_verdict():

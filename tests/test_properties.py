@@ -53,7 +53,7 @@ from krcascade.automata import _CONSTANT, _IDENTITY, _OTHER, _PERMUTATION
 from krcascade.partitions import _quotient
 from krcascade.pipeline import _chain_steps, _group_cover, _plan_factor, _proof_factor
 
-from test_pipeline import random_n
+from test_pipeline import _descent_levels, random_n
 
 
 @st.composite
@@ -569,10 +569,10 @@ def _reference_classes(X):
 
 
 @st.composite
-def _repeating_columns(draw):
-    """An automaton of 1 to 5 states and 1 to 3 symbols whose last column,
-    where there are two or more, repeats a drawn earlier one."""
-    A = draw(input_columns(max_states=5, max_symbols=3))
+def _repeating_columns(draw, max_states=5):
+    """An automaton of 1 to max_states states and 1 to 3 symbols whose last
+    column, where there are two or more, repeats a drawn earlier one."""
+    A = draw(input_columns(max_states=max_states, max_symbols=3))
     columns = [list(A.column(a)) for a in range(A.n_symbols)]
     if len(columns) > 1:
         columns[-1] = columns[draw(st.integers(0, len(columns) - 2))]
@@ -749,6 +749,60 @@ def test_composed_phi_checks_as_its_flat_copy(A, C, data):
                 want = verify_covering(flat)
                 assert (r.ok, r.reason, r.site) == (want.ok, want.reason, want.site)
                 assert _lawcheck.values(c) == set(flat.phi) - {None}
+
+
+def _with_left_cell(X, data):
+    """The recorded product X = A∘B with one cell of A changed, over B and
+    X's connection."""
+    A, B, connection = X._factors
+    columns = [list(A.column(a)) for a in range(A.n_symbols)]
+    col = columns[data.draw(st.integers(0, A.n_symbols - 1))]
+    u = data.draw(st.integers(0, A.n_states - 1))
+    col[u] = data.draw(st.integers(0, A.n_states - 1))
+    Y = Semiautomaton.from_columns(A.state_labels, A.symbol_labels, columns)
+    return kr_automata._product(Y, B, connection)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_repeating_columns(max_states=3), _repeating_columns(max_states=3), st.data())
+def test_class_keyed_descent_matches_the_flat_scan(A, C, data):
+    # with every product recording its factors, a substitution over the
+    # decompositions of two automata whose inputs share columns keeps phi
+    # composed over a product whose factors' inputs share columns too, so
+    # that tasks on distinct connection symbols of one class merge at every
+    # level; on it and on copies with one entry of a phi row map, of xi or
+    # of a left-factor cell changed, the verdict of the passes on the
+    # descent is that of the flat scan, and every task's symbol is the first
+    # input of its class at its level
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kr_automata, "_FACTORED_STATES", 1)
+        mp.setattr(kr_automata, "_SYMBOL_PASS_CELLS", 1)
+        omega = [
+            [data.draw(st.integers(0, C.n_symbols - 1)) for _ in range(A.n_symbols)]
+            for _ in range(A.n_states)
+        ]
+        covers = [krohn_rhodes_decompose(X).witness for X in (A, C)]
+        w = substitute(cascade_product(A, C, omega), A, C, omega, *covers).witness
+        c = w._phi
+        assert isinstance(c, _lawcheck.Composed) and verify_covering(w)
+        xi = list(w.xi)
+        xi[data.draw(st.integers(0, len(xi) - 1))] = data.draw(
+            st.integers(0, w.upper.n_symbols - 1))
+        cases = [
+            (w.upper, c, w.xi),
+            (w.upper, _with_row_entry(c, [None] + list(range(w.lower.n_states)), data), w.xi),
+            (w.upper, c, tuple(xi)),
+            (_with_left_cell(w.upper, data), c, w.xi),
+        ]
+        for upper, phi, xi in cases:
+            got = CoveringWitness._from_parts(upper, w.lower, phi, xi)
+            pairs = kr_automata._law_pairs(got)
+            descent, levels = _descent_levels(upper, phi, pairs)
+            assert len(levels) >= 2
+            for Y, tasks in levels:
+                assert {x for x, _, _, _ in tasks} <= set(Y._firsts)
+            holds = _lawcheck.passes(got.lower, descent)
+            assert holds == (_lawcheck.first_failure(got) is None)
 
 
 @st.composite
