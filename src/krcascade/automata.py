@@ -15,7 +15,7 @@ from operator import is_not
 from typing import Optional
 
 from . import _lawcheck
-from .algebra import CLOSURE_CAP, Transformation, _integer, closure_generate, pair_labels
+from .algebra import CLOSURE_CAP, Transformation, _integer, _integers, closure_generate, pair_labels
 from .errors import InvalidInputError, WitnessError
 
 # Table cells are C ints: 4 bytes each, holding state indices, so a table
@@ -659,8 +659,10 @@ class CoveringWitness:
     of its composition (_substitute), which the law check follows down the
     product's record. Reading phi gives the tuple, which a Composed builds
     once. A part (upper, lower, phi or xi) set on a made witness is checked
-    as it is set, and what does not fit is kept in _fault, which
-    verify_covering reports: every witness as it stands gets a verdict.
+    as it is set, and what does not fit, an entry of phi or xi that is not
+    an integer included, is kept in _fault, which verify_covering reports
+    and simulation_counterexample raises: every witness as it stands gets a
+    verdict.
 
     dom, the upper states in the domain of phi in order, is computed on its
     first read and then kept; _descent keeps the descent of the first check
@@ -670,12 +672,8 @@ class CoveringWitness:
     """
 
     def __init__(self, upper: Semiautomaton, lower: Semiautomaton, phi, xi, check=True):
-        phi = tuple(phi)
-        # each distinct entry is converted once; 1.0 == 1, so types count
-        keys = tuple(zip(phi, map(type, phi)))
-        image = {k: None if k[0] is None else _integer(k[0], "phi image") for k in set(keys)}
-        phi = tuple(map(image.__getitem__, keys))
-        _check_phi_range(set(image.values()), phi, lower.n_states)
+        phi = _phi_images(phi)
+        _check_phi_range(set(phi), phi, lower.n_states)
         self._set(upper, lower, phi, tuple(_integer(x, "xi image") for x in xi))
         if check:
             result = verify_covering(self)
@@ -696,13 +694,31 @@ class CoveringWitness:
             raise WitnessError(fault)
 
     def __setattr__(self, name, value):
-        # phi is kept in _phi as it is set. A part set on a made witness is
-        # checked here, once, so that a check reads only the fault kept in
-        # _fault; dom and the descent, made from the parts, are dropped
+        # phi is kept in _phi as it is set. The entries of phi (unless
+        # composed) and xi are converted as the constructor converts them,
+        # and a part with an entry that is not an integer is kept as given,
+        # its reason in _unconverted until the part is set again: that
+        # reason, phi's before xi's, is the fault. A part set on a made
+        # witness is checked here, once, so that a check reads only the
+        # fault kept in _fault; dom and the descent, made from the parts,
+        # are dropped
         name = "_phi" if name == "phi" else name
+        if name not in _PARTS:
+            object.__setattr__(self, name, value)
+            return
+        parts = vars(self)
+        unconverted = dict(parts.get("_unconverted", ()))
+        unconverted.pop(name, None)
+        try:
+            if name == "xi":
+                value = _integers(value, "xi image")
+            elif name == "_phi" and not isinstance(value, _lawcheck.Composed):
+                value = _phi_images(value)
+        except InvalidInputError as exc:
+            unconverted[name] = str(exc)
         object.__setattr__(self, name, value)
-        if name in _PARTS:
-            vars(self).update(_fault=_parts_fault(self), _dom=None, _descent=None)
+        fault = unconverted.get("_phi") or unconverted.get("xi") or _parts_fault(self)
+        parts.update(_unconverted=unconverted, _fault=fault, _dom=None, _descent=None)
 
     @property
     def phi(self) -> tuple:
@@ -727,6 +743,16 @@ class CoveringWitness:
         # names no entry of phi, which a composed phi would build in full
         return "CoveringWitness(%d upper states onto %d lower states)" % (
             self.upper.n_states, self.lower.n_states)
+
+
+def _phi_images(phi) -> tuple:
+    """phi as a tuple of None or ints, each distinct entry converted once by
+    _integer, which names one that is not an integer; 1.0 == 1, so types
+    count."""
+    phi = tuple(phi)
+    keys = tuple(zip(phi, map(type, phi)))
+    image = {k: None if k[0] is None else _integer(k[0], "phi image") for k in set(keys)}
+    return tuple(map(image.__getitem__, keys))
 
 
 def _check_phi_range(values, phi, n):

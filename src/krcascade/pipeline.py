@@ -21,6 +21,16 @@ records its factors; input kinds are read off the flat table
 column runs once per column class (Semiautomaton._classes): the kinds, each
 chain step's D-factor (_proof_factor), the columns of a split's Pi and R,
 and the generators of every group closure.
+
+The chain is planned before any step of it is built. Everything the plan
+reads (whether the chain goes on, each factor's states, kinds and group,
+the predicted sizes) depends only on each step's distinct columns, so
+_class_chain walks the chain with one input per column class, and
+_plan_chain plans the tree on those small automata. Only the steps above
+the plan's base are then built at full alphabet (_chain_steps, one
+_decomposition_cover each), and each kept factor takes its group's closure
+from its plan. A chain that ends in a raw leaf builds no step below it;
+pr_chain, which returns the whole chain, builds every step.
 """
 
 from __future__ import annotations
@@ -224,13 +234,15 @@ def cover_permutation_by_grouplike(pi: Semiautomaton):
     return G, witness
 
 
-def _group_cover(A: Semiautomaton, const, perms, elements, index, labels):
+def _group_cover(A: Semiautomaton, const, perms, elements, index, words):
     """(K, the unchecked cover grouplike(K) >= Pi) from _permutation_group
     on A: K's table is read off the closure's elements and its labels are
-    their word labels; xi sends an input of A to its class's permutation as
-    an element of K, a reset to the identity, and Pi, the permutation factor
-    of A's split, is grouplike(K) read through xi on A's inputs, so phi is
-    the identity."""
+    their words, rendered over A's labels of the generators (perms' keys);
+    xi sends an input of A to its class's permutation as an element of K,
+    a reset to the identity, and Pi, the permutation factor of A's split,
+    is grouplike(K) read through xi on A's inputs, so phi is the
+    identity."""
+    labels = _word_labels(words, [A.symbol_labels[c] for c in perms])
     G = FiniteGroup(FiniteMonoid(labels, _cayley_table(elements, index), 0, check=False))
     glike = grouplike_of(G)
     xi = {c: index[perms[c].image] if to is None else 0 for c, to in const.items()}
@@ -250,15 +262,19 @@ class PRSplit:
 
 
 def _permutation_group(A: Semiautomaton, caps: Caps):
-    """(const, perms, elements, index, labels) of a permutation-reset
+    """(const, perms, elements, index, words) of a permutation-reset
     automaton: the reset target of every column class (None for a
     permutation), the Transformation of every permutation class, each keyed
     by the class's first input, and the elements of the group K that they
-    generate, in closure order, with their positions by image and labels.
+    generate, in closure order, with their positions by image and their
+    witness words over perms, in key order.
 
     Raises ResourceCapError when K outgrows the closure or group-order cap,
-    before anything but its elements is built: K and its table are built
-    from them by _group_cover, and only for a factor that gets refined.
+    before anything but its elements is built: K, its labels and its table
+    are built from them by _group_cover, and only for a factor that gets
+    refined. Nothing here reads a label, so a closure planned on A's column
+    classes (_class_chain) serves the automaton at full alphabet once its
+    keys are carried over (_refine_factor).
     """
     kinds = A._kinds
     if _OTHER in kinds:
@@ -276,8 +292,7 @@ def _permutation_group(A: Semiautomaton, caps: Caps):
             "permutation group of order %d exceeds the cap of %d"
             % (len(elements), caps.group_order)
         )
-    labels = _word_labels(words, [A.symbol_labels[c] for c in perms])
-    return const, perms, elements, index, labels
+    return const, perms, elements, index, words
 
 
 def split_permutation_reset(A: Semiautomaton, caps: Caps = Caps()) -> PRSplit:
@@ -402,11 +417,11 @@ class PRChain:
     witness: CoveringWitness
 
 
-def _proof_factor(X: Semiautomaton, D: Decomposition) -> Semiautomaton:
-    """The D-factor of the chain theorem's proof, for D the (n-1)-subsets of
-    X's states, block i leaving out state i: a permutation permutes the
-    blocks along itself; anything else resets every block to the lowest
-    block containing the whole image. Each column is made once per class."""
+def _proof_columns(X: Semiautomaton) -> dict:
+    """The D-factor's column of each column class of X, keyed by its first
+    input, for D the (n-1)-subsets of X's states, block i leaving out state
+    i: a permutation permutes the blocks along itself; anything else resets
+    every block to the lowest block containing the whole image."""
     n, table, kinds = X.n_states, X._table, X._kinds
     columns = {}
     for c in X._firsts:
@@ -414,25 +429,70 @@ def _proof_factor(X: Semiautomaton, D: Decomposition) -> Semiautomaton:
         if kinds[c] not in _PERMUTATIONS:
             image = [min(set(range(n)).difference(image))] * n
         columns[c] = image
+    return columns
+
+
+def _proof_factor(X: Semiautomaton, D: Decomposition) -> Semiautomaton:
+    """The D-factor of the chain theorem's proof (_proof_columns), each
+    column made once per class, on D's block labels."""
     labels = _block_labels(X, D.blocks)
-    return Semiautomaton._from_keys(labels, X.symbol_labels, columns, X._classes)
+    return Semiautomaton._from_keys(labels, X.symbol_labels, _proof_columns(X), X._classes)
 
 
-def _chain_steps(A: Semiautomaton):
-    """The steps of pr_chain and its last factor, without the assembled
-    cascade. Every factor is permutation-reset with no test: each B* is a
-    _proof_factor, and the loop stops at a permutation-reset continuation."""
+def _chain_steps(A: Semiautomaton, count: Optional[int] = None):
+    """The first count steps of pr_chain (all of them by default) and the
+    continuation after them, without the assembled cascade. Every factor is
+    permutation-reset with no test: each B* is a _proof_factor, and the loop
+    stops at a permutation-reset continuation."""
     if A.n_states < 2:
         raise InvalidInputError("chain needs at least two states")
     steps = []
     X = A
-    while not is_permutation_reset(X):
+    while len(steps) != count and not is_permutation_reset(X):
         n = X.n_states
         D = Decomposition(n, [sorted(set(range(n)) - {i}) for i in range(n)])
         aux, C, omega, phi = _decomposition_cover(X, D, (_proof_factor(X, D), None))
         steps.append(ChainStep(X, aux.b_star, C, omega, phi))
         X = C
     return steps, X
+
+
+def _class_chain(A: Semiautomaton):
+    """(factors, last) of the chain on column classes: _chain_steps' sources
+    X and factors B, as (X, B) pairs, and its last continuation. The first
+    source is A itself, and every automaton after it has one input per
+    column class of the automaton _chain_steps builds, in the order of its
+    _firsts, so that _plan_chain plans the same tree on them.
+
+    The work is per class, never per input. C's state j is the j-th state
+    (j + (j >= i), i) of each block i of the step's auxiliary automaton
+    (partitions.yoeli_auxiliary), and C's input (i, a) moves it to (t, k),
+    with t the image of j + (j >= i) under a and k = B(i, a): the
+    (t - (t > k))-th state of block k. So the column of (i, a) depends on
+    a's class only, and C's classes in first-occurrence order over the
+    inputs (i, a) are the distinct columns over the pairs (i, class of a)
+    in that order."""
+    n = A.n_states
+    columns = [A._table[c * n:(c + 1) * n] for c in A._firsts]
+    X = A
+    factors = []
+    while not is_permutation_reset(X):
+        b_columns = _proof_columns(X)
+        B = Semiautomaton._from_keys(range(n), X.symbol_labels, b_columns, X._classes)
+        factors.append((X, B))
+        # t - (t > k) for every state t, per block k
+        shifts = [tuple(t - (t > k) for t in range(n)) for k in range(n)]
+        following = {}
+        for i in range(n):
+            for col, b_col in zip(columns, b_columns.values()):
+                kept = col[:i] + col[i + 1:]
+                following.setdefault(tuple(map(shifts[b_col[i]].__getitem__, kept)))
+        columns, n = list(following), n - 1
+        # one input per distinct column, labelled by position: only the
+        # plan reads it
+        keys = range(len(columns))
+        X = Semiautomaton._from_keys(range(n), keys, columns, keys)
+    return factors, X
 
 
 def pr_chain(A: Semiautomaton) -> PRChain:
@@ -553,7 +613,8 @@ def _reset_states(n: int) -> int:
 
 @dataclass(frozen=True)
 class _Plan:
-    """A node of the tree before it is built: the automaton it covers, its
+    """A node of the tree before it is built: the automaton it covers, or
+    one with that automaton's column classes (_class_chain), its
     predicted state count, the breached cap if it stays a raw leaf, and, for
     a factor that gets split, its group's closure (_permutation_group), from
     which _refine_factor builds the group and its cover (_group_cover)."""
@@ -591,30 +652,34 @@ def _breach(kind: str, states: int, caps: Caps) -> Optional[str]:
     return None
 
 
-def _plan_chain(steps, last: Semiautomaton, caps: Caps):
-    """The chain's cap rules, bottom up, on predicted sizes.
+def _plan_chain(factors, last: Semiautomaton, caps: Caps):
+    """The chain's cap rules, bottom up, on predicted sizes, for factors the
+    (source, B) pair of every chain step and last the chain's last
+    continuation, at full alphabet or on column classes (_class_chain).
 
     Returns (base, above): base plans the innermost node to build, which is
     the refined last factor or the raw leaf of the outermost step that breaches
-    the chain cap; above lists (step, plan of its refined factor, predicted
-    node size) for each chain step over it, innermost first.
+    the chain cap; above lists (plan of its refined factor, predicted node
+    size) for each chain step over it, innermost first. Those are the chain's
+    first len(above) steps, so base covers the source of the next one, or
+    last.
     """
     base = _plan_factor(last, caps)
     states = base.states
     above = []
-    for st in reversed(steps):
+    for source, b in reversed(factors):
         left = None
-        product = st.b.n_states * states
+        product = b.n_states * states
         if _breach("chain", product, caps) is None:
-            left = _plan_factor(st.b, caps)
+            left = _plan_factor(b, caps)
             product = left.states * states
         reason = _breach("chain", product, caps)
         if reason is not None:
-            base = _Plan(st.source, st.source.n_states, reason)
+            base = _Plan(source, source.n_states, reason)
             states = base.states
             above = []
         else:
-            above.append((st, left, product))
+            above.append((left, product))
             states = product
     return base, above
 
@@ -628,22 +693,28 @@ def _as_planned(node: Node, states: int) -> Node:
     return node
 
 
-def _build(plan: _Plan, caps: Caps) -> Node:
+def _build(plan: _Plan, X: Semiautomaton, caps: Caps) -> Node:
+    """The node plan makes of X, the automaton plan.automaton stands for:
+    X itself, or X at full alphabet where the plan was made on X's column
+    classes."""
     if plan.reason is not None:
-        return _raw_leaf(plan.automaton, plan.reason)
-    return _as_planned(_refine_factor(plan, caps), plan.states)
+        return _raw_leaf(X, plan.reason)
+    return _as_planned(_refine_factor(plan, X, caps), plan.states)
 
 
-def _refine_factor(plan: _Plan, caps: Caps) -> Node:
-    """Tree covering one permutation-reset factor: a reset automaton, planned
-    with no group, goes straight to two-state factors, everything else through
-    the Pi∘R split on the group the plan generated. The caps were checked by
-    _plan_factor."""
-    B = plan.automaton
+def _refine_factor(plan: _Plan, B: Semiautomaton, caps: Caps) -> Node:
+    """Tree covering the permutation-reset factor B: a reset automaton,
+    planned with no group, goes straight to two-state factors, everything
+    else through the Pi∘R split on the group the plan generated, its keys
+    carried from the planned automaton's classes to B's, whose distinct
+    columns come in the same order. The caps were checked by _plan_factor."""
     if plan.group is None:
         return reset_to_two_state(B).tree
-    const, _, elements, _, _ = plan.group
-    G, w_g = _group_cover(B, *plan.group)
+    key = dict(zip(plan.automaton._firsts, B._firsts, strict=True))
+    const, perms, elements, index, words = plan.group
+    const = {key[c]: to for c, to in const.items()}
+    perms = {key[c]: t for c, t in perms.items()}
+    G, w_g = _group_cover(B, const, perms, elements, index, words)
     pi = w_g.lower
     r, omega, phi = _split(B, pi, const, elements)
     g_tree = grouplike_to_simple_cascade(G, caps, w_g)
@@ -659,16 +730,19 @@ def krohn_rhodes_decompose(A: Semiautomaton, caps: Caps = Caps()) -> Node:
     semiautomata (or raw components naming the breached cap), with a root
     witness covering A.
 
-    Every cap is checked on predicted sizes (_plan_chain) once _chain_steps
-    has built the chain, so only the tree nodes the caps allow are built.
+    The chain is planned on its column classes (_class_chain), where every
+    cap is checked on predicted sizes (_plan_chain). Only then are the steps
+    the plan keeps built at full alphabet (_chain_steps), each factor's group
+    taken from its plan, so only the tree nodes the caps allow are built,
+    and no chain step below a raw leaf.
     """
     if A.n_states == 1:
         return _two_state_identity_cover(A)
-    steps, last = _chain_steps(A)
-    base, above = _plan_chain(steps, last, caps)
-    node = _build(base, caps)
-    for st, plan, states in above:
-        left = _build(plan, caps)
+    base, above = _plan_chain(*_class_chain(A), caps)
+    steps, X = _chain_steps(A, len(above))
+    node = _build(base, X, caps)
+    for st, (plan, states) in zip(reversed(steps), above):
+        left = _build(plan, st.b, caps)
         sub = _chain_cascade(st, left.witness, node.witness)
         node = _node("chain step", CascadeNode, left, node, sub.omega, sub.product, sub.witness)
         node = _as_planned(node, states)

@@ -363,6 +363,46 @@ def test_parts_that_do_not_fit_get_a_failing_verdict(sa3, monkeypatch, composed,
     assert verify_covering(w) and simulation_counterexample(w, 3) is None
 
 
+@pytest.mark.parametrize(
+    "name, value, reason",
+    [
+        ("phi", (0, 1, 2, "x"), "phi image 'x' is not an integer"),
+        ("phi", (0, 1, 2, 1.5), "phi image 1.5 is not an integer"),
+        ("xi", ("x",), "xi image 'x' is not an integer"),
+        ("xi", (0.0,), "xi image 0.0 is not an integer"),
+    ],
+)
+@pytest.mark.parametrize("then", [None, "upper", "lower", "other"])
+def test_parts_set_with_an_entry_that_is_not_an_integer_name_it(name, value, reason, then):
+    # phi or xi set on a made witness with an entry that is not an integer
+    # keeps it as given: verify_covering fails naming the entry, as the
+    # constructor does, with no TypeError from a comparison or the law
+    # check's scan, and simulation_counterexample raises WitnessError with
+    # that reason, also after another part (then, "other" being xi after
+    # phi and phi after xi) is set again as it was. The witness covers a
+    # 3-cycle by a 4-cycle's first three states, the fourth doubling the
+    # third. Set back to what it was, the part fits again and the witness
+    # verifies
+    upper = Semiautomaton.from_columns(["p0", "p1", "p2", "p3"], ["x"], [[1, 2, 0, 0]])
+    lower = Semiautomaton.from_columns(["c0", "c1", "c2"], ["x"], [[1, 2, 0]])
+    w = CoveringWitness(upper, lower, (0, 1, 2, 2), (0,))
+    kept = getattr(w, name)
+    setattr(w, name, value)
+    assert getattr(w, name) == value
+    if then is not None:
+        then = {"phi": "xi", "xi": "phi"}[name] if then == "other" else then
+        setattr(w, then, getattr(w, then))
+    res = verify_covering(w)
+    assert (res.ok, res.reason, res.site) == (False, reason, None)
+    with pytest.raises(WitnessError, match="^%s$" % re.escape(reason)):
+        simulation_counterexample(w, 3)
+    with pytest.raises(InvalidInputError, match="^%s$" % re.escape(reason)):
+        CoveringWitness(upper, lower, *{"phi": (value, (0,)), "xi": ((0, 1, 2, 2), value)}[name])
+    setattr(w, name, list(kept))
+    assert getattr(w, name) == kept
+    assert verify_covering(w) and simulation_counterexample(w, 3) is None
+
+
 @pytest.mark.parametrize("name", ["upper", "lower", "phi", "_phi", "xi", "note"])
 def test_setting_a_part_drops_dom_and_descent(monkeypatch, sa3, sa2, name):
     # dom and the descent of a check by the passes are kept on the witness;

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import pickle
 import random
 import sys
@@ -594,6 +595,62 @@ def test_cap_hit_builds_no_big_product(monkeypatch):
     tree = krohn_rhodes_decompose(random6(6))
     assert tree.automaton.n_states == 120
     assert any(X is tree.automaton for X in built)
+
+
+@pytest.mark.parametrize("seed, kept", [(4, 0), (6, 1), (0, None)])
+def test_decompose_builds_only_the_chain_steps_its_plan_keeps(monkeypatch, seed, kept):
+    # the chain is planned on its column classes, and only the steps above
+    # the plan's base are built at full alphabet, one _decomposition_cover
+    # each: none on seed 4, whose base is the raw leaf of A itself, one on
+    # seed 6, and on seed 0, whose whole chain is kept, every step
+    A = random6(seed)
+    if kept is None:
+        kept = len(pipeline._chain_steps(A)[0])
+        assert kept > 1
+    built = []
+    cover = pipeline._decomposition_cover
+
+    def counted(X, *args):
+        built.append(X)
+        return cover(X, *args)
+
+    monkeypatch.setattr(pipeline, "_decomposition_cover", counted)
+    tree = krohn_rhodes_decompose(A)
+    assert len(built) == kept
+    assert built[:1] == ([A] if kept else [])
+    assert verify_tree(tree)[0]
+
+
+def test_random11_decomposes_within_512_mb():
+    # random_n(11, 0): C's alphabet at step k of its chain has 2·11!/(11-k)!
+    # symbols, 39,916,800 at the last of its 9 steps, so the chain is planned
+    # on its column classes and only the steps the plan keeps are built. In
+    # a child process whose address space alone is limited to 512 MB, the
+    # decomposition ends in a tree that verifies
+    import resource
+    import subprocess
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pipeline.__file__)))
+    code = "\n".join([
+        "import random",
+        "from krcascade import Semiautomaton, krohn_rhodes_decompose, leaves, verify_tree",
+        "rng = random.Random(11000)",
+        "delta = [[rng.randrange(11) for _ in range(2)] for _ in range(11)]",
+        "A = Semiautomaton(['s%d' % i for i in range(11)], ['a', 'b'], delta)",
+        "tree = krohn_rhodes_decompose(A)",
+        "print(tree.automaton.n_states, verify_tree(tree)[0])",
+        "print([leaf.reason for leaf in leaves(tree) if leaf.kind == 'raw'])",
+    ])
+    limit = 512 * 2 ** 20
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "229376 True", "['chain product of 1935360 states exceeds the cap of 500000']"
+    ]
 
 
 def test_cascade_nodes_build_one_product_each(monkeypatch):

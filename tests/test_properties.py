@@ -51,7 +51,14 @@ from krcascade import (
 )
 from krcascade.automata import _CONSTANT, _IDENTITY, _OTHER, _PERMUTATION
 from krcascade.partitions import _quotient
-from krcascade.pipeline import _chain_steps, _group_cover, _plan_factor, _proof_factor
+from krcascade.pipeline import (
+    _chain_steps,
+    _class_chain,
+    _group_cover,
+    _plan_chain,
+    _plan_factor,
+    _proof_factor,
+)
 
 from test_pipeline import _descent_levels, random_n
 
@@ -885,6 +892,53 @@ def test_plan_built_group_is_the_public_cover(A):
         columns = map(pi.column, range(pi.n_symbols))
         assert w.xi == tuple(element[tuple(col.tolist())] for col in columns)
         assert w.phi == tuple(range(pi.n_states)) and verify_covering(w)
+
+
+def _distinct_columns(X):
+    """X's column classes, each as its first input's column, in order."""
+    return [X.column(c).tolist() for c in X._firsts]
+
+
+def _plan_view(plan):
+    """What a _Plan says of any automaton with its automaton's column
+    classes: its states, reason and group, each group key by its class's
+    position."""
+    if plan.group is None:
+        return plan.states, plan.reason, None
+    position = {c: p for p, c in enumerate(plan.automaton._firsts)}
+    const, perms, elements, index, words = plan.group
+    group = (
+        [(position[c], to) for c, to in const.items()],
+        [(position[c], t.image) for c, t in perms.items()],
+        [t.image for t in elements],
+        index,
+        words,
+    )
+    return plan.states, plan.reason, group
+
+
+@settings(deadline=None, max_examples=40)
+@given(automata(max_states=7, max_symbols=3, min_states=3))
+def test_chain_planned_on_column_classes_is_the_chain_planned_in_full(A):
+    # the walk over column classes (_class_chain) gives every chain step's
+    # source and factor B, and the last continuation, with the distinct
+    # columns of the chain built at full alphabet, in the same order; so
+    # _plan_chain plans the same tree on both, under the default caps and
+    # under caps that most chains breach: the same base, predicted sizes
+    # and factor plans, groups in the same closure order
+    steps, last = _chain_steps(A)
+    factors, class_last = _class_chain(A)
+    full = [(_distinct_columns(st.source), _distinct_columns(st.b)) for st in steps]
+    assert [(_distinct_columns(X), _distinct_columns(B)) for X, B in factors] == full
+    assert _distinct_columns(class_last) == _distinct_columns(last)
+    for caps in (Caps(), Caps(group_order=2, product_states=1_000)):
+        base, above = _plan_chain([(st.source, st.b) for st in steps], last, caps)
+        class_base, class_above = _plan_chain(factors, class_last, caps)
+        assert _plan_view(class_base) == _plan_view(base)
+        assert _distinct_columns(class_base.automaton) == _distinct_columns(base.automaton)
+        assert [(_plan_view(p), s) for p, s in class_above] == [
+            (_plan_view(p), s) for p, s in above
+        ]
 
 
 def _proof_table(X):
