@@ -668,7 +668,7 @@ class CoveringWitness:
     first read and then kept; _descent keeps the descent of the first check
     by the passes (see _law_violation). Both are derived from the parts
     alone, and setting a part drops both. A witness pickles as its parts,
-    phi as the tuple, and loads keeping neither _descent nor dom.
+    phi as the tuple, and loads through the setter, keeping any fault.
     """
 
     def __init__(self, upper: Semiautomaton, lower: Semiautomaton, phi, xi, check=True):
@@ -732,12 +732,17 @@ class CoveringWitness:
             self._dom = dom = tuple(compress(range(len(self.phi)), map(is_not, self.phi, repeat(None))))
         return dom
 
-    def __reduce__(self):
+    def __getstate__(self):
         # a witness pickles as its parts and loads with no kept descent or
         # dom, so a copy trusts nothing a pickle could have forged. The upper
         # pickles as a plain automaton, with no record of factors, so phi
         # pickles as the tuple.
-        return CoveringWitness._from_parts, (self.upper, self.lower, self.phi, self.xi)
+        return self.upper, self.lower, self.phi, self.xi
+
+    def __setstate__(self, parts):
+        upper, lower, phi, xi = parts
+        vars(self).update(upper=upper, lower=lower, _phi=phi)
+        self.xi, self.phi = xi, phi
 
     def __repr__(self):
         # names no entry of phi, which a composed phi would build in full

@@ -99,11 +99,11 @@ def is_admissible_decomposition(A: Semiautomaton, D: Decomposition) -> bool:
     return all(map(all, _containment(A, D).values()))
 
 
-def _block_labels(A: Semiautomaton, blocks) -> tuple:
-    """The state labels of a factor on blocks of A's states: each block's
-    members' labels in braces, clamped to B<position>, repeats renamed."""
+def _block_labels(labels, blocks) -> tuple:
+    """The state labels of a factor on blocks of states labelled by labels:
+    each block's members' labels in braces, clamped to B<position>, renamed."""
     return _unique_labels(
-        clamp_label("{%s}" % ",".join(map(A.state_labels.__getitem__, b)), "B%d" % i)
+        clamp_label("{%s}" % ",".join(map(labels.__getitem__, b)), "B%d" % i)
         for i, b in enumerate(blocks)
     )
 
@@ -122,7 +122,7 @@ def _quotient(A: Semiautomaton, P: Partition) -> Semiautomaton:
     """A/P, for a partition P known to be admissible."""
     heads = [block[0] for block in P.blocks]
     columns = {c: [P.block_of[t] for t in map(A.column(c).__getitem__, heads)] for c in A._firsts}
-    labels = _block_labels(A, P.blocks)
+    labels = _block_labels(A.state_labels, P.blocks)
     return Semiautomaton._from_keys(labels, A.symbol_labels, columns, A._classes)
 
 
@@ -135,7 +135,7 @@ def d_factor(A: Semiautomaton, D: Decomposition, choice=None):
     is_admissible_decomposition reads too). B's column a depends only on
     A's column class of a and the choice table's column a, so B is built,
     and the choice validated, once per distinct pair of them. The chain
-    builds its factors without a table (pipeline._proof_factor).
+    builds its factors without a table (pipeline._proof_columns).
     """
     contain = _containment(A, D)
     if not all(map(all, contain.values())):
@@ -147,7 +147,7 @@ def d_factor(A: Semiautomaton, D: Decomposition, choice=None):
         columns = {c: [js[0] for js in blocks] for c, blocks in contain.items()}
     else:
         keys, columns = _chosen_columns(A, D.count, choice, contain)
-    B = Semiautomaton._from_keys(_block_labels(A, D.blocks), A.symbol_labels, columns, keys)
+    B = Semiautomaton._from_keys(_block_labels(A.state_labels, D.blocks), A.symbol_labels, columns, keys)
     # (block, input) for every block of several under the input's class
     dont_care = frozenset(chain.from_iterable(
         map(product, map(several.__getitem__, A._classes), zip(range(A.n_symbols)))
@@ -274,7 +274,7 @@ def _partition_cover(A: Semiautomaton, P: Partition, Q: Partition, B: Semiautoma
         for c, col in a_columns:
             columns_c[i * nsym + c] = [0 if s is None else Q.block_of[col[s]] for s in states]
         keys += map(add, classes, repeat(i * nsym))
-    C = Semiautomaton._from_keys(_block_labels(A, Q.blocks), c_symbols, columns_c, keys)
+    C = Semiautomaton._from_keys(_block_labels(A.state_labels, Q.blocks), c_symbols, columns_c, keys)
     omega = tuple(tuple(range(i * nsym, (i + 1) * nsym)) for i in range(B.n_states))
     return C, omega, meets
 
@@ -332,7 +332,7 @@ def yoeli_auxiliary(A: Semiautomaton, D: Decomposition, factor=None) -> YoeliAux
     witness = CoveringWitness._from_parts(
         a_star, A, tuple(s for s, i in states), tuple(range(A.n_symbols))
     )
-    labels = _block_labels(a_star, d_star.blocks)
+    labels = _block_labels(labels, d_star.blocks)
     b_columns = {c: B.column(c) for c in B._firsts}
     b_star = Semiautomaton._from_keys(labels, A.symbol_labels, b_columns, B._classes)
     return YoeliAuxiliary(a_star, d_star, witness, b_star, states)
@@ -355,20 +355,13 @@ def cascade_cover_from_decomposition(A: Semiautomaton, D: Decomposition, choice=
     The witness is built unchecked; verify it before relying on it.
     """
     factor = d_factor(A, D, choice)
-    aux, C, omega, phi = _decomposition_cover(A, D, factor)
-    product = cascade_product(aux.b_star, C, omega)
-    witness = CoveringWitness._from_parts(product, A, phi, tuple(range(A.n_symbols)))
-    return DecompositionCover(aux.b_star, C, omega, product, witness, aux, factor[1])
-
-
-def _decomposition_cover(A: Semiautomaton, D: Decomposition, factor):
-    """(aux, C, omega, phi) of cascade_cover_from_decomposition on a given
-    D-factor, without the product B*∘C: the partition cover of A* by D*,
-    on the auxiliary's own B* = A*/D*, with phi read on through A* >= A,
-    which forgets the block."""
     aux = yoeli_auxiliary(A, D, factor)
+    # the partition cover of A* by D*, on the auxiliary's own B* = A*/D*,
+    # with phi read on through A* >= A, which forgets the block
     Q = complementary_partition(aux.a_star.n_states, aux.d_star)
     C, omega, meets = _partition_cover(aux.a_star, aux.d_star, Q, aux.b_star)
     forget = aux.witness.phi
     phi = tuple(None if k is None else forget[k] for k in chain.from_iterable(meets))
-    return aux, C, omega, phi
+    product = cascade_product(aux.b_star, C, omega)
+    witness = CoveringWitness._from_parts(product, A, phi, tuple(range(A.n_symbols)))
+    return DecompositionCover(aux.b_star, C, omega, product, witness, aux, factor[1])

@@ -19,18 +19,18 @@ the outer cover, and keeps phi as that composition where the node's product
 records its factors; input kinds are read off the flat table
 (Semiautomaton._kinds). Work that depends only on an input's
 column runs once per column class (Semiautomaton._classes): the kinds, each
-chain step's D-factor (_proof_factor), the columns of a split's Pi and R,
+chain step's D-factor (_proof_columns), the columns of a split's Pi and R,
 and the generators of every group closure.
 
-The chain is planned before any step of it is built. Everything the plan
-reads (whether the chain goes on, each factor's states, kinds and group,
-the predicted sizes) depends only on each step's distinct columns, so
-_class_chain walks the chain with one input per column class, and
+The chain is walked once, before any step of it is built. Everything the
+plan reads (whether the chain goes on, each factor's states, kinds and
+group, the predicted sizes) depends only on each step's distinct columns,
+so _class_chain walks the chain with one input per column class, and
 _plan_chain plans the tree on those small automata. Only the steps above
-the plan's base are then built at full alphabet (_chain_steps, one
-_decomposition_cover each), and each kept factor takes its group's closure
-from its plan. A chain that ends in a raw leaf builds no step below it;
-pr_chain, which returns the whole chain, builds every step.
+the plan's base are then expanded from the walk to full alphabet
+(_chain_steps, with no Yoeli auxiliary A* built), each kept factor taking
+its group's closure from its plan. A chain that ends in a raw leaf builds
+no step below it; pr_chain, which returns the whole chain, expands it all.
 """
 
 from __future__ import annotations
@@ -73,14 +73,7 @@ from .groups import (
     factor_group,
     subgroup_as_group,
 )
-from .partitions import (
-    Decomposition,
-    Partition,
-    _block_labels,
-    _decomposition_cover,
-    _quotient,
-    complementary_partition,
-)
+from .partitions import Partition, _block_labels, _quotient
 
 
 @dataclass(frozen=True)
@@ -386,10 +379,10 @@ def reset_to_two_state(R: Semiautomaton) -> ResetFactorization:
         half = (nx + 1) // 2
         P = Partition(nx, [range(half), range(half, nx)])
         B = _quotient(X, P)
-        rest = _quotient(X, complementary_partition(nx, P))
+        # Q's block j < half holds the j-th state of each P-block long enough to have one
+        rest = _quotient(X, Partition(nx, [range(j, nx, half) for j in range(half)]))
         sub = build(rest)
         product = direct_product(B, sub.automaton)
-        # Q's block j < half holds the j-th state of each P-block long enough to have one
         rows = [tuple(pb[v] if v < len(pb) else None for v in range(half)) for pb in P.blocks]
         xi = tuple(range(X.n_symbols))
         witness = _composed_witness(product, X, range(2), rows, sub.witness, xi)
@@ -432,37 +425,13 @@ def _proof_columns(X: Semiautomaton) -> dict:
     return columns
 
 
-def _proof_factor(X: Semiautomaton, D: Decomposition) -> Semiautomaton:
-    """The D-factor of the chain theorem's proof (_proof_columns), each
-    column made once per class, on D's block labels."""
-    labels = _block_labels(X, D.blocks)
-    return Semiautomaton._from_keys(labels, X.symbol_labels, _proof_columns(X), X._classes)
-
-
-def _chain_steps(A: Semiautomaton, count: Optional[int] = None):
-    """The first count steps of pr_chain (all of them by default) and the
-    continuation after them, without the assembled cascade. Every factor is
-    permutation-reset with no test: each B* is a _proof_factor, and the loop
-    stops at a permutation-reset continuation."""
-    if A.n_states < 2:
-        raise InvalidInputError("chain needs at least two states")
-    steps = []
-    X = A
-    while len(steps) != count and not is_permutation_reset(X):
-        n = X.n_states
-        D = Decomposition(n, [sorted(set(range(n)) - {i}) for i in range(n)])
-        aux, C, omega, phi = _decomposition_cover(X, D, (_proof_factor(X, D), None))
-        steps.append(ChainStep(X, aux.b_star, C, omega, phi))
-        X = C
-    return steps, X
-
-
 def _class_chain(A: Semiautomaton):
-    """(factors, last) of the chain on column classes: _chain_steps' sources
-    X and factors B, as (X, B) pairs, and its last continuation. The first
-    source is A itself, and every automaton after it has one input per
-    column class of the automaton _chain_steps builds, in the order of its
-    _firsts, so that _plan_chain plans the same tree on them.
+    """(walk, last): the chain on column classes, one entry (X, B, keys, C)
+    per step, and its last continuation. The step's source X, D-factor B
+    and continuation C have one input per column class of the step at full
+    alphabet, in the order of its _firsts, so _plan_chain plans the same
+    tree on them; the first X is A itself. keys[i][p] is C's class of C's
+    input (i, a), for a in X's p-th class, which _chain_steps expands.
 
     The work is per class, never per input. C's state j is the j-th state
     (j + (j >= i), i) of each block i of the step's auxiliary automaton
@@ -474,25 +443,55 @@ def _class_chain(A: Semiautomaton):
     in that order."""
     n = A.n_states
     columns = [A._table[c * n:(c + 1) * n] for c in A._firsts]
-    X = A
-    factors = []
+    X, walk = A, []
     while not is_permutation_reset(X):
         b_columns = _proof_columns(X)
         B = Semiautomaton._from_keys(range(n), X.symbol_labels, b_columns, X._classes)
-        factors.append((X, B))
         # t - (t > k) for every state t, per block k
         shifts = [tuple(t - (t > k) for t in range(n)) for k in range(n)]
-        following = {}
-        for i in range(n):
+        following, keys = {}, [[] for _ in range(n)]
+        for i, row in enumerate(keys):
             for col, b_col in zip(columns, b_columns.values()):
-                kept = col[:i] + col[i + 1:]
-                following.setdefault(tuple(map(shifts[b_col[i]].__getitem__, kept)))
+                image = tuple(map(shifts[b_col[i]].__getitem__, col[:i] + col[i + 1:]))
+                row.append(following.setdefault(image, len(following)))
         columns, n = list(following), n - 1
         # one input per distinct column, labelled by position: only the
         # plan reads it
-        keys = range(len(columns))
-        X = Semiautomaton._from_keys(range(n), keys, columns, keys)
-    return factors, X
+        C = Semiautomaton._from_keys(range(n), range(len(columns)), columns, range(len(columns)))
+        walk.append((X, B, keys, C))
+        X = C
+    return walk, X
+
+
+def _chain_steps(A: Semiautomaton, walk):
+    """The chain's steps at full alphabet, one per entry of walk, a prefix
+    of _class_chain(A)'s, and the continuation after them. Of Yoeli's A* of
+    X by D, the (n-1)-subsets of X's states, only the label of each state
+    (s, i) is made, from X's label of s and D's of block i. B is B* = A*/D*,
+    and C the partition cover by D* on the complement Q whose block j holds
+    the j-th state of every D*-block, so that phi is total."""
+    steps = []
+    position = {c: p for p, c in enumerate(A._firsts)}
+    X, classes = A, list(map(position.__getitem__, A._classes))
+    for _, _, keys, walked in walk:
+        n, k, m = X.n_states, X.n_states - 1, X.n_symbols
+        # row i of phi is the block i of D, every state of X but i
+        phi = tuple(j + (j >= i) for i in range(n) for j in range(k))
+        labels = X.state_labels
+        d_labels = _block_labels(labels, [phi[i * k:(i + 1) * k] for i in range(n)])
+        star = _unique_labels(pair_labels([(labels[s], d_labels[p // k]) for p, s in enumerate(phi)], "q"))
+        b_labels = _block_labels(star, [range(i * k, (i + 1) * k) for i in range(n)])
+        B = Semiautomaton._from_keys(b_labels, X.symbol_labels, _proof_columns(X), X._classes)
+        c_labels = _block_labels(star, [range(j, n * k, k) for j in range(k)])
+        c_symbols = _unique_labels(pair_labels(product(b_labels, X.symbol_labels), "x"))
+        c_keys = [row[p] for row in keys for p in classes]
+        columns = [walked._table[p * k:(p + 1) * k] for p in walked._firsts]
+        C = Semiautomaton._from_keys(c_labels, c_symbols, columns, c_keys)
+        omega = tuple(tuple(range(i * m, (i + 1) * m)) for i in range(n))
+        steps.append(ChainStep(X, B, C, omega, phi))
+        # C's classes are in the order of the walk's columns, as its keys
+        X, classes = C, c_keys
+    return steps, X
 
 
 def pr_chain(A: Semiautomaton) -> PRChain:
@@ -505,7 +504,9 @@ def pr_chain(A: Semiautomaton) -> PRChain:
     assembled as krohn_rhodes_decompose assembles its chain, each factor
     covered by itself, and its witness is verified once.
     """
-    steps, X = _chain_steps(A)
+    if A.n_states < 2:
+        raise InvalidInputError("chain needs at least two states")
+    steps, X = _chain_steps(A, _class_chain(A)[0])
     witness = identity_witness(X)
     for st in reversed(steps):
         witness = _chain_cascade(st, identity_witness(st.b), witness).witness
@@ -613,11 +614,11 @@ def _reset_states(n: int) -> int:
 
 @dataclass(frozen=True)
 class _Plan:
-    """A node of the tree before it is built: the automaton it covers, or
-    one with that automaton's column classes (_class_chain), its
-    predicted state count, the breached cap if it stays a raw leaf, and, for
-    a factor that gets split, its group's closure (_permutation_group), from
-    which _refine_factor builds the group and its cover (_group_cover)."""
+    """A node of the tree before it is built: an automaton with the column
+    classes of the one it covers (_class_chain), its predicted state count,
+    the breached cap if it stays a raw leaf, and, for a factor that gets
+    split, its group's closure (_permutation_group), from which
+    _refine_factor builds the group and its cover (_group_cover)."""
 
     automaton: Semiautomaton
     states: int
@@ -654,8 +655,8 @@ def _breach(kind: str, states: int, caps: Caps) -> Optional[str]:
 
 def _plan_chain(factors, last: Semiautomaton, caps: Caps):
     """The chain's cap rules, bottom up, on predicted sizes, for factors the
-    (source, B) pair of every chain step and last the chain's last
-    continuation, at full alphabet or on column classes (_class_chain).
+    walk of the chain (_class_chain), whose entries start with the step's
+    source and B, and last its last continuation.
 
     Returns (base, above): base plans the innermost node to build, which is
     the refined last factor or the raw leaf of the outermost step that breaches
@@ -667,7 +668,7 @@ def _plan_chain(factors, last: Semiautomaton, caps: Caps):
     base = _plan_factor(last, caps)
     states = base.states
     above = []
-    for source, b in reversed(factors):
+    for source, b, *_ in reversed(factors):
         left = None
         product = b.n_states * states
         if _breach("chain", product, caps) is None:
@@ -694,9 +695,8 @@ def _as_planned(node: Node, states: int) -> Node:
 
 
 def _build(plan: _Plan, X: Semiautomaton, caps: Caps) -> Node:
-    """The node plan makes of X, the automaton plan.automaton stands for:
-    X itself, or X at full alphabet where the plan was made on X's column
-    classes."""
+    """The node plan makes of X, the automaton at full alphabet that
+    plan.automaton stands for."""
     if plan.reason is not None:
         return _raw_leaf(X, plan.reason)
     return _as_planned(_refine_factor(plan, X, caps), plan.states)
@@ -730,16 +730,17 @@ def krohn_rhodes_decompose(A: Semiautomaton, caps: Caps = Caps()) -> Node:
     semiautomata (or raw components naming the breached cap), with a root
     witness covering A.
 
-    The chain is planned on its column classes (_class_chain), where every
+    The chain is walked on its column classes (_class_chain), where every
     cap is checked on predicted sizes (_plan_chain). Only then are the steps
-    the plan keeps built at full alphabet (_chain_steps), each factor's group
-    taken from its plan, so only the tree nodes the caps allow are built,
-    and no chain step below a raw leaf.
+    the plan keeps expanded to full alphabet (_chain_steps), each factor's
+    group taken from its plan, so only the tree nodes the caps allow are
+    built, and no chain step below a raw leaf.
     """
     if A.n_states == 1:
         return _two_state_identity_cover(A)
-    base, above = _plan_chain(*_class_chain(A), caps)
-    steps, X = _chain_steps(A, len(above))
+    walk, last = _class_chain(A)
+    base, above = _plan_chain(walk, last, caps)
+    steps, X = _chain_steps(A, walk[:len(above)])
     node = _build(base, X, caps)
     for st, (plan, states) in zip(reversed(steps), above):
         left = _build(plan, st.b, caps)

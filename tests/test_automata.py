@@ -403,6 +403,30 @@ def test_parts_set_with_an_entry_that_is_not_an_integer_name_it(name, value, rea
     assert verify_covering(w) and simulation_counterexample(w, 3) is None
 
 
+@pytest.mark.parametrize(
+    "name, value, reason",
+    [
+        ("phi", (0, 1, 2, "x"), "phi image 'x' is not an integer"),
+        ("xi", ("x", 1), "xi image 'x' is not an integer"),
+        ("phi", (0, 1), "phi needs one entry per upper state"),
+    ],
+)
+def test_a_pickled_witness_keeps_its_fault(name, value, reason):
+    # a witness pickles as its parts, and its copy sets phi and xi again
+    # through the checked setter, so the copy gets the original's verdict
+    # and reason, not another fault or a TypeError; set back, it verifies
+    A = Semiautomaton(["a", "b", "c", "d"], ["x", "y"], [[1, 0], [2, 0], [3, 0], [0, 0]])
+    w = identity_witness(A)
+    kept = getattr(w, name)
+    setattr(w, name, value)
+    copy = pickle.loads(pickle.dumps(w))
+    assert (copy.phi, copy.xi) == (w.phi, w.xi)
+    want, got = verify_covering(w), verify_covering(copy)
+    assert (got.ok, got.reason) == (want.ok, want.reason) == (False, reason)
+    setattr(copy, name, kept)
+    assert verify_covering(copy)
+
+
 @pytest.mark.parametrize("name", ["upper", "lower", "phi", "_phi", "xi", "note"])
 def test_setting_a_part_drops_dom_and_descent(monkeypatch, sa3, sa2, name):
     # dom and the descent of a check by the passes are kept on the witness;

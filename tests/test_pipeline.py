@@ -600,21 +600,21 @@ def test_cap_hit_builds_no_big_product(monkeypatch):
 @pytest.mark.parametrize("seed, kept", [(4, 0), (6, 1), (0, None)])
 def test_decompose_builds_only_the_chain_steps_its_plan_keeps(monkeypatch, seed, kept):
     # the chain is planned on its column classes, and only the steps above
-    # the plan's base are built at full alphabet, one _decomposition_cover
-    # each: none on seed 4, whose base is the raw leaf of A itself, one on
-    # seed 6, and on seed 0, whose whole chain is kept, every step
+    # the plan's base are expanded to full alphabet, one ChainStep each:
+    # none on seed 4, whose base is the raw leaf of A itself, one on seed 6,
+    # and on seed 0, whose whole chain is kept, every step of the walk
     A = random6(seed)
     if kept is None:
-        kept = len(pipeline._chain_steps(A)[0])
+        kept = len(pipeline._class_chain(A)[0])
         assert kept > 1
     built = []
-    cover = pipeline._decomposition_cover
+    step = pipeline.ChainStep
 
     def counted(X, *args):
         built.append(X)
-        return cover(X, *args)
+        return step(X, *args)
 
-    monkeypatch.setattr(pipeline, "_decomposition_cover", counted)
+    monkeypatch.setattr(pipeline, "ChainStep", counted)
     tree = krohn_rhodes_decompose(A)
     assert len(built) == kept
     assert built[:1] == ([A] if kept else [])
@@ -955,24 +955,38 @@ def test_a_negative_length_is_refused(five_pr, name, call):
     call(tree, 0)
 
 
-@pytest.mark.parametrize("name", ["_containment", "_check_omega", "is_simple"])
-def test_decomposing_runs_no_containment_pass(monkeypatch, name):
+@pytest.mark.parametrize(
+    "names",
+    [
+        "_containment",
+        "_check_omega",
+        "is_simple",
+        "yoeli_auxiliary cascade_cover_from_decomposition complementary_partition",
+    ],
+)
+def test_decomposing_runs_no_containment_pass(monkeypatch, names):
     # what the construction guarantees is not checked again while
-    # decomposing, and the trees are the pinned ones: the chain's D-factors,
-    # the Yoeli quotients A*/D* and the coset partitions are admissible, so
-    # no containment pass runs; a tree node's connection is composed from
-    # maps in hand, so none is checked; and a group is simple when its
-    # largest proper normal subgroup is trivial, so no simplicity test runs
+    # decomposing or building pr_chain, and the trees are the pinned ones:
+    # the chain's D-factors and the coset partitions are admissible, so no
+    # containment pass runs; each chain step is expanded from the
+    # column-class walk, so no Yoeli auxiliary, decomposition cover or
+    # complementary partition is built; a tree node's connection is
+    # composed from maps in hand, so none is checked; and a group is simple
+    # when its largest proper normal subgroup is trivial, so no simplicity
+    # test runs
     def refuse(*args):
-        raise AssertionError("%s ran while decomposing" % name)
+        raise AssertionError("%s ran while decomposing" % names)
 
-    for module in (automata, groups, partitions, pipeline):
-        if hasattr(module, name):
-            monkeypatch.setattr(module, name, refuse)
+    for name in names.split():
+        for module in (automata, groups, partitions, pipeline):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
     td, expected = _load_script(), _expected()
     for n, seed in [(5, seed) for seed in range(10)] + [(6, seed) for seed in range(10)]:
-        tree = krohn_rhodes_decompose(random_n(n, seed))
+        A = random_n(n, seed)
+        tree = krohn_rhodes_decompose(A)
         assert td.tree_digest(tree) == expected["random%d-%d" % (n, seed)]
+        assert pr_chain(A).witness.lower is A
 
 
 def _verify_tree_with_simulation(tree, sim_len):

@@ -57,10 +57,15 @@ from krcascade.pipeline import (
     _group_cover,
     _plan_chain,
     _plan_factor,
-    _proof_factor,
 )
 
 from test_pipeline import _descent_levels, random_n
+
+
+def _whole_chain(A):
+    """Every step of A's chain at full alphabet, expanded from the one walk
+    (_class_chain), and the last continuation."""
+    return _chain_steps(A, _class_chain(A)[0])
 
 
 @st.composite
@@ -218,7 +223,7 @@ def test_product_laws(A, B, data):
 def test_pr_chain_factors_are_permutation_reset(A):
     # pr_chain's factors are _chain_steps' B*s and its last continuation,
     # which nothing tests for being permutation-reset once built
-    steps, last = _chain_steps(A)
+    steps, last = _whole_chain(A)
     assert all(map(is_permutation_reset, [step.b for step in steps] + [last]))
 
 
@@ -662,7 +667,7 @@ def test_construction_classes_match_the_built_table(A, data):
     built += [dc.b_star, dc.c, dc.product, dc.yoeli.a_star]
     if n > 1:
         # the permutation-reset factors of the chain, without its cascade
-        steps, last = _chain_steps(A)
+        steps, last = _whole_chain(A)
         for X in [step.b for step in steps] + [last]:
             split = split_permutation_reset(X, Caps(group_order=120))
             built += [split.pi, split.r, split.product]
@@ -870,7 +875,7 @@ def test_plan_built_group_is_the_public_cover(A):
     # the group and cover are what cover_permutation_by_grouplike gives on
     # it, which is Pi's own transition group, each input sent to the
     # element that acts like it
-    steps, last = _chain_steps(A)
+    steps, last = _whole_chain(A)
     for B in [step.b for step in steps] + [last]:
         plan = _plan_factor(B, Caps())
         if plan.group is None:
@@ -922,18 +927,18 @@ def _plan_view(plan):
 def test_chain_planned_on_column_classes_is_the_chain_planned_in_full(A):
     # the walk over column classes (_class_chain) gives every chain step's
     # source and factor B, and the last continuation, with the distinct
-    # columns of the chain built at full alphabet, in the same order; so
-    # _plan_chain plans the same tree on both, under the default caps and
-    # under caps that most chains breach: the same base, predicted sizes
-    # and factor plans, groups in the same closure order
-    steps, last = _chain_steps(A)
-    factors, class_last = _class_chain(A)
+    # columns of the steps it expands to full alphabet, in the same order;
+    # so _plan_chain plans the same tree on both, under the default caps
+    # and under caps that most chains breach: the same base, predicted
+    # sizes and factor plans, groups in the same closure order
+    walk, class_last = _class_chain(A)
+    steps, last = _chain_steps(A, walk)
     full = [(_distinct_columns(st.source), _distinct_columns(st.b)) for st in steps]
-    assert [(_distinct_columns(X), _distinct_columns(B)) for X, B in factors] == full
+    assert [(_distinct_columns(X), _distinct_columns(B)) for X, B, *_ in walk] == full
     assert _distinct_columns(class_last) == _distinct_columns(last)
     for caps in (Caps(), Caps(group_order=2, product_states=1_000)):
         base, above = _plan_chain([(st.source, st.b) for st in steps], last, caps)
-        class_base, class_above = _plan_chain(factors, class_last, caps)
+        class_base, class_above = _plan_chain(walk, class_last, caps)
         assert _plan_view(class_base) == _plan_view(base)
         assert _distinct_columns(class_base.automaton) == _distinct_columns(base.automaton)
         assert [(_plan_view(p), s) for p, s in class_above] == [
@@ -955,14 +960,39 @@ def _proof_table(X):
     return [list(row) for row in zip(*targets)]
 
 
-def _assert_proof_factor_is_d_factor(X):
+def _proof_decomposition(X):
+    """The chain proof's decomposition of X: block i is every state but i."""
     n = X.n_states
-    D = Decomposition(n, [[s for s in range(n) if s != i] for i in range(n)])
-    got = _proof_factor(X, D)
-    want, _ = d_factor(X, D, _proof_table(X))
-    assert got.table == want.table
+    return Decomposition(n, [[s for s in range(n) if s != i] for i in range(n)])
+
+
+def _assert_same_automaton(got, want):
     assert (got.state_labels, got.symbol_labels) == (want.state_labels, want.symbol_labels)
+    assert got.table == want.table
     assert (got._classes, got._firsts) == (want._classes, want._firsts)
+
+
+def _assert_chain_factors_are_d_factors(A):
+    # every walked step's B is d_factor on the proof's choice table, on the
+    # labels of the auxiliary's B*
+    for step in _whole_chain(A)[0]:
+        X, B = step.source, step.b
+        want, _ = d_factor(X, _proof_decomposition(X), _proof_table(X))
+        assert B.table == want.table and B.symbol_labels == want.symbol_labels
+        assert (B._classes, B._firsts) == (want._classes, want._firsts)
+
+
+def _assert_walk_is_the_decomposition_cover(A):
+    # every walked step is the public cover on the proof's decomposition
+    # and choice table, through Yoeli's auxiliary automaton: the same B*
+    # and C, omega and phi
+    for step in _whole_chain(A)[0]:
+        X = step.source
+        want = cascade_cover_from_decomposition(X, _proof_decomposition(X), _proof_table(X))
+        _assert_same_automaton(step.b, want.b_star)
+        _assert_same_automaton(step.c, want.c)
+        assert step.omega == want.omega
+        assert step.phi == want.witness.phi
 
 
 @st.composite
@@ -979,42 +1009,54 @@ def _repeated_columns(draw):
     return Semiautomaton.from_columns(["s%d" % i for i in range(n)], "abc"[:m], columns)
 
 
+def _chain_sources():
+    # automata whose chain has at least one step
+    return _repeated_columns().filter(lambda X: not is_permutation_reset(X))
+
+
 @settings(deadline=None, max_examples=150)
-@given(_repeated_columns())
+@given(_chain_sources())
 def test_proof_factor_is_the_d_factor_of_the_proof_table(X):
-    # the chain's D-factor, made once per column class by _proof_factor,
+    # the chain's D-factor, made once per column class (_proof_columns),
     # is d_factor on the proof's choice table made input by input
-    _assert_proof_factor_is_d_factor(X)
+    _assert_chain_factors_are_d_factors(X)
 
 
-def _assert_b_star_is_the_quotient(X, D, factor):
-    aux = yoeli_auxiliary(X, D, factor)
-    got, want = aux.b_star, _quotient(aux.a_star, aux.d_star)
-    assert (got.state_labels, got.symbol_labels) == (want.state_labels, want.symbol_labels)
-    assert got.table == want.table
-    assert (got._classes, got._firsts) == (want._classes, want._firsts)
+@settings(deadline=None, max_examples=150)
+@given(_chain_sources())
+def test_walked_chain_is_the_decomposition_cover(X):
+    # each step expanded from the column-class walk, with no A* table, is
+    # what cascade_cover_from_decomposition builds through A*
+    _assert_walk_is_the_decomposition_cover(X)
 
 
 @settings(deadline=None, max_examples=150)
 @given(_repeated_columns(), st.data())
 def test_yoeli_b_star_is_the_quotient_by_d_star(X, data):
     # B* is built as the factor on D*'s block labels, never as the quotient
-    # A*/D*; both are the same automaton, for the chain's factor and for
-    # d_factor's on a decomposition made admissible by a block of every state
-    n = X.n_states
-    D = Decomposition(n, [[s for s in range(n) if s != i] for i in range(n)])
-    _assert_b_star_is_the_quotient(X, D, (_proof_factor(X, D), None))
-    blocks = data.draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), max_size=4))
-    D = Decomposition(n, blocks + [range(n)])
-    _assert_b_star_is_the_quotient(X, D, d_factor(X, D))
+    # A*/D*; both are the same automaton, for the chain's factor, in the
+    # auxiliary and as the walked step's B, and for d_factor's on a
+    # decomposition made admissible by a block of every state
+    D = _proof_decomposition(X)
+    aux = yoeli_auxiliary(X, D, d_factor(X, D, _proof_table(X)))
+    want = _quotient(aux.a_star, aux.d_star)
+    _assert_same_automaton(aux.b_star, want)
+    steps = _whole_chain(X)[0]
+    if steps:
+        _assert_same_automaton(steps[0].b, want)
+    blocks = data.draw(st.lists(st.sets(st.integers(0, X.n_states - 1), min_size=1), max_size=4))
+    D = Decomposition(X.n_states, blocks + [range(X.n_states)])
+    aux = yoeli_auxiliary(X, D, d_factor(X, D))
+    _assert_same_automaton(aux.b_star, _quotient(aux.a_star, aux.d_star))
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_every_chain_step_takes_the_proof_tables_factor(n):
-    sources = [step.source for seed in range(10) for step in _chain_steps(random_n(n, seed))[0]]
-    assert len(sources) >= 10
-    for X in sources:
-        _assert_proof_factor_is_d_factor(X)
+    chains = [random_n(n, seed) for seed in range(10)]
+    assert sum(len(_class_chain(A)[0]) for A in chains) >= 10
+    for A in chains:
+        _assert_chain_factors_are_d_factors(A)
+        _assert_walk_is_the_decomposition_cover(A)
 
 
 @st.composite
